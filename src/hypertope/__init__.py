@@ -8,12 +8,10 @@ against a brute-force incidence-graph oracle.
 
 from .permcore import (
     DEFAULT_ELEMENT_CAP,
-    ElementSet,
     GroupTooLargeError,
     PermGroup,
     Permutation,
     RightCoset,
-    compose,
     double_coset_decomposition,
     extends_to_homomorphism,
     generate_group,
@@ -23,7 +21,7 @@ from .permcore import (
     right_coset_decomposition,
     subgroup_intersection,
 )
-from .cosetgeo import Chamber, CosetGeometry, Flag, IncidenceView, build, cosets_intersect
+from .cosetgeo import Chamber, CosetGeometry, Flag, IncidenceView, build
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
@@ -39,7 +37,6 @@ from .cplus import (
     condition_iv,
     is_chiral_hypertope,
     is_independent_generating_set,
-    normality_diagnostics,
     two_orbit_decomposition,
 )
 from .oracle import (

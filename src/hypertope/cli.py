@@ -4,7 +4,9 @@ checks, emit JSON or text reports.
 Input is a small YAML document (see ``serialize_instance`` for the canonical
 shape); generators may be given as 0-based image arrays or as cycle strings
 like ``"(0 1 2)(3 4)"``.  Exit codes: 0 chiral, 10 regular, 20 not a
-hypertope, 1 input error, 2 element cap exceeded.
+hypertope, 1 input error (bad document, bad option or bad command line),
+2 a size cap exceeded (the group's element cap or the oracle's vertex cap).
+Every error ends with one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .cplus import (
     is_chiral_hypertope,
     is_independent_generating_set,
 )
-from .oracle import chirality_bruteforce
+from .oracle import VertexCapError, chirality_bruteforce
 from .permcore import (
     DEFAULT_ELEMENT_CAP,
     GroupTooLargeError,
@@ -43,7 +45,7 @@ EXIT_INPUT_ERROR = 1
 EXIT_CAP_EXCEEDED = 2
 
 _KNOWN_FIELDS = {"name", "degree", "generators", "options", "comment"}
-_KNOWN_OPTIONS = {"k", "check_all_k", "oracle", "element_cap", "threads"}
+_OPTION_TYPES = {"k": int, "check_all_k": bool, "oracle": bool, "element_cap": int}
 
 
 class InputError(ValueError):
@@ -92,7 +94,7 @@ def _parse_generator(obj, degree: int) -> Permutation:
     if isinstance(obj, (list, tuple)):
         if len(obj) != degree:
             raise InputError(f"image array of length {len(obj)} for degree {degree}")
-        if any(not isinstance(x, int) for x in obj):
+        if any(type(x) is not int for x in obj):
             raise InputError("image array entries must be integers")
         if sorted(obj) != list(range(degree)):
             raise InputError(f"image array {obj} is not a bijection on 0..{degree - 1}")
@@ -111,18 +113,36 @@ def spec_from_mapping(doc: dict) -> InstanceSpec:
         raw_gens = doc["generators"]
     except KeyError as exc:
         raise InputError(f"missing required field {exc.args[0]!r}") from exc
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:
         raise InputError("degree must be a positive integer")
+    for key in ("name", "comment"):
+        if key in doc and not isinstance(doc[key], str):
+            raise InputError(f"{key} must be a string")
     if not isinstance(raw_gens, (list, tuple)):
         raise InputError("generators must be a sequence")
     gens = tuple(_parse_generator(g, degree) for g in raw_gens)
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise InputError("options must be a mapping")
-    unknown = set(options) - _KNOWN_OPTIONS
+    _check_options(options)
+    return InstanceSpec(doc.get("name", "unnamed"), degree, gens, dict(options))
+
+
+def _check_options(options: dict) -> None:
+    """Reject unknown options and values of the wrong type.
+
+    Types are exact: a YAML boolean is not an integer and a string is not a
+    boolean.
+    """
+    unknown = set(options) - set(_OPTION_TYPES)
     if unknown:
         raise InputError(f"unknown option(s): {', '.join(sorted(unknown))}")
-    return InstanceSpec(str(doc.get("name", "unnamed")), degree, gens, dict(options))
+    for key, value in options.items():
+        if type(value) is not _OPTION_TYPES[key]:
+            kind = "a boolean" if _OPTION_TYPES[key] is bool else "an integer"
+            raise InputError(f"option {key} must be {kind}, got {value!r}")
+    if options.get("element_cap", 1) < 1:
+        raise InputError("option element_cap must be a positive integer")
 
 
 def parse_instance(text: str) -> InstanceSpec:
@@ -191,7 +211,7 @@ def run(spec: InstanceSpec) -> Report:
 
     t0 = time.perf_counter()
     chirality = is_chiral_hypertope(S, k=opts.get("k", 0),
-                                    check_all_k=bool(opts.get("check_all_k", False)))
+                                    check_all_k=opts.get("check_all_k", False))
     timings["chirality"] = time.perf_counter() - t0
 
     oracle = None
@@ -249,8 +269,15 @@ def format_text(spec: InstanceSpec, report: Report, one_based: bool = False) -> 
 
 # -- entry point ------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors become input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="hypertope",
         description="Decide whether the coset incidence system of (G, R) "
                     "is a chiral hypertope.")
@@ -268,14 +295,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("json", "text"), default="text")
     ap.add_argument("--one-based", action="store_true",
                     help="render cycles with 1-based points in text output")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallelism hint (current implementation is serial)")
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.catalog == "list":
             for name in catalog_names():
                 print(name)
@@ -297,11 +322,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             spec.options["oracle"] = True
         if args.element_cap is not None:
             spec.options["element_cap"] = args.element_cap
+        _check_options(spec.options)
         report = run(spec)
     except (InputError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except GroupTooLargeError as exc:
+    except (GroupTooLargeError, VertexCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
 

@@ -2,8 +2,14 @@
 
 Elements of type i are the right cosets of the i-th distinguished subgroup;
 two cosets are incident iff they intersect.  Flags, residues, truncations and
-the geometric property tests (geometry / thin / firm / connected / residually
-connected / flag-transitive / chamber orbits) all live here.
+the geometric property tests (geometry / thin / connected / residually
+connected / chamber- and flag-transitive) all live here.
+
+A ``CosetGeometry`` answers every coset question from one map per type,
+element of G -> its coset, built in a single pass over G: the canonical
+cosets of a type, the image of a coset under right multiplication, and
+incidence (cosets of types i and j meet iff the two maps send some element
+of G to them).
 
 Residues are computed combinatorially by filtering element lists, so they
 remain meaningful when the system is not flag-transitive.
@@ -15,29 +21,16 @@ import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 from .permcore import (
-    ElementSet,
     PermGroup,
     Permutation,
     RightCoset,
     generate_group,
-    product_set,
-    right_coset,
+    product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cosetgeo.product_set
     right_coset_decomposition,
     subgroup_intersection,
 )
 
 TypedElement = tuple[int, RightCoset]
-
-
-def cosets_intersect(c1: RightCoset, c2: RightCoset) -> bool:
-    """Is H1 g1 ∩ H2 g2 nonempty?  Equivalent to g1 g2^-1 in H1 H2."""
-    if c1.subgroup.degree != c2.subgroup.degree:
-        raise ValueError("degree mismatch")
-    target = c1.representative * c2.representative.inverse()
-    H1, H2 = c1.subgroup, c2.subgroup
-    if H1.order <= H2.order:
-        return any(h.inverse() * target in H2 for h in H1)
-    return any(target * h.inverse() in H1 for h in H2)
 
 
 class Flag:
@@ -75,13 +68,6 @@ class Flag:
 
     def extend(self, t: int, c: RightCoset) -> "Flag":
         return Flag(self.items + ((t, c),))
-
-    def shift(self, g: Permutation) -> "Flag":
-        """Image of the flag under right multiplication by g."""
-        return Flag((t, c.shift(g)) for t, c in self.items)
-
-    def sort_key(self):
-        return tuple((t, c.representative.images) for t, c in self.items)
 
     def __iter__(self):
         return iter(self.items)
@@ -200,21 +186,16 @@ class IncidenceView:
                         return False
         return True
 
-    def _corank1_residue_sizes(self):
+    def is_thin(self) -> bool:
+        """Every corank-1 flag is incident to exactly two elements of the missing type."""
         for missing in self.types:
             others = [t for t in self.types if t != missing]
             for f in self.flags_of_type(others):
-                flag_elems = list(f.items)
-                yield sum(
-                    1 for e in self.elements_by_type[missing]
-                    if all(self.incident(e, fe) for fe in flag_elems)
-                )
-
-    def is_thin(self) -> bool:
-        return all(n == 2 for n in self._corank1_residue_sizes())
-
-    def is_firm(self) -> bool:
-        return all(n >= 2 for n in self._corank1_residue_sizes())
+                n = sum(1 for e in self.elements_by_type[missing]
+                        if all(self.incident(e, fe) for fe in f.items))
+                if n != 2:
+                    return False
+        return True
 
     def is_residually_connected(self) -> bool:
         """Every residue of rank >= 2, including the whole system, is connected.
@@ -237,8 +218,8 @@ class IncidenceView:
 class CosetGeometry:
     """Coset incidence system of a group with an indexed family of subgroups.
 
-    Element lists and pairwise product sets are materialized lazily and
-    cached; the object is otherwise immutable.
+    The element -> coset map of each type and the incidence view are built
+    lazily, once, and cached; the object is otherwise immutable.
     """
 
     def __init__(self, group: PermGroup, parabolics: Sequence[PermGroup]):
@@ -247,8 +228,9 @@ class CosetGeometry:
                 raise ValueError("parabolic is not a subgroup of the group")
         self.group = group
         self.parabolics = tuple(parabolics)
+        self._coset_maps: dict[int, dict[Permutation, RightCoset]] = {}
         self._elements: dict[int, tuple[RightCoset, ...]] = {}
-        self._products: dict[tuple[int, int], frozenset[Permutation]] = {}
+        self._view: Optional[IncidenceView] = None
 
     @property
     def rank(self) -> int:
@@ -258,36 +240,55 @@ class CosetGeometry:
     def type_set(self) -> tuple[int, ...]:
         return tuple(range(self.rank))
 
+    def _coset_map(self, i: int) -> dict[Permutation, RightCoset]:
+        """Every element of the group mapped to its type-i coset."""
+        if i not in self._coset_maps:
+            self._coset_maps[i] = right_coset_decomposition(
+                self.group, self.parabolics[i])
+        return self._coset_maps[i]
+
     def elements_of_type(self, i: int) -> tuple[RightCoset, ...]:
+        """The type-i cosets, ascending by canonical representative."""
         if i not in self._elements:
-            self._elements[i] = tuple(
-                right_coset_decomposition(self.group, self.parabolics[i]))
+            self._elements[i] = tuple(dict.fromkeys(self._coset_map(i).values()))
         return self._elements[i]
 
-    def _product(self, i: int, j: int) -> frozenset[Permutation]:
-        key = (i, j)
-        if key not in self._products:
-            self._products[key] = product_set(
-                self.parabolics[i], self.parabolics[j], cap=self.group.order)._mset
-        return self._products[key]
+    def shift(self, i: int, c: RightCoset, g: Permutation) -> RightCoset:
+        """The type-i coset c g: the image of c under right multiplication by g."""
+        return self._coset_map(i)[c.representative * g]
 
     def incident(self, i: int, c1: RightCoset, j: int, c2: RightCoset) -> bool:
-        """Typed incidence: same-type elements are incident iff equal."""
-        if i == j:
-            return c1 == c2
-        return (c1.representative * c2.representative.inverse()) in self._product(i, j)
+        """Typed incidence: same-type elements are incident iff equal, cosets
+        of different types iff they share an element."""
+        return self.view().incident((i, c1), (j, c2))
 
     def base_chamber(self) -> Chamber:
         """The chamber of the identity cosets; always pairwise incident."""
-        return Chamber((i, right_coset(self.parabolics[i], self.group.identity))
-                       for i in self.type_set)
+        e = self.group.identity
+        return Chamber((i, self._coset_map(i)[e]) for i in self.type_set)
 
     def view(self) -> IncidenceView:
-        by_type = {i: [(i, c) for c in self.elements_of_type(i)]
-                   for i in self.type_set}
-        return IncidenceView(
-            self.type_set, by_type,
-            lambda a, b: self.incident(a[0], a[1], b[0], b[1]))
+        """The geometry as an explicit incidence system, built once.
+
+        Cosets of types i < j meet iff some element x of G lies in both, so
+        the meeting pairs are exactly the (type-i, type-j) coset pairs of the
+        elements of G.  The incidence test closes over these pair sets, not
+        over the geometry: a view -> geometry reference would be a cycle that
+        keeps dead geometries alive until a full garbage collection.
+        """
+        if self._view is None:
+            maps = [self._coset_map(i) for i in self.type_set]
+            pairs = {(i, j): {(maps[i][x], maps[j][x]) for x in self.group.elements}
+                     for i, j in itertools.combinations(self.type_set, 2)}
+
+            def meet(a: TypedElement, b: TypedElement) -> bool:
+                (i, c1), (j, c2) = (a, b) if a[0] < b[0] else (b, a)
+                return (c1, c2) in pairs[i, j]
+
+            by_type = {i: [(i, c) for c in self.elements_of_type(i)]
+                       for i in self.type_set}
+            self._view = IncidenceView(self.type_set, by_type, meet)
+        return self._view
 
     # -- flag and chamber enumeration ------------------------------------
 
@@ -309,9 +310,6 @@ class CosetGeometry:
 
     def is_thin(self) -> bool:
         return self.view().is_thin()
-
-    def is_firm(self) -> bool:
-        return self.view().is_firm()
 
     def is_connected(self) -> bool:
         return self.view().is_connected()
@@ -369,25 +367,12 @@ class CosetGeometry:
             new = []
             for f in frontier:
                 for g in gens:
-                    img = f.shift(g)
+                    img = Flag((t, self.shift(t, c, g)) for t, c in f)
                     if img not in orbit:
                         orbit.add(img)
                         new.append(img)
             frontier = new
         return orbit
-
-    def chamber_orbits(self) -> list[list[Chamber]]:
-        """Orbits of right multiplication on chambers, ordered by minimal chamber."""
-        chambers = sorted(self.chambers(), key=Chamber.sort_key)
-        seen: set[Flag] = set()
-        orbits = []
-        for ch in chambers:
-            if ch in seen:
-                continue
-            orbit = self.flag_orbit(ch)
-            seen.update(orbit)
-            orbits.append(sorted((Chamber(f.items) for f in orbit), key=Chamber.sort_key))
-        return orbits
 
     def is_chamber_transitive(self) -> bool:
         """One orbit on chambers.  Rank < 3 is free by the Tits construction."""
@@ -416,16 +401,6 @@ class CosetGeometry:
                     return False
         return True
 
-    def adjacent_chambers(self, chamber: Chamber, i: int) -> list[Chamber]:
-        """Chambers agreeing with ``chamber`` outside type i and differing at i."""
-        rest = [(t, c) for t, c in chamber.items if t != i]
-        current = chamber.get(i)
-        out = []
-        for c in self.elements_of_type(i):
-            if c != current and all(self.incident(i, c, t, e) for t, e in rest):
-                out.append(Chamber(rest + [(i, c)]))
-        return sorted(out, key=Chamber.sort_key)
-
     def __repr__(self) -> str:
         orders = ", ".join(str(H.order) for H in self.parabolics)
         return f"CosetGeometry(|G|={self.group.order}, parabolic orders=[{orders}])"
@@ -433,29 +408,3 @@ class CosetGeometry:
 
 def build(group: PermGroup, parabolics: Sequence[PermGroup]) -> CosetGeometry:
     return CosetGeometry(group, parabolics)
-
-
-def is_flag_transitive_via_rank3(geometry: CosetGeometry) -> bool:
-    """Rank-reduction flag-transitivity test for a system with an appended subgroup.
-
-    ``geometry`` has parabolics (G_0, ..., G_{r-1}, H).  Requires the system
-    over the first r parabolics to be flag-transitive and the induced system
-    on H (with parabolics G_i ∩ H) to be a flag-transitive geometry; then the
-    full system is a flag-transitive geometry iff every rank-3 system
-    (G_i, G_j, H) is one.
-    """
-    if geometry.rank < 3:
-        raise ValueError("need at least two base parabolics plus the appended subgroup")
-    *base, H = geometry.parabolics
-    outer = CosetGeometry(geometry.group, base)
-    if not outer.is_flag_transitive():
-        raise ValueError("base system is not flag-transitive")
-    induced = CosetGeometry(H, [subgroup_intersection(Gi, H) for Gi in base])
-    if not (induced.is_geometry() and induced.is_flag_transitive()):
-        raise ValueError("induced system on the appended subgroup is not a flag-transitive geometry")
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            sub = CosetGeometry(geometry.group, [base[i], base[j], H])
-            if not (sub.is_geometry() and sub.is_flag_transitive()):
-                return False
-    return True

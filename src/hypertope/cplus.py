@@ -12,13 +12,12 @@ computer-algebra outputs (1 ↔ (i), 2 ↔ (ii), 3 ↔ (iii), 4 ↔ (iv)).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cosetgeo import CosetGeometry
 from .permcore import (
     DEFAULT_ELEMENT_CAP,
-    ElementSet,
     PermGroup,
     Permutation,
     double_coset_decomposition,
@@ -139,17 +138,11 @@ def condition_ii(S: CPlusSystem) -> bool:
     return True
 
 
-def _incident_type_k_elements(S: CPlusSystem, k: int) -> ElementSet:
+def _incident_type_k_elements(S: CPlusSystem, k: int) -> frozenset[Permutation]:
     """∩_{j != k} (G_k G_j): the union of the type-k cosets incident to the base flag."""
     Gk = S.maximal_parabolic(k)
-    result: Optional[ElementSet] = None
-    for j in S.type_set:
-        if j == k:
-            continue
-        prod = product_set(Gk, S.maximal_parabolic(j), cap=S.cap)
-        result = prod if result is None else result.intersection(prod)
-    assert result is not None
-    return result
+    return frozenset.intersection(*(product_set(Gk, S.maximal_parabolic(j), cap=S.cap)
+                                    for j in S.type_set if j != k))
 
 
 def condition_iii(S: CPlusSystem, k: int) -> bool:
@@ -183,7 +176,7 @@ def two_orbit_decomposition(S: CPlusSystem, k: int) -> TwoOrbitResult:
     classes = double_coset_decomposition(Gk, _incident_type_k_elements(S, k), B)
     witness = None
     if len(classes) == 2:
-        witness = classes[1].members[0]
+        witness = min(classes[1])
     return TwoOrbitResult(witness, len(classes), tuple(len(c) for c in classes))
 
 
@@ -196,25 +189,6 @@ def _corank_stabilizer(S: CPlusSystem, k: int) -> PermGroup:
         B = Gj if B is None else subgroup_intersection(B, Gj)
     assert B is not None
     return B
-
-
-def normality_diagnostics(S: CPlusSystem, k: int) -> tuple[bool, bool]:
-    """Is B (resp. G_k) normalized by every element of ∩_{j != k}(G_k G_j)?
-
-    Diagnostic only: either normality, together with the size condition,
-    forces exactly two double cosets.
-    """
-    Gk = S.maximal_parabolic(k)
-    B = _corank_stabilizer(S, k)
-    S_set = _incident_type_k_elements(S, k)
-    b_normal = all(_normalizes(x, B) for x in S_set)
-    gk_normal = all(_normalizes(x, Gk) for x in S_set)
-    return b_normal, gk_normal
-
-
-def _normalizes(x: Permutation, H: PermGroup) -> bool:
-    xi = x.inverse()
-    return all(xi * h * x in H for h in H)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 chambers, direct orbit counting, direct chirality verdict.
 
 This module exists to be slow and obviously correct; it certifies the fast
-group-theoretic decision.  It shares only the inverting-automorphism test
-with the fast path -- that check is group-theoretic in both routes.
+group-theoretic decision.  Beyond the kernel and the coset geometry's
+element -> coset maps, it shares only the inverting-automorphism test with
+the fast path -- that check is group-theoretic in both routes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .cplus import (
 from .permcore import Permutation, RightCoset, inverting_automorphism_exists
 
 DEFAULT_VERTEX_CAP = 50_000
+
+
+class VertexCapError(RuntimeError):
+    """The incidence graph has more vertices than the configured cap."""
 
 
 class IncidenceGraph:
@@ -57,7 +62,7 @@ def build_incidence_graph(geometry: CosetGeometry,
         for c in geometry.elements_of_type(i):
             vertices.append((i, c))
             if len(vertices) > vertex_cap:
-                raise RuntimeError(f"incidence graph exceeds vertex cap {vertex_cap}")
+                raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
     adjacency: list[set[int]] = [set() for _ in vertices]
     for a, (i, c1) in enumerate(vertices):
         for b in range(a + 1, len(vertices)):
@@ -91,13 +96,14 @@ def chambers_via_maximal_cliques(graph: IncidenceGraph) -> list[frozenset[int]]:
     return sorted(cliques, key=sorted)
 
 
-def _clique_orbits(graph: IncidenceGraph, cliques: list[frozenset[int]],
+def _clique_orbits(geometry: CosetGeometry, graph: IncidenceGraph,
+                   cliques: list[frozenset[int]],
                    generators) -> list[list[frozenset[int]]]:
     """Orbits of right multiplication on cliques, ordered by minimal clique."""
     clique_set = set(cliques)
 
     def act(clique: frozenset[int], g: Permutation) -> frozenset[int]:
-        return frozenset(graph.index[(i, c.shift(g))] for i, c in
+        return frozenset(graph.index[(i, geometry.shift(i, c, g))] for i, c in
                          (graph.vertices[v] for v in clique))
 
     seen: set[frozenset[int]] = set()
@@ -142,7 +148,7 @@ def chirality_bruteforce(S: CPlusSystem,
                         and view.is_residually_connected())
 
     generators = S.group.generators or S.group.elements
-    orbits = _clique_orbits(graph, cliques, generators)
+    orbits = _clique_orbits(geometry, graph, cliques, generators)
 
     cross_orbit = True
     if len(orbits) == 2:

@@ -4,12 +4,12 @@ Elements are permutations of {0, ..., n-1} stored as image tuples, groups are
 fully enumerated element sets with a fixed lexicographic total order.  This is
 deliberately the dumb-but-exact representation: every higher-level test in
 this package (coset decompositions, product sets, intersection conditions)
-reduces to plain set computations over these enumerations.
+reduces to plain set computations over these enumerations.  Sets of elements
+that are not subgroups (product sets, double cosets) are frozensets.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import total_ordering
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -124,11 +124,6 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Right-action composition: apply p first, then q."""
-    return p * q
-
-
 class PermGroup:
     """A finite permutation group held as its full, sorted element list."""
 
@@ -220,38 +215,6 @@ def generate_group(degree: int, gens: Sequence[Permutation],
     return PermGroup(degree, gens, sorted(seen))
 
 
-class ElementSet:
-    """Ordered, duplicate-free set of permutations of one degree."""
-
-    __slots__ = ("degree", "members", "_mset")
-
-    def __init__(self, degree: int, members: Iterable[Permutation]):
-        self.degree = degree
-        self.members = tuple(sorted(set(members)))
-        self._mset = frozenset(self.members)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self._mset
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ElementSet) and self._mset == other._mset
-
-    def __hash__(self) -> int:
-        return hash(self._mset)
-
-    def intersection(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.degree, self._mset & other._mset)
-
-    def __repr__(self) -> str:
-        return f"ElementSet(degree={self.degree}, size={len(self.members)})"
-
-
 def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
     """H ∩ K, iterating the smaller group and testing membership in the larger."""
     if H.degree != K.degree:
@@ -261,7 +224,7 @@ def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
 
 
 def product_set(H: PermGroup, K: PermGroup,
-                cap: int = DEFAULT_ELEMENT_CAP) -> ElementSet:
+                cap: int = DEFAULT_ELEMENT_CAP) -> frozenset[Permutation]:
     """The set HK = {h k : h in H, k in K}; |HK| = |H||K| / |H ∩ K|."""
     if H.degree != K.degree:
         raise ValueError("degree mismatch")
@@ -271,7 +234,7 @@ def product_set(H: PermGroup, K: PermGroup,
             out.add(h * k)
             if len(out) > cap:
                 raise GroupTooLargeError(cap)
-    return ElementSet(H.degree, out)
+    return frozenset(out)
 
 
 class RightCoset:
@@ -287,13 +250,6 @@ class RightCoset:
     def elements(self) -> Iterator[Permutation]:
         g = self.representative
         return (h * g for h in self.subgroup)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p * self.representative.inverse() in self.subgroup
-
-    def shift(self, g: Permutation) -> "RightCoset":
-        """The coset H (rep g), re-canonicalized."""
-        return right_coset(self.subgroup, self.representative * g)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, RightCoset)
@@ -316,40 +272,45 @@ def right_coset(H: PermGroup, g: Permutation) -> RightCoset:
     return RightCoset(H, min(h * g for h in H))
 
 
-def right_coset_decomposition(G: PermGroup, H: PermGroup) -> list[RightCoset]:
-    """All right cosets of H in G, ordered by canonical representative."""
+def right_coset_decomposition(G: PermGroup,
+                              H: PermGroup) -> dict[Permutation, RightCoset]:
+    """Every element of G mapped to its right coset of H.
+
+    One pass over the sorted elements of G: the first unseen member of a
+    coset is its minimum, so each coset gets its canonical representative
+    without a search, and the cosets first appear, in the map's values, in
+    ascending order of representative.
+    """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    seen: set[Permutation] = set()
-    cosets = []
-    for g in G.elements:  # sorted, so the first unseen member of a coset is its minimum
-        if g in seen:
-            continue
-        members = [h * g for h in H]
-        seen.update(members)
-        cosets.append(RightCoset(H, g))
-    return cosets
+    coset_of: dict[Permutation, RightCoset] = {}
+    for g in G.elements:
+        if g not in coset_of:
+            coset = RightCoset(H, g)
+            for h in H:
+                coset_of[h * g] = coset
+    return coset_of
 
 
-def double_coset_decomposition(H: PermGroup, S: ElementSet,
-                               K: PermGroup) -> list[ElementSet]:
+def double_coset_decomposition(H: PermGroup, S: frozenset[Permutation],
+                               K: PermGroup) -> list[frozenset[Permutation]]:
     """Partition S into double cosets H x K, ordered by minimal member.
 
     S must be a union of (H, K)-double cosets; a class leaking outside S is
     reported as an error.
     """
-    if H.degree != S.degree or K.degree != S.degree:
+    if H.degree != K.degree:
         raise ValueError("degree mismatch")
     seen: set[Permutation] = set()
     classes = []
-    for x in S.members:
+    for x in sorted(S):
         if x in seen:
             continue
-        block = {h * x * k for h in H for k in K}
-        if not block <= S._mset:
+        block = frozenset(h * x * k for h in H for k in K)
+        if not block <= S:
             raise ValueError("S is not a union of (H, K)-double cosets")
         seen.update(block)
-        classes.append(ElementSet(S.degree, block))
+        classes.append(block)
     return classes
 
 

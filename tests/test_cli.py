@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hypertope import cli, oracle
 from hypertope.catalog import catalog_entry, catalog_names
 from hypertope.cli import (
     EXIT_CAP_EXCEEDED,
@@ -62,6 +63,40 @@ def test_unknown_fields_rejected():
         parse_instance(MINIMAL + 'surprise: 1\n')
     with pytest.raises(InputError):
         parse_instance('degree: 3\ngenerators: [[1, 2, 0]]\noptions: {frob: 1}\n')
+
+
+A4 = 'name: "a4"\ndegree: 4\ngenerators: ["(0 1 2)", "(1 2 3)"]\n'
+
+
+@pytest.mark.parametrize("text", [
+    A4 + 'options: {k: "x"}\n',
+    A4 + 'options: {k: true}\n',
+    A4 + 'options: {oracle: "no"}\n',
+    A4 + 'options: {check_all_k: "no"}\n',
+    A4 + 'options: {element_cap: -5}\n',
+    A4 + 'options: {element_cap: 2.5}\n',
+    A4 + 'options: {threads: 2}\n',
+    'degree: true\ngenerators: [[0]]\n',
+    'degree: 2\ngenerators: [[true, false]]\n',
+    'name: 7\ndegree: 3\ngenerators: [[1, 2, 0]]\n',
+], ids=["k-string", "k-bool", "oracle-string", "check_all_k-string", "cap-negative",
+        "cap-float", "threads", "degree-bool", "images-bool", "name-int"])
+def test_mistyped_document_is_one_line_input_error(tmp_path, capsys, text):
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(text)
+    with pytest.raises(InputError):
+        parse_instance(text)
+    assert main([str(doc)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_threads_option_is_unknown(tmp_path, capsys):
+    with pytest.raises(InputError, match="unknown option"):
+        parse_instance(MINIMAL + 'options: {threads: 1}\n')
+    assert main(["--catalog", "fix-code2-c4", "--threads", "1"]) == EXIT_INPUT_ERROR
+    capsys.readouterr()
 
 
 def test_missing_fields_rejected():
@@ -129,6 +164,24 @@ def test_unknown_catalog_name_is_input_error(capsys):
 def test_element_cap_exit_code(capsys):
     assert main(["--catalog", "torus-4-4-1-2", "--element-cap", "5"]) == EXIT_CAP_EXCEEDED
     capsys.readouterr()
+    assert main(["--catalog", "torus-4-4-1-2", "--element-cap", "-5"]) == EXIT_INPUT_ERROR
+    capsys.readouterr()
+
+
+def test_usage_error_is_input_error(capsys):
+    assert main(["--catalog", "fix-code2-c4", "--bogus"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_oracle_vertex_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "chirality_bruteforce",
+                        lambda S: oracle.chirality_bruteforce(S, vertex_cap=3))
+    assert main(["--catalog", "fix-code2-c4", "--oracle"]) == EXIT_CAP_EXCEEDED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: incidence graph exceeds vertex cap 3\n"
 
 
 def test_json_report_is_stable(tmp_path, capsys):

@@ -2,14 +2,8 @@
 
 import pytest
 
-from hypertope.corpus import dihedral, symmetric, torus_rotation_group
-from hypertope.cosetgeo import (
-    CosetGeometry,
-    Flag,
-    build,
-    cosets_intersect,
-    is_flag_transitive_via_rank3,
-)
+from hypertope.corpus import symmetric, torus_rotation_group
+from hypertope.cosetgeo import CosetGeometry, Flag, build
 from hypertope.cplus import associated_geometry, build_cplus
 from hypertope.permcore import (
     PermGroup,
@@ -44,18 +38,49 @@ def non_geometry_rank4():
     return build(G, parabolics)
 
 
+def s4_rank4():
+    """Rank-4 coset system of S4 from the three Coxeter transpositions."""
+    G = symmetric(4)
+    R = [Permutation.from_cycles(4, [(i, i + 1)]) for i in range(3)]
+    return associated_geometry(build_cplus(G, R))
+
+
 # -- incidence --------------------------------------------------------------
 
 def test_cosets_intersect_matches_enumeration():
-    G = symmetric(3)
-    H1 = generate_group(3, [Permutation([1, 0, 2])])
-    H2 = generate_group(3, [Permutation([0, 2, 1])])
-    for g1 in G:
-        for g2 in G:
+    geo = hexagon()
+    H1, H2 = geo.parabolics
+    for g1 in geo.group:
+        for g2 in geo.group:
             c1 = right_coset(H1, g1)
             c2 = right_coset(H2, g2)
             direct = bool(set(c1.elements()) & set(c2.elements()))
-            assert cosets_intersect(c1, c2) == direct
+            assert geo.incident(0, c1, 1, c2) == direct == geo.incident(1, c2, 0, c1)
+
+
+@pytest.mark.parametrize("make", [non_geometry_rank4, s4_rank4])
+def test_coset_map_matches_element_sets(make):
+    geo = make()
+    assert geo.rank == 4
+    members = {i: {c: frozenset(c.elements()) for c in geo.elements_of_type(i)}
+               for i in geo.type_set}
+    for i in geo.type_set:
+        cosets = geo.elements_of_type(i)
+        # canonical order: ascending minimal member, which is the representative
+        reps = [c.representative for c in cosets]
+        assert reps == sorted(reps)
+        assert all(c.representative == min(members[i][c]) for c in cosets)
+        assert len(cosets) * geo.parabolics[i].order == geo.group.order
+        # shift is element translation
+        for c in cosets:
+            for g in geo.group:
+                assert members[i][geo.shift(i, c, g)] == frozenset(x * g for x in members[i][c])
+        # incidence is nonempty intersection of the element sets
+        for j in geo.type_set:
+            for c1 in cosets:
+                for c2 in geo.elements_of_type(j):
+                    direct = bool(members[i][c1] & members[j][c2])
+                    assert geo.incident(i, c1, j, c2) == direct
 
 
 def test_same_type_incidence_is_equality():
@@ -150,8 +175,14 @@ def test_thin_geometry_has_unique_adjacent_chamber_per_type():
     geo = torus_system()
     assert geo.is_thin()
     ch = geo.base_chamber()
+    chambers = geo.chambers()
+    assert ch in chambers
     for i in geo.type_set:
-        assert len(geo.adjacent_chambers(ch, i)) == 1
+        # chambers agreeing with ch outside type i and differing at i
+        adjacent = [d for d in chambers
+                    if [c for t, c in d if t != i] == [c for t, c in ch if t != i]
+                    and d.get(i) != ch.get(i)]
+        assert len(adjacent) == 1
 
 
 # -- truncations ------------------------------------------------------------
@@ -177,8 +208,11 @@ def test_rank2_truncations_are_chamber_transitive():
 
 def test_torus_system_has_two_chamber_orbits():
     geo = torus_system()
-    orbits = geo.chamber_orbits()
-    assert [len(o) for o in orbits] == [20, 20]
+    chambers = set(geo.chambers())
+    first = geo.flag_orbit(geo.base_chamber())
+    second = geo.flag_orbit(next(iter(chambers - first)))
+    assert len(first) == len(second) == 20
+    assert first | second == chambers
     assert not geo.is_chamber_transitive()
 
 
@@ -186,8 +220,8 @@ def test_flag_orbit_is_invariant_set():
     geo = hexagon()
     orbit = geo.flag_orbit(geo.base_chamber())
     for f in orbit:
-        for g in geo.group.generators:
-            assert f.shift(g) in orbit
+        for g in geo.group:
+            assert Flag((t, geo.shift(t, c, g)) for t, c in f) in orbit
 
 
 def test_residual_connectedness_group_vs_graph():
@@ -195,33 +229,6 @@ def test_residual_connectedness_group_vs_graph():
         assert geo.is_flag_transitive()
         assert (geo.is_residually_connected_group()
                 == geo.is_residually_connected_graph())
-
-
-# -- rank-reduction flag-transitivity test ----------------------------------
-
-def test_via_rank3_detects_two_orbit_system():
-    geo = torus_system()
-    # base = first two parabolics, appended = third; the only rank-3
-    # subsystem is the whole (two-orbit) system, so the test must say no
-    assert not is_flag_transitive_via_rank3(geo)
-
-
-def test_via_rank3_preconditions():
-    geo = hexagon()
-    with pytest.raises(ValueError):
-        is_flag_transitive_via_rank3(geo)  # rank < 3
-
-
-def test_via_rank3_accepts_flag_transitive_geometry():
-    # D4 acting on the square: vertices, edges via reflections, plus the
-    # rotation subgroup appended
-    G = dihedral(4)
-    v = generate_group(4, [Permutation([0, 3, 2, 1])])
-    e = generate_group(4, [Permutation([1, 0, 3, 2])])
-    r = generate_group(4, [Permutation([1, 2, 3, 0])])
-    geo = build(G, [v, e, r])
-    assert is_flag_transitive_via_rank3(geo) == (geo.is_geometry()
-                                                 and geo.is_flag_transitive())
 
 
 def test_parabolic_not_subgroup_rejected():

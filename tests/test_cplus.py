@@ -23,7 +23,6 @@ from hypertope.cplus import (
     condition_iv,
     is_chiral_hypertope,
     is_independent_generating_set,
-    normality_diagnostics,
     two_orbit_decomposition,
 )
 from hypertope.permcore import PermGroup, Permutation, generate_group
@@ -163,12 +162,6 @@ def test_two_orbit_decomposition_requires_condition_i():
     S = s5_rank4_cplus()
     with pytest.raises(ValueError):
         two_orbit_decomposition(S, 2)
-
-
-def test_normality_diagnostics_on_torus():
-    b_normal, gk_normal = normality_diagnostics(torus_cplus(), 0)
-    assert b_normal is True       # B is trivial here
-    assert gk_normal is False
 
 
 # -- the verdict ------------------------------------------------------------

@@ -5,12 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertope.cosetgeo import CosetGeometry
 from hypertope.permcore import (
-    ElementSet,
     GroupTooLargeError,
     Permutation,
     PermGroup,
-    compose,
     double_coset_decomposition,
     extends_to_homomorphism,
     generate_group,
@@ -33,7 +32,6 @@ def test_compose_is_right_action():
     p = Permutation([1, 2, 0])   # (0 1 2)
     q = Permutation([1, 0, 2])   # (0 1)
     assert (p * q).images == (0, 2, 1)
-    assert compose(p, q) == p * q
     assert all((p * q)(x) == q(p(x)) for x in range(3))
 
 
@@ -113,39 +111,47 @@ def test_product_formula_on_s4_cyclics():
 def test_right_coset_decomposition_partitions():
     G = _s4()
     H = generate_group(4, [Permutation([1, 0, 2, 3])])
-    cosets = right_coset_decomposition(G, H)
+    coset_of = right_coset_decomposition(G, H)
+    cosets = list(dict.fromkeys(coset_of.values()))
     assert len(cosets) == G.order // H.order
     all_members = [x for c in cosets for x in c.elements()]
     assert sorted(all_members) == list(G.elements)
-    # canonical representative is the minimal member
+    # canonical representative is the minimal member, cosets come in its order,
+    # and every element maps to the coset that holds it
     for c in cosets:
         assert c.representative == min(c.elements())
+        assert right_coset(H, c.representative) == c
+    assert [c.representative for c in cosets] == sorted(c.representative for c in cosets)
+    assert all(coset_of[x] == c for c in cosets for x in c.elements())
 
 
 def test_coset_shift_matches_element_translation():
     G = _s4()
     H = generate_group(4, [Permutation([1, 2, 0, 3])])
-    g = Permutation([3, 2, 1, 0])
-    h = Permutation([0, 2, 1, 3])
-    shifted = right_coset(H, g).shift(h)
-    assert sorted(shifted.elements()) == sorted(x * h for x in right_coset(H, g).elements())
+    geo = CosetGeometry(G, [H])
+    for c in geo.elements_of_type(0):
+        for h in G:
+            shifted = geo.shift(0, c, h)
+            assert shifted == right_coset(H, c.representative * h)
+            assert sorted(shifted.elements()) == sorted(x * h for x in c.elements())
 
 
 def test_double_cosets_match_naive_closure():
     G = _s4()
     H = generate_group(4, [Permutation([1, 0, 2, 3])])
     K = generate_group(4, [Permutation([0, 2, 1, 3])])
-    S = ElementSet(4, G.elements)
+    S = frozenset(G.elements)
     classes = double_coset_decomposition(H, S, K)
     naive = {frozenset(h * x * k for h in H for k in K) for x in G}
-    assert {frozenset(c) for c in classes} == naive
+    assert set(classes) == naive
     assert sum(len(c) for c in classes) == G.order
+    assert [min(c) for c in classes] == sorted(min(c) for c in classes)
 
 
 def test_double_coset_rejects_partial_union():
     G = _s4()
     H = generate_group(4, [Permutation([1, 0, 2, 3])])
-    S = ElementSet(4, list(G)[:5])
+    S = frozenset(list(G)[:5])
     with pytest.raises(ValueError):
         double_coset_decomposition(H, S, H)
 
