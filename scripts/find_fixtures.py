@@ -6,8 +6,9 @@ Two searches live here:
 * failure-code sweep: scan generating tuples of small groups and report the
   first instance hitting each failure code 1-4 plus a chiral and a regular
   instance.  Code 1 (a corank-1 truncation with several chamber orbits while
-  all corank-1 parabolic intersections stay trivial) is rare; the sweep uses
-  a multiplication-table fast path so S5-sized groups stay tractable.
+  all corank-1 parabolic intersections stay trivial) is rare; the sweep runs
+  on element indices and the library's action table, so S5-sized groups stay
+  tractable.
 
 * non-geometry sweep: rank-4 subgroup quadruples whose coset system is
   connected but not a geometry.  Rank-3 systems need not be tried: any
@@ -35,69 +36,58 @@ from hypertope.corpus import (
 from hypertope.cosetgeo import build
 from hypertope.cplus import build_cplus, is_chiral_hypertope
 from hypertope.oracle import build_incidence_graph, chambers_via_maximal_cliques
-from hypertope.permcore import Permutation, generate_group
-
-
-def _tables(G):
-    els = list(G.elements)
-    idx = {g: i for i, g in enumerate(els)}
-    mul = [[idx[a * b] for b in els] for a in els]
-    inv = [idx[a.inverse()] for a in els]
-    return els, mul, inv
-
-
-def _closure(gens, mul):
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
+from hypertope.permcore import (
+    Permutation,
+    action_table,
+    generate_group,
+    generated_indices,
+)
 
 
 def scan_rank4_code1(name, G):
-    """Table-driven sweep for rank-4 tuples passing condition (ii) but with an
-    intransitive corank-1 truncation (failure code 1)."""
-    els, mul, inv = _tables(G)
-    n = len(els)
-    conj = [[mul[inv[g]][mul[x][g]] for x in range(n)] for g in range(n)]
+    """Index-driven sweep for rank-4 tuples passing condition (ii) but with an
+    intransitive corank-1 truncation (failure code 1).
+
+    Elements are G's indices; ``acts[b][a]`` is the index of a * b."""
+    acts = action_table(G)
+    n = G.order
+    inv = [G.index[x.inverse()] for x in G.elements]
+    conj = [[acts[g][acts[x][inv[g]]] for x in range(n)] for g in range(n)]
+
+    def closure(gens):
+        return frozenset(generated_indices(acts[g] for g in gens))
+
     seen_canon = set()
     for trip in itertools.combinations(range(1, n), 3):
         key = min(tuple(sorted(c[x] for x in trip)) for c in conj)
         if key in seen_canon:
             continue
         seen_canon.add(key)
-        if len(_closure(trip, mul)) != n:
+        if len(closure(trip)) != n:
             continue
         for a1 in trip:
             rest = [x for x in trip if x != a1]
             R = [a1] + rest
             a1i = inv[R[0]]
-            P = [frozenset(_closure([mul[a1i][R[1]], mul[a1i][R[2]]], mul)),
-                 frozenset(_closure([R[1], R[2]], mul)),
-                 frozenset(_closure([R[0], R[2]], mul)),
-                 frozenset(_closure([R[0], R[1]], mul))]
+            P = [closure([acts[R[1]][a1i], acts[R[2]][a1i]]),
+                 closure([R[1], R[2]]),
+                 closure([R[0], R[2]]),
+                 closure([R[0], R[1]])]
             if any(len(P[i] & P[j] & P[k]) != 1
                    for i, j, k in itertools.combinations(range(4), 3)):
                 continue  # condition (ii) fails: that is code 2, not code 1
             for k in range(4):
                 J = [j for j in range(4) if j != k]
                 kp, Bp = J[0], P[J[1]] & P[J[2]]
-                inter = ({mul[h][x] for h in P[kp] for x in P[J[1]]}
-                         & {mul[h][x] for h in P[kp] for x in P[J[2]]})
+                inter = ({acts[x][h] for h in P[kp] for x in P[J[1]]}
+                         & {acts[x][h] for h in P[kp] for x in P[J[2]]})
                 rem, orbits = set(inter), 0
                 while rem:
                     x = next(iter(rem))
-                    rem -= {mul[mul[h][x]][b] for h in P[kp] for b in Bp}
+                    rem -= {acts[b][acts[x][h]] for h in P[kp] for b in Bp}
                     orbits += 1
                 if orbits > 1:
-                    return [els[i] for i in R], k
+                    return [G.elements[i] for i in R], k
     return None
 
 

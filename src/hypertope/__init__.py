@@ -12,9 +12,11 @@ from .permcore import (
     PermGroup,
     Permutation,
     RightCoset,
+    action_table,
     double_coset_decomposition,
     extends_to_homomorphism,
     generate_group,
+    generated_indices,
     inverting_automorphism_exists,
     product_set,
     right_coset,

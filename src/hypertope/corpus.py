@@ -12,7 +12,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .permcore import PermGroup, Permutation, generate_group
+from .permcore import (
+    PermGroup,
+    Permutation,
+    action_table,
+    generate_group,
+    generated_indices,
+)
 
 
 # -- named groups -----------------------------------------------------------
@@ -65,19 +71,10 @@ def torus_rotation_group() -> tuple[PermGroup, tuple[Permutation, Permutation]]:
 def regular_representation(G: PermGroup,
                            gens: Sequence[Permutation]) -> tuple[int, list[Permutation]]:
     """Degree-|G| right-regular images of the given elements of G."""
-    index = {g: i for i, g in enumerate(G.elements)}
-    out = []
-    for g in gens:
-        out.append(Permutation(index[x * g] for x in G.elements))
-    return G.order, out
+    return G.order, [Permutation(G.action(g)) for g in gens]
 
 
 # -- generating tuple enumeration ------------------------------------------
-
-def _conjugation_canonical(G: PermGroup,
-                           R: tuple[Permutation, ...]) -> tuple:
-    return min(tuple((g.inverse() * r * g).images for r in R) for g in G)
-
 
 def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = None,
                       dedupe: bool = True,
@@ -88,28 +85,35 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     generated by the others (None keeps both kinds).  With ``dedupe`` only
     one representative per simultaneous-conjugacy class is yielded, in
     deterministic order.
+
+    Tuples are tried as element indices (0 is the identity), against one
+    local table of every element's action: generation and membership are
+    searches over it, and the dedupe key is the least tuple of conjugate
+    indices over G.
     """
     seen: set[tuple] = set()
     count = 0
-    nontrivial = [g for g in G.elements if not g.is_identity()]
-    for R in itertools.product(nontrivial, repeat=size):
-        if len(set(R)) != size:
+    acts = action_table(G)
+    inv = [G.index[x.inverse()] for x in G.elements]
+    for T in itertools.product(range(1, G.order), repeat=size):
+        if len(set(T)) != size:
             continue
-        if generate_group(G.degree, R, cap=G.order).order != G.order:
+        if len(generated_indices(acts[t] for t in T)) != G.order:
             continue
         if independent is not None:
             is_indep = all(
-                R[i] not in generate_group(
-                    G.degree, R[:i] + R[i + 1:], cap=G.order)
+                T[i] not in generated_indices(acts[t] for t in T[:i] + T[i + 1:])
                 for i in range(size))
             if is_indep != independent:
                 continue
         if dedupe:
-            key = _conjugation_canonical(G, R)
+            # g^-1 t g: from g^-1, right-multiply by t, then by g
+            key = min(tuple(ag[acts[t][inv[g]]] for t in T)
+                      for g, ag in enumerate(acts))
             if key in seen:
                 continue
             seen.add(key)
-        yield R
+        yield tuple(G.elements[t] for t in T)
         count += 1
         if limit is not None and count >= limit:
             return

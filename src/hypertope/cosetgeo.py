@@ -219,7 +219,9 @@ class CosetGeometry:
     """Coset incidence system of a group with an indexed family of subgroups.
 
     The element -> coset map of each type and the incidence view are built
-    lazily, once, and cached; the object is otherwise immutable.
+    lazily, once, and cached; the object is otherwise immutable.  The maps
+    are keyed by subgroup, and a truncation shares its parent's store, so a
+    map built for either serves both.
     """
 
     def __init__(self, group: PermGroup, parabolics: Sequence[PermGroup]):
@@ -228,8 +230,8 @@ class CosetGeometry:
                 raise ValueError("parabolic is not a subgroup of the group")
         self.group = group
         self.parabolics = tuple(parabolics)
-        self._coset_maps: dict[int, dict[Permutation, RightCoset]] = {}
-        self._elements: dict[int, tuple[RightCoset, ...]] = {}
+        self._coset_maps: dict[PermGroup, dict[Permutation, RightCoset]] = {}
+        self._elements: dict[PermGroup, tuple[RightCoset, ...]] = {}
         self._view: Optional[IncidenceView] = None
 
     @property
@@ -242,16 +244,17 @@ class CosetGeometry:
 
     def _coset_map(self, i: int) -> dict[Permutation, RightCoset]:
         """Every element of the group mapped to its type-i coset."""
-        if i not in self._coset_maps:
-            self._coset_maps[i] = right_coset_decomposition(
-                self.group, self.parabolics[i])
-        return self._coset_maps[i]
+        H = self.parabolics[i]
+        if H not in self._coset_maps:
+            self._coset_maps[H] = right_coset_decomposition(self.group, H)
+        return self._coset_maps[H]
 
     def elements_of_type(self, i: int) -> tuple[RightCoset, ...]:
         """The type-i cosets, ascending by canonical representative."""
-        if i not in self._elements:
-            self._elements[i] = tuple(dict.fromkeys(self._coset_map(i).values()))
-        return self._elements[i]
+        H = self.parabolics[i]
+        if H not in self._elements:
+            self._elements[H] = tuple(dict.fromkeys(self._coset_map(i).values()))
+        return self._elements[H]
 
     def shift(self, i: int, c: RightCoset, g: Permutation) -> RightCoset:
         """The type-i coset c g: the image of c under right multiplication by g."""
@@ -355,7 +358,10 @@ class CosetGeometry:
             raise ValueError("truncation to an empty type set")
         if not set(J) <= set(self.type_set):
             raise ValueError("truncation types outside the type set")
-        return CosetGeometry(self.group, [self.parabolics[j] for j in J])
+        child = CosetGeometry(self.group, [self.parabolics[j] for j in J])
+        child._coset_maps = self._coset_maps
+        child._elements = self._elements
+        return child
 
     # -- group actions ----------------------------------------------------
 

@@ -22,6 +22,7 @@ from .permcore import (
     Permutation,
     double_coset_decomposition,
     generate_group,
+    generated_indices,
     inverting_automorphism_exists,
     product_set,
     subgroup_intersection,
@@ -33,7 +34,12 @@ NOT_HYPERTOPE = "not-hypertope"
 
 
 class CPlusSystem:
-    """A group with an ordered generating set and its derived parabolics."""
+    """A group with an ordered generating set and its derived parabolics.
+
+    R must generate the group; ``build_cplus`` checks that.  The associated
+    coset geometry and each k's result of condition (i) are computed once
+    and kept.
+    """
 
     def __init__(self, group: PermGroup, R: Sequence[Permutation],
                  cap: int = DEFAULT_ELEMENT_CAP):
@@ -43,6 +49,8 @@ class CPlusSystem:
         self.cap = cap
         self._alphas = (group.identity,) + self.R  # alpha_0 = identity
         self._parabolic_cache: dict[tuple[int, ...], PermGroup] = {}
+        self._geometry: Optional[CosetGeometry] = None
+        self._condition_i: dict[int, bool] = {}
 
     @property
     def type_set(self) -> tuple[int, ...]:
@@ -53,11 +61,17 @@ class CPlusSystem:
         return self._alphas[i].inverse() * self._alphas[j]
 
     def parabolic(self, J: Sequence[int]) -> PermGroup:
-        """⟨alpha_{ij} : i, j ∈ J⟩; trivial when |J| <= 1 since alpha_{ii} = 1."""
+        """⟨alpha_{ij} : i, j ∈ J⟩; trivial when |J| <= 1 since alpha_{ii} = 1.
+
+        For the full type set it is the group itself: alpha_{0j} = alpha_j,
+        so the generators include R, which generates the group.
+        """
         key = tuple(sorted(set(J)))
         if key not in self._parabolic_cache:
             if len(key) <= 1:
                 group = PermGroup.trivial(self.group.degree)
+            elif key == self.type_set:
+                group = self.group
             else:
                 gens = [self.alpha(i, j) for i in key for j in key if i != j]
                 group = generate_group(self.group.degree, gens, cap=self.cap)
@@ -83,7 +97,7 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation],
     for r in R:
         if r not in G:
             raise ValueError("generator not in G")
-    if generate_group(G.degree, R, cap=G.order).order != G.order:
+    if len(generated_indices(G.action(r) for r in R)) != G.order:
         raise ValueError("R does not generate G")
     system = CPlusSystem(G, R, cap=cap)
     system.maximal_parabolics()
@@ -92,9 +106,10 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation],
 
 def is_independent_generating_set(S: CPlusSystem) -> bool:
     """No generator lies in the subgroup generated by the others."""
-    for i in range(1, S.rank):
-        others = [S.R[j - 1] for j in range(1, S.rank) if j != i]
-        if S.R[i - 1] in generate_group(S.group.degree, others, cap=S.cap):
+    G = S.group
+    for i, r in enumerate(S.R):
+        others = generated_indices(G.action(x) for j, x in enumerate(S.R) if j != i)
+        if G.index[r] in others:
             return False
     return True
 
@@ -116,15 +131,19 @@ def check_ic_plus(S: CPlusSystem) -> bool:
 
 
 def associated_geometry(S: CPlusSystem) -> CosetGeometry:
-    """The coset incidence system over the maximal parabolics, in type order."""
-    return CosetGeometry(S.group, S.maximal_parabolics())
+    """The coset incidence system over the maximal parabolics, in type order,
+    built once per system."""
+    if S._geometry is None:
+        S._geometry = CosetGeometry(S.group, S.maximal_parabolics())
+    return S._geometry
 
 
 def condition_i(S: CPlusSystem, k: int) -> bool:
     """Transitivity on the chambers of the truncation dropping type k."""
-    geometry = associated_geometry(S)
-    J = [i for i in S.type_set if i != k]
-    return geometry.truncation(J).is_chamber_transitive()
+    if k not in S._condition_i:
+        J = [i for i in S.type_set if i != k]
+        S._condition_i[k] = associated_geometry(S).truncation(J).is_chamber_transitive()
+    return S._condition_i[k]
 
 
 def condition_ii(S: CPlusSystem) -> bool:

@@ -2,9 +2,19 @@
 chambers, direct orbit counting, direct chirality verdict.
 
 This module exists to be slow and obviously correct; it certifies the fast
-group-theoretic decision.  Beyond the kernel and the coset geometry's
-element -> coset maps, it shares only the inverting-automorphism test with
-the fast path -- that check is group-theoretic in both routes.
+group-theoretic decision.  What it shares with the fast path:
+
+- the kernel: permutations, the element numbering and actions fixed at
+  closure, unchecked products;
+- the system's one coset geometry (``associated_geometry``) and its
+  element -> coset maps, which the fast path's truncations fill and reuse;
+- the inverting-automorphism test (the pair search of
+  ``extends_to_homomorphism``) -- that check is group-theoretic in both
+  routes.
+
+A kernel bug would therefore reach both verdicts alike;
+``tests/test_kernel_crosscheck.py`` checks the kernel's group, parabolic and
+intersection orders against sympy, which shares no code with it.
 """
 
 from __future__ import annotations

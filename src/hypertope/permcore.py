@@ -6,11 +6,22 @@ deliberately the dumb-but-exact representation: every higher-level test in
 this package (coset decompositions, product sets, intersection conditions)
 reduces to plain set computations over these enumerations.  Sets of elements
 that are not subgroups (product sets, double cosets) are frozensets.
+
+A group numbers its elements once, at closure: ``G.index`` maps each element
+to its position in the sorted element list (the identity is always 0).  The
+closure keeps the products x * g it computes as one index array per
+generator, ``G.action(g)``, so generation ("does S generate G?"), membership
+in a generated subgroup and the homomorphism test are breadth-first searches
+over integers (``generated_indices``), not new closures.
+
+Only the public constructor validates its input.  Products and inverses of
+permutations are permutations, so they are built unchecked.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ELEMENT_CAP = 100_000
@@ -43,7 +54,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return _trusted(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -63,16 +74,18 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation(o[x] for x in self.images)
+        if len(a) < 2:  # itemgetter of 0 or 1 points is not a tuple
+            return other
+        return _trusted(itemgetter(*a)(b))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(x == y for x, y in enumerate(self.images))
@@ -118,6 +131,13 @@ class Permutation:
         return f"Permutation[{body}]"
 
 
+def _trusted(images: tuple[int, ...]) -> Permutation:
+    """A Permutation of images already known to be a permutation: no check."""
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
+
+
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
@@ -125,16 +145,23 @@ def _gcd(a: int, b: int) -> int:
 
 
 class PermGroup:
-    """A finite permutation group held as its full, sorted element list."""
+    """A finite permutation group held as its full, sorted element list.
 
-    __slots__ = ("degree", "generators", "elements", "_eset", "_hash")
+    ``index`` numbers the elements by their position in that list.
+    ``action(g)`` is the index array of x -> x * g; the closure records it
+    for each generator, any other element's array is built on first request
+    and kept.  A group never holds more arrays than were asked for.
+    """
+
+    __slots__ = ("degree", "generators", "elements", "index", "_actions", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self._eset = frozenset(self.elements)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self._actions: dict[Permutation, tuple[int, ...]] = {}
         self._hash: Optional[int] = None
 
     @classmethod
@@ -158,8 +185,17 @@ class PermGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    def action(self, g: Permutation) -> tuple[int, ...]:
+        """x -> x * g on indices: ``action(g)[index[x]] == index[x * g]``."""
+        act = self._actions.get(g)
+        if act is None:
+            if g not in self.index:
+                raise ValueError("element not in the group")
+            act = self._actions[g] = _right_action(self, g)
+        return act
+
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._eset
+        return p in self.index
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
@@ -168,14 +204,14 @@ class PermGroup:
         return len(self.elements)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self._eset <= other._eset
+        return self.degree == other.degree and self.index.keys() <= other.index.keys()
 
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
-                and self._eset == other._eset)
+                and self.index.keys() == other.index.keys())
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -186,33 +222,67 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
+def _right_action(G: PermGroup, g: Permutation) -> tuple[int, ...]:
+    index = G.index
+    return tuple([index[x * g] for x in G.elements])
+
+
+def action_table(G: PermGroup) -> list[tuple[int, ...]]:
+    """``G.action`` of every element, in index order: a |G| x |G| table that
+    the caller holds and drops; nothing is kept on G."""
+    return [_right_action(G, g) for g in G.elements]
+
+
+def generated_indices(actions: Iterable[Sequence[int]]) -> set[int]:
+    """The indices reached from the identity (index 0) under the given
+    actions: the subgroup generated by their elements, as indices."""
+    actions = tuple(actions)
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for act in actions:
+            y = act[x]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
 def generate_group(degree: int, gens: Sequence[Permutation],
                    cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """Close a generator list under composition and inverse.
 
     Breadth-first closure from the identity; the element list comes out
-    sorted, so the result is independent of generator order.  Raises
+    sorted, so the result is independent of generator order.  The products
+    x * g of the closure are kept as each generator's action.  Raises
     GroupTooLargeError as soon as the closure exceeds ``cap``.
     """
     gens = tuple(dict.fromkeys(gens))  # dedupe, keep first occurrence
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    identity = Permutation.identity(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[Permutation] = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    if len(seen) > cap:
-                        raise GroupTooLargeError(cap)
-                    new.append(y)
-        frontier = new
-    return PermGroup(degree, gens, sorted(seen))
+    found = [Permutation.identity(degree)]  # in order of discovery
+    number = {found[0]: 0}
+    edges: list[list[int]] = [[] for _ in gens]  # edges[i][n]: number of found[n] * gens[i]
+    for x in found:  # the list grows while it is walked
+        for g, row in zip(gens, edges):
+            y = x * g
+            n = number.get(y)
+            if n is None:
+                n = number[y] = len(found)
+                if n >= cap:
+                    raise GroupTooLargeError(cap)
+                found.append(y)
+            row.append(n)
+    G = PermGroup(degree, gens, sorted(found))
+    to_index = [G.index[x] for x in found]
+    for g, row in zip(gens, edges):
+        act = [0] * len(found)
+        for n, m in enumerate(row):
+            act[to_index[n]] = to_index[m]
+        G._actions[g] = tuple(act)
+    return G
 
 
 def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
@@ -314,18 +384,17 @@ def double_coset_decomposition(H: PermGroup, S: frozenset[Permutation],
     return classes
 
 
-def _direct_product_pair(p: Permutation, q: Permutation) -> Permutation:
-    d = p.degree
-    return Permutation(tuple(p.images) + tuple(d + x for x in q.images))
-
-
 def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
                             images: Sequence[Permutation]) -> bool:
     """Does gens[i] -> images[i] extend to a homomorphism on G?
 
-    Graph-of-homomorphism test: the subgroup D of the direct product
-    generated by the pairs (gens[i], images[i]) projects onto G, so the map
-    is well defined iff |D| == |G|.
+    Breadth-first search over the pairs (x, phi(x)), from phi(1) = 1 along
+    phi(x * gens[i]) = phi(x) * images[i]: x moves on indices by
+    ``G.action``, phi(x) by products.  The pairs reached are the subgroup D
+    of the direct product generated by the (gens[i], images[i]), so the map
+    is well defined iff every edge agrees with the value phi already has,
+    i.e. iff |D| == |G|.  Raises ValueError when gens do not generate G,
+    whether or not the images conflict.
     """
     if len(gens) != len(images):
         raise ValueError("generator/image length mismatch")
@@ -334,16 +403,24 @@ def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
     for g in gens:
         if g not in G:
             raise ValueError("generator not in G")
-    if generate_group(G.degree, gens, cap=G.order).order != G.order:
+    edges = [(G.action(g), q) for g, q in zip(gens, images)]
+    phi = {0: Permutation.identity(images[0].degree) if images else None}
+    stack = [0]
+    consistent = True
+    while stack:
+        x = stack.pop()
+        fx = phi[x]
+        for act, q in edges:
+            y = act[x]
+            fy = fx * q
+            if y not in phi:
+                phi[y] = fy
+                stack.append(y)
+            elif phi[y] != fy:
+                consistent = False
+    if len(phi) != G.order:
         raise ValueError("gens do not generate G")
-    if not gens:
-        return True
-    paired = [_direct_product_pair(p, q) for p, q in zip(gens, images)]
-    try:
-        D = generate_group(paired[0].degree, paired, cap=G.order)
-    except GroupTooLargeError:
-        return False  # |D| > |G|: the graph meets {1} x <images> nontrivially
-    return D.order == G.order
+    return consistent
 
 
 def inverting_automorphism_exists(G: PermGroup, R: Sequence[Permutation]) -> bool:

@@ -1,18 +1,22 @@
 """Kernel tests: permutations, closure, cosets, double cosets, homomorphisms."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertope.corpus import generating_tuples, rank3_group_list
 from hypertope.cosetgeo import CosetGeometry
 from hypertope.permcore import (
     GroupTooLargeError,
     Permutation,
     PermGroup,
+    action_table,
     double_coset_decomposition,
     extends_to_homomorphism,
     generate_group,
+    generated_indices,
     inverting_automorphism_exists,
     product_set,
     right_coset,
@@ -58,9 +62,30 @@ def test_order_matches_iteration(p):
     assert n == p.order()
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, random.Random(7).randint(4, 60)])
+def test_products_and_inverses_match_definition(degree):
+    rng = random.Random(degree)
+    for _ in range(20):
+        p = Permutation(rng.sample(range(degree), degree))
+        q = Permutation(rng.sample(range(degree), degree))
+        pq = p * q
+        assert pq.images == tuple(q(p(x)) for x in range(degree))
+        assert type(pq.images) is tuple and pq == Permutation(pq.images)
+        inv = p.inverse()
+        assert all(inv(p(x)) == x for x in range(degree))
+        assert type(inv.images) is tuple and inv == Permutation(inv.images)
+
+
+def test_product_degree_mismatch_rejected():
+    with pytest.raises(ValueError):
+        Permutation([1, 0]) * Permutation([1, 0, 2])
+
+
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+    with pytest.raises(ValueError):
+        Permutation([0, 2])
 
 
 # -- closure ----------------------------------------------------------------
@@ -92,6 +117,52 @@ def test_duplicate_generators_deduplicated():
     G = generate_group(3, [g, g])
     assert G.generators == (g,)
     assert G.order == 3
+
+
+# -- element numbering and actions --------------------------------------------
+
+def test_index_numbers_sorted_elements_from_identity():
+    G = _s4()
+    assert [G.index[x] for x in G.elements] == list(range(G.order))
+    assert G.index[G.identity] == 0
+
+
+def test_action_is_right_multiplication_on_indices():
+    G = _s4()
+    for g in G:
+        act = G.action(g)
+        for x in G:
+            assert G.index[x * g] == act[G.index[x]]
+
+
+def test_closure_actions_equal_recomputed_actions():
+    for gens in ([Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])],
+                 [Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3]),
+                  Permutation([0, 1, 3, 2])]):
+        G = generate_group(4, gens)
+        recorded = [G.action(g) for g in G.generators]
+        fresh = generate_group(4, list(G.elements))  # other generators, same group
+        assert fresh == G and fresh.index == G.index
+        assert recorded == [fresh.action(g) for g in G.generators]
+        assert recorded == [tuple(G.index[x * g] for x in G.elements)
+                            for g in G.generators]
+        assert action_table(G) == [tuple(G.index[x * g] for x in G.elements) for g in G]
+
+
+def test_action_rejects_non_members():
+    G = generate_group(4, [Permutation([1, 0, 2, 3])])
+    with pytest.raises(ValueError):
+        G.action(Permutation([1, 2, 3, 0]))
+    with pytest.raises(ValueError):
+        PermGroup.trivial(3).action(Permutation([1, 0, 2]))
+
+
+def test_generated_indices_match_closure():
+    G = _s4()
+    for a, b in itertools.combinations(G.elements, 2):
+        H = generate_group(4, [a, b])
+        assert generated_indices([G.action(a), G.action(b)]) == {G.index[h] for h in H}
+    assert generated_indices([]) == {0}
 
 
 # -- subgroup algebra -------------------------------------------------------
@@ -198,6 +269,31 @@ def test_extension_matches_word_propagation():
             continue
         assert (extends_to_homomorphism(G, gens, images)
                 == _word_propagation_extends(G, gens, images))
+
+
+@pytest.mark.parametrize("name", ["s4", "a5", "f20"])
+def test_extension_matches_word_propagation_on_corpus_tuples(name):
+    G = dict(rank3_group_list())[name]
+    seen = {True: 0, False: 0}
+    for a, b in generating_tuples(G, 2, independent=True):
+        for images in ([a.inverse(), b.inverse()], [b, a]):
+            got = extends_to_homomorphism(G, [a, b], images)
+            assert got == _word_propagation_extends(G, [a, b], images)
+            seen[got] += 1
+    assert seen[True] and seen[False]  # both outcomes exercised
+
+
+def test_extension_requires_generating_set():
+    G = _s4()
+    t = Permutation([1, 0, 2, 3])
+    c = Permutation([1, 2, 0, 3])
+    with pytest.raises(ValueError):
+        extends_to_homomorphism(G, [t], [t])  # consistent images
+    with pytest.raises(ValueError):
+        extends_to_homomorphism(G, [t], [c])  # order 2 -> order 3: conflicting
+    with pytest.raises(ValueError):
+        extends_to_homomorphism(G, [], [])
+    assert extends_to_homomorphism(PermGroup.trivial(3), [], [])
 
 
 def test_inverting_automorphism_cases():
