@@ -96,7 +96,8 @@ class IncidenceView:
 
     This is the combinatorial side of a coset geometry, and it is closed
     under taking residues, which is exactly what the graph-based residual
-    connectedness test needs.
+    connectedness test needs.  A view is immutable, so ``is_geometry``,
+    which enumerates every flag, is computed once and kept.
     """
 
     def __init__(self, types: Sequence[int],
@@ -105,6 +106,7 @@ class IncidenceView:
         self.types = tuple(sorted(types))
         self.elements_by_type = {t: tuple(elements_by_type[t]) for t in self.types}
         self._incident = incident_fn
+        self._is_geometry: Optional[bool] = None
 
     @property
     def rank(self) -> int:
@@ -172,6 +174,11 @@ class IncidenceView:
 
     def is_geometry(self) -> bool:
         """Does every flag extend to a chamber?"""
+        if self._is_geometry is None:
+            self._is_geometry = self._every_flag_extends()
+        return self._is_geometry
+
+    def _every_flag_extends(self) -> bool:
         chambers = self.chambers()
         covered: set[frozenset[TypedElement]] = set()
         for ch in chambers:

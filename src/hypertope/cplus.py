@@ -7,13 +7,18 @@ The verdict procedure evaluates the four conditions of the double-coset
 chirality criterion in the reference order (ii), (i), (iii), (iv) with
 short-circuiting, so failure codes are comparable with existing
 computer-algebra outputs (1 ↔ (i), 2 ↔ (ii), 3 ↔ (iii), 4 ↔ (iv)).
+
+The decision never builds the coset geometry: (i) counts the chambers
+through the base type-a coset and (iii) keeps the type-k cosets meeting
+every G_j, both from cosets of the parabolics held as element indices of G.
+The geometry (``associated_geometry``) serves the oracle and the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cosetgeo import CosetGeometry
 from .permcore import (
@@ -24,7 +29,7 @@ from .permcore import (
     generate_group,
     generated_indices,
     inverting_automorphism_exists,
-    product_set,
+    product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cplus.product_set
     subgroup_intersection,
 )
 
@@ -36,9 +41,10 @@ NOT_HYPERTOPE = "not-hypertope"
 class CPlusSystem:
     """A group with an ordered generating set and its derived parabolics.
 
-    R must generate the group; ``build_cplus`` checks that.  The associated
-    coset geometry and each k's result of condition (i) are computed once
-    and kept.
+    R must generate the group; ``build_cplus`` checks that.  Each k's result
+    of condition (i) and its type-k cosets of condition (iii) are computed
+    once and kept; the decomposition of the two chamber orbits reuses the
+    latter.  The associated coset geometry is built only on request.
     """
 
     def __init__(self, group: PermGroup, R: Sequence[Permutation],
@@ -51,6 +57,7 @@ class CPlusSystem:
         self._parabolic_cache: dict[tuple[int, ...], PermGroup] = {}
         self._geometry: Optional[CosetGeometry] = None
         self._condition_i: dict[int, bool] = {}
+        self._incident_cosets: dict[int, tuple[list[int], ...]] = {}
 
     @property
     def type_set(self) -> tuple[int, ...]:
@@ -139,11 +146,68 @@ def associated_geometry(S: CPlusSystem) -> CosetGeometry:
 
 
 def condition_i(S: CPlusSystem, k: int) -> bool:
-    """Transitivity on the chambers of the truncation dropping type k."""
+    """Transitivity on the chambers of the truncation dropping type k.
+
+    G is transitive on the type-a cosets, and G_a meets the base chamber's
+    stabilizer in B = ∩_{j != k} G_j, so the truncation is chamber-transitive
+    iff exactly |G_a : B| chambers pass through the base coset G_a (a ≠ k,
+    G_a smallest).  They are counted as the pairwise meeting tuples of the
+    cosets G_j h, h ∈ G_a, held as bitmasks over ``G.index``.
+    """
     if k not in S._condition_i:
-        J = [i for i in S.type_set if i != k]
-        S._condition_i[k] = associated_geometry(S).truncation(J).is_chamber_transitive()
+        J = [j for j in S.type_set if j != k]
+        if len(J) <= 2:  # rank <= 2 truncations are chamber-transitive
+            S._condition_i[k] = True
+        else:
+            a = min(J, key=lambda j: S.maximal_parabolic(j).order)
+            Ga = S.maximal_parabolic(a)
+            target = Ga.order // _corank_stabilizer(S, k).order
+            candidates = sorted(
+                ([_mask(c) for c in _cosets_meeting(S.group, S.maximal_parabolic(j), Ga)]
+                 for j in J if j != a), key=len)
+            S._condition_i[k] = _count_meeting_tuples(candidates, target + 1) == target
     return S._condition_i[k]
+
+
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _cosets_meeting(G: PermGroup, H: PermGroup, K: PermGroup) -> list[list[int]]:
+    """The right cosets H h with h ∈ K, i.e. those meeting K, each once and
+    as the ``G.index`` of its elements; ascending by least h."""
+    index = G.index
+    seen: set[int] = set()
+    cosets = []
+    for h in K.elements:
+        if index[h] not in seen:
+            coset = [index[x * h] for x in H.elements]
+            seen.update(coset)
+            cosets.append(coset)
+    return cosets
+
+
+def _count_meeting_tuples(candidates: list[list[int]], stop: int) -> int:
+    """The number of tuples, one mask from each list, that pairwise meet;
+    counting stops at ``stop``."""
+    count = 0
+
+    def extend(level: int, chosen: tuple[int, ...]) -> None:
+        nonlocal count
+        if level == len(candidates):
+            count += 1
+            return
+        for c in candidates[level]:
+            if all(c & m for m in chosen):
+                extend(level + 1, chosen + (c,))
+                if count >= stop:
+                    return
+
+    extend(0, ())
+    return count
 
 
 def condition_ii(S: CPlusSystem) -> bool:
@@ -157,16 +221,36 @@ def condition_ii(S: CPlusSystem) -> bool:
     return True
 
 
+def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[list[int], ...]:
+    """The type-k cosets that meet every G_j, j ≠ k, as ``G.index`` lists.
+
+    They all meet G_{j0} for the smallest G_{j0}, so only the cosets G_k h,
+    h ∈ G_{j0}, are tested against the other G_j.
+    """
+    if k not in S._incident_cosets:
+        G = S.group
+        others = sorted((S.maximal_parabolic(j) for j in S.type_set if j != k),
+                        key=lambda H: H.order)
+        rest = [{G.index[x] for x in Gj} for Gj in others[1:]]
+        S._incident_cosets[k] = tuple(
+            c for c in _cosets_meeting(G, S.maximal_parabolic(k), others[0])
+            if not any(Gj.isdisjoint(c) for Gj in rest))
+    return S._incident_cosets[k]
+
+
 def _incident_type_k_elements(S: CPlusSystem, k: int) -> frozenset[Permutation]:
     """∩_{j != k} (G_k G_j): the union of the type-k cosets incident to the base flag."""
-    Gk = S.maximal_parabolic(k)
-    return frozenset.intersection(*(product_set(Gk, S.maximal_parabolic(j), cap=S.cap)
-                                    for j in S.type_set if j != k))
+    elements = S.group.elements
+    return frozenset(elements[i] for c in _incident_type_k_cosets(S, k) for i in c)
 
 
 def condition_iii(S: CPlusSystem, k: int) -> bool:
-    """|∩_{j != k} (G_k G_j)| = 2 |G_k|."""
-    return len(_incident_type_k_elements(S, k)) == 2 * S.maximal_parabolic(k).order
+    """|∩_{j != k} (G_k G_j)| = 2 |G_k|.
+
+    The intersection is the union of the type-k cosets meeting every G_j
+    (j ≠ k), so (iii) holds iff exactly two of them do.
+    """
+    return len(_incident_type_k_cosets(S, k)) == 2
 
 
 def condition_iv(S: CPlusSystem) -> bool:

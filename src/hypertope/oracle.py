@@ -6,8 +6,9 @@ group-theoretic decision.  What it shares with the fast path:
 
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
-- the system's one coset geometry (``associated_geometry``) and its
-  element -> coset maps, which the fast path's truncations fill and reuse;
+- the system's maximal parabolics: the oracle builds its coset geometry
+  (``associated_geometry``) over them, while the fast path never builds a
+  geometry and reads the cosets of (i) and (iii) from the same parabolics;
 - the inverting-automorphism test (the pair search of
   ``extends_to_homomorphism``) -- that check is group-theoretic in both
   routes.

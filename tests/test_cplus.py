@@ -5,8 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertope.catalog import catalog_entry, catalog_names
+from hypertope.cli import spec_from_mapping
 from hypertope.corpus import (
     alternating,
+    build_corpus,
     cyclic,
     symmetric,
     torus_rotation_group,
@@ -15,6 +18,8 @@ from hypertope.cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
     REGULAR,
+    _incident_type_k_elements,
+    associated_geometry,
     build_cplus,
     check_ic_plus,
     condition_i,
@@ -25,7 +30,7 @@ from hypertope.cplus import (
     is_independent_generating_set,
     two_orbit_decomposition,
 )
-from hypertope.permcore import PermGroup, Permutation, generate_group
+from hypertope.permcore import PermGroup, Permutation, generate_group, product_set
 
 
 def torus_cplus():
@@ -47,6 +52,33 @@ def s5_rank4_cplus():
          Permutation([0, 2, 3, 1, 4]),      # (1 2 3)
          Permutation([1, 3, 2, 0, 4]))      # (0 1 3)
     return build_cplus(G, R)
+
+
+def c3xc3_cplus():
+    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
+                           Permutation.from_cycles(6, [(3, 4, 5)])])
+    return build_cplus(G, tuple(G.generators))
+
+
+def simplex_cplus(rank):
+    """The regular (rank-1)-simplex: alpha_i = (0 1)(i i+1) in A_{rank+1}."""
+    n = rank + 1
+    R = tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
+              for i in range(1, rank))
+    return build_cplus(generate_group(n, R), R)
+
+
+def _cross_check_builders():
+    """Builders of every system the enumeration cross-checks cover: the
+    acceptance corpus, the catalog, the rank-4 S5 fixture, C3 x C3 and the
+    rank-4 and rank-5 simplices.  Each call builds a fresh system."""
+    builders = [lambda inst=inst: build_cplus(inst.group, inst.R) for inst in build_corpus()]
+    for name in catalog_names():
+        spec = spec_from_mapping(catalog_entry(name))
+        builders.append(lambda spec=spec: build_cplus(
+            generate_group(spec.degree, spec.generators), spec.generators))
+    builders += [s5_rank4_cplus, c3xc3_cplus, lambda: simplex_cplus(4), lambda: simplex_cplus(5)]
+    return builders
 
 
 # -- construction -----------------------------------------------------------
@@ -140,11 +172,36 @@ def test_condition_i_fails_on_s5_rank4():
 
 def test_condition_iii_counts_on_c3xc3():
     # |∩ (G_k G_j)| = 9 here, but 2 |G_k| = 6: not thin at the base flag
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
-                           Permutation.from_cycles(6, [(3, 4, 5)])])
-    S = build_cplus(G, tuple(G.generators))
+    S = c3xc3_cplus()
     assert condition_ii(S) and condition_i(S, 0)
     assert not condition_iii(S, 0)
+
+
+def test_condition_i_matches_chamber_enumeration():
+    outcomes = set()
+    for build in _cross_check_builders():
+        S, reference = build(), build()
+        geometry = associated_geometry(reference)
+        for k in S.type_set:
+            J = [j for j in S.type_set if j != k]
+            expected = geometry.truncation(J).is_chamber_transitive()
+            assert condition_i(S, k) == expected, (S.group, S.R, k)
+            outcomes.add((S.rank, expected))
+    assert {(4, True), (4, False), (5, True)} <= outcomes
+
+
+def test_condition_iii_matches_product_sets():
+    outcomes = set()
+    for build in _cross_check_builders():
+        S = build()
+        for k in S.type_set:
+            Gk = S.maximal_parabolic(k)
+            expected = frozenset.intersection(*(product_set(Gk, S.maximal_parabolic(j))
+                                                for j in S.type_set if j != k))
+            assert _incident_type_k_elements(S, k) == expected, (S.group, S.R, k)
+            assert condition_iii(S, k) == (len(expected) == 2 * Gk.order)
+            outcomes.add(condition_iii(S, k))
+    assert outcomes == {True, False}
 
 
 # -- two-orbit decomposition ------------------------------------------------
@@ -212,6 +269,16 @@ def test_check_all_k_unanimous_on_torus():
     rep = is_chiral_hypertope(torus_cplus(), check_all_k=True)
     assert rep.verdict == CHIRAL
     assert rep.cross_k_disagreement is None
+
+
+def test_rank6_simplex_is_regular_for_every_k():
+    # |G| = 2520: (i) and (iii) for all k from cosets of the parabolics alone
+    S = simplex_cplus(6)
+    assert S.group.order == 2520
+    rep = is_chiral_hypertope(S, check_all_k=True)
+    assert (rep.verdict, rep.failing_condition) == (REGULAR, 4)
+    assert rep.cross_k_disagreement is None
+    assert rep.per_condition == {2: True, 1: True, 3: True, 4: False}
 
 
 def test_rank_below_3_rejected():
