@@ -13,10 +13,13 @@ from .permcore import (
     Permutation,
     RightCoset,
     action_table,
+    compose_actions,
     double_coset_decomposition,
+    extends_on_indices,
     extends_to_homomorphism,
     generate_group,
     generated_indices,
+    inverse_action,
     inverting_automorphism_exists,
     product_set,
     right_coset,

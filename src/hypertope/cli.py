@@ -7,11 +7,16 @@ like ``"(0 1 2)(3 4)"``.  Exit codes: 0 chiral, 10 regular, 20 not a
 hypertope, 1 input error (bad document, bad option or bad command line),
 2 a size cap exceeded (the group's element cap or the oracle's vertex cap).
 Every error ends with one ``error: ...`` line on stderr.
+
+A not-a-hypertope report names the first failed check in its failure code:
+2 (ii), 1 (i), 3 (iii), or 5 when (ii), (i) and (iii) hold but the system
+is not a C⁺-group (IC⁺ fails).  Code 4, (iv) failing, is the regular
+verdict.  IC⁺ is computed once per run: the ``ic_plus`` field and the
+decision share it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -198,7 +203,7 @@ def run(spec: InstanceSpec) -> Report:
 
     t0 = time.perf_counter()
     G = generate_group(spec.degree, spec.generators, cap=cap)
-    S = build_cplus(G, spec.generators, cap=cap)
+    S = build_cplus(G, spec.generators)
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -269,14 +274,17 @@ def format_text(spec: InstanceSpec, report: Report, one_based: bool = False) -> 
 
 # -- entry point ------------------------------------------------------------
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors become input errors (exit 1), not argparse's exit 2."""
+def _build_parser():
+    """The command-line parser.  argparse is imported here, not with the
+    module, so that callers of ``parse_instance`` and ``run`` do not load it."""
+    import argparse
 
-    def error(self, message: str):
-        raise InputError(message)
+    class _ArgumentParser(argparse.ArgumentParser):
+        """Usage errors become input errors (exit 1), not argparse's exit 2."""
 
+        def error(self, message: str):
+            raise InputError(message)
 
-def _build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="hypertope",
         description="Decide whether the coset incidence system of (G, R) "

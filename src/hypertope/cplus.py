@@ -6,12 +6,35 @@ R = (α_1, ..., α_{r-1}); with α_0 = 1 the derived generators are
 The verdict procedure evaluates the four conditions of the double-coset
 chirality criterion in the reference order (ii), (i), (iii), (iv) with
 short-circuiting, so failure codes are comparable with existing
-computer-algebra outputs (1 ↔ (i), 2 ↔ (ii), 3 ↔ (iii), 4 ↔ (iv)).
+computer-algebra outputs (1 ↔ (i), 2 ↔ (ii), 3 ↔ (iii), 4 ↔ (iv)).  The
+criterion is stated for C⁺-groups, so once (ii), (i) and (iii) hold the
+intersection property IC⁺ is checked before the verdict: a system without
+it is not a hypertope, with code 5.  IC⁺ comes after the three conditions,
+not first, so that their codes stay those of the reference semantics.
+
+After the one closure of G the decision is index arithmetic: an element is
+its number in ``G.index`` (the sorted order), and no permutation is
+multiplied.  From the actions of R recorded at closure (``G.action``) a
+system derives the inverse actions of the α_i and the actions of the
+α_{ij} (compositions of arrays).  Then:
+
+- every parabolic is an index set, the subgroup generated by the actions
+  of its α_{ij} (``parabolic_indices``);
+- (ii), the corank-1 stabilizers B and IC⁺ are intersections of index
+  sets;
+- the cosets G_j h, h ∈ G_a, of (i) and (iii) are the orbit of G_j itself
+  under right multiplication by the generators of G_a, each coset mapped
+  through their action arrays;
+- (iv) is the pair search over (x, φ(x)) with both sides indices:
+  φ(x α_i) = φ(x) α_i^{-1} is a lookup in the inverse action of α_i;
+- once (ii) holds, the two chamber-orbit classes are the two type-k cosets
+  kept by (iii), and the witness is the least element of the second.
 
 The decision never builds the coset geometry: (i) counts the chambers
 through the base type-a coset and (iii) keeps the type-k cosets meeting
-every G_j, both from cosets of the parabolics held as element indices of G.
-The geometry (``associated_geometry``) serves the oracle and the tests.
+every G_j.  ``parabolic`` and ``maximal_parabolic(s)`` give ``PermGroup``
+views of the index sets, built on request; they and the geometry
+(``associated_geometry``) serve the oracle and the tests.
 """
 
 from __future__ import annotations
@@ -22,15 +45,13 @@ from typing import Iterable, Optional, Sequence
 
 from .cosetgeo import CosetGeometry
 from .permcore import (
-    DEFAULT_ELEMENT_CAP,
     PermGroup,
     Permutation,
-    double_coset_decomposition,
-    generate_group,
+    compose_actions,
+    extends_on_indices,
     generated_indices,
-    inverting_automorphism_exists,
+    inverse_action,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cplus.product_set
-    subgroup_intersection,
 )
 
 CHIRAL = "chiral-hypertope"
@@ -41,21 +62,26 @@ NOT_HYPERTOPE = "not-hypertope"
 class CPlusSystem:
     """A group with an ordered generating set and its derived parabolics.
 
-    R must generate the group; ``build_cplus`` checks that.  Each k's result
-    of condition (i) and its type-k cosets of condition (iii) are computed
-    once and kept; the decomposition of the two chamber orbits reuses the
-    latter.  The associated coset geometry is built only on request.
+    R must generate the group; ``build_cplus`` checks that.  The arrays and
+    index sets of the decision are derived on first use and kept on the
+    system, not on the group, which other systems may share.  So are IC⁺,
+    each k's result of condition (i) and its type-k cosets of condition
+    (iii); the decomposition of the two chamber orbits reuses the latter.
+    The ``PermGroup`` views of the parabolics and the associated coset
+    geometry are built only on request.
     """
 
-    def __init__(self, group: PermGroup, R: Sequence[Permutation],
-                 cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, group: PermGroup, R: Sequence[Permutation]):
         self.group = group
         self.R = tuple(R)
         self.rank = len(self.R) + 1
-        self.cap = cap
         self._alphas = (group.identity,) + self.R  # alpha_0 = identity
+        self._inverse_actions: dict[int, tuple[int, ...]] = {}
+        self._alpha_actions: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._indices: dict[tuple[int, ...], set[int]] = {}
         self._parabolic_cache: dict[tuple[int, ...], PermGroup] = {}
         self._geometry: Optional[CosetGeometry] = None
+        self._ic_plus: Optional[bool] = None
         self._condition_i: dict[int, bool] = {}
         self._incident_cosets: dict[int, tuple[list[int], ...]] = {}
 
@@ -67,35 +93,72 @@ class CPlusSystem:
         """alpha_{ij} = alpha_i^-1 alpha_j; note alpha_{ji} = alpha_{ij}^-1."""
         return self._alphas[i].inverse() * self._alphas[j]
 
-    def parabolic(self, J: Sequence[int]) -> PermGroup:
-        """⟨alpha_{ij} : i, j ∈ J⟩; trivial when |J| <= 1 since alpha_{ii} = 1.
+    def alpha_inverse_action(self, i: int) -> tuple[int, ...]:
+        """The action of alpha_i^-1 on ``G.index``, for 1 <= i < rank."""
+        if i not in self._inverse_actions:
+            self._inverse_actions[i] = inverse_action(self.group.action(self.R[i - 1]))
+        return self._inverse_actions[i]
 
-        For the full type set it is the group itself: alpha_{0j} = alpha_j,
+    def alpha_action(self, i: int, j: int) -> tuple[int, ...]:
+        """The action of alpha_{ij} on ``G.index``, for i < j: x -> x alpha_i^-1
+        alpha_j.  Its entry at 0 is the index of alpha_{ij}."""
+        if (i, j) not in self._alpha_actions:
+            act = self.group.action(self.R[j - 1])
+            self._alpha_actions[i, j] = (act if i == 0
+                                         else compose_actions(self.alpha_inverse_action(i), act))
+        return self._alpha_actions[i, j]
+
+    def parabolic_generators(self, J: Iterable[int]) -> list[tuple[int, ...]]:
+        """The actions of alpha_{mj}, m = min(J) < j ∈ J.  They generate the
+        parabolic of J, because alpha_{ij} = alpha_{mi}^-1 alpha_{mj}."""
+        key = sorted(set(J))
+        return [self.alpha_action(key[0], j) for j in key[1:]]
+
+    def parabolic_indices(self, J: Iterable[int]) -> set[int]:
+        """⟨alpha_{ij} : i, j ∈ J⟩ as a set of ``G.index`` values, kept on the
+        system: callers must not change it.  It is {0} when |J| <= 1, since
+        alpha_{ii} = 1.
+
+        For the full type set it is the whole group: alpha_{0j} = alpha_j,
         so the generators include R, which generates the group.
         """
         key = tuple(sorted(set(J)))
+        if key not in self._indices:
+            if key == self.type_set:
+                self._indices[key] = set(range(self.group.order))
+            else:
+                self._indices[key] = generated_indices(self.parabolic_generators(key))
+        return self._indices[key]
+
+    def maximal_indices(self, i: int) -> set[int]:
+        """The type-i maximal parabolic G_i as an index set."""
+        return self.parabolic_indices(j for j in self.type_set if j != i)
+
+    def parabolic(self, J: Iterable[int]) -> PermGroup:
+        """The parabolic of J as a ``PermGroup``, built once from its index
+        set: the elements in index order, which is sorted order."""
+        key = tuple(sorted(set(J)))
         if key not in self._parabolic_cache:
-            if len(key) <= 1:
-                group = PermGroup.trivial(self.group.degree)
-            elif key == self.type_set:
+            if key == self.type_set:
                 group = self.group
             else:
-                gens = [self.alpha(i, j) for i in key for j in key if i != j]
-                group = generate_group(self.group.degree, gens, cap=self.cap)
+                elements = self.group.elements
+                gens = dict.fromkeys(elements[act[0]] for act in self.parabolic_generators(key))
+                group = PermGroup(self.group.degree, tuple(gens),
+                                  [elements[x] for x in sorted(self.parabolic_indices(key))])
             self._parabolic_cache[key] = group
         return self._parabolic_cache[key]
 
     def maximal_parabolic(self, i: int) -> PermGroup:
         """The type-i subgroup of the associated coset system."""
-        return self.parabolic(tuple(j for j in self.type_set if j != i))
+        return self.parabolic(j for j in self.type_set if j != i)
 
     def maximal_parabolics(self) -> list[PermGroup]:
         return [self.maximal_parabolic(i) for i in self.type_set]
 
 
-def build_cplus(G: PermGroup, R: Sequence[Permutation],
-                cap: int = DEFAULT_ELEMENT_CAP) -> CPlusSystem:
-    """Build the system and materialize its maximal parabolics.
+def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
+    """Build the system and its maximal parabolics as index sets.
 
     R must generate G; rank 2 is accepted for construction but the chirality
     decision requires rank >= 3.
@@ -106,8 +169,9 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation],
             raise ValueError("generator not in G")
     if len(generated_indices(G.action(r) for r in R)) != G.order:
         raise ValueError("R does not generate G")
-    system = CPlusSystem(G, R, cap=cap)
-    system.maximal_parabolics()
+    system = CPlusSystem(G, R)
+    for i in system.type_set:
+        system.maximal_indices(i)
     return system
 
 
@@ -123,18 +187,21 @@ def is_independent_generating_set(S: CPlusSystem) -> bool:
 
 def check_ic_plus(S: CPlusSystem) -> bool:
     """Intersection condition: parabolic(J) ∩ parabolic(K) = parabolic(J ∩ K)
-    for all |J|, |K| >= 2.  Symmetric pairs are deduplicated; order comparison
-    suffices because parabolic(J ∩ K) always sits inside the intersection.
+    for all |J|, |K| >= 2; computed once per system and kept.
+
+    Only pairs with neither set inside the other are tested: the parabolic
+    of the full type set is G, and parabolic(J) ⊆ parabolic(K) when J ⊆ K.
+    Comparing orders suffices because parabolic(J ∩ K) always sits inside
+    the intersection.
     """
-    I = S.type_set
-    subsets = [J for k in range(2, S.rank + 1)
-               for J in itertools.combinations(I, k)]
-    for a, J in enumerate(subsets):
-        for K in subsets[a:]:
-            meet = subgroup_intersection(S.parabolic(J), S.parabolic(K))
-            if meet.order != S.parabolic(tuple(set(J) & set(K))).order:
-                return False
-    return True
+    if S._ic_plus is None:
+        subsets = [frozenset(J) for size in range(2, S.rank)
+                   for J in itertools.combinations(S.type_set, size)]
+        P = S.parabolic_indices
+        S._ic_plus = all(len(P(J) & P(K)) == len(P(J & K))
+                         for a, J in enumerate(subsets) for K in subsets[a + 1:]
+                         if not J <= K)
+    return S._ic_plus
 
 
 def associated_geometry(S: CPlusSystem) -> CosetGeometry:
@@ -159,12 +226,10 @@ def condition_i(S: CPlusSystem, k: int) -> bool:
         if len(J) <= 2:  # rank <= 2 truncations are chamber-transitive
             S._condition_i[k] = True
         else:
-            a = min(J, key=lambda j: S.maximal_parabolic(j).order)
-            Ga = S.maximal_parabolic(a)
-            target = Ga.order // _corank_stabilizer(S, k).order
-            candidates = sorted(
-                ([_mask(c) for c in _cosets_meeting(S.group, S.maximal_parabolic(j), Ga)]
-                 for j in J if j != a), key=len)
+            a = min(J, key=lambda j: len(S.maximal_indices(j)))
+            target = len(S.maximal_indices(a)) // len(_corank_stabilizer(S, k))
+            candidates = sorted(([_mask(c) for c in _cosets_meeting(S, j, a)]
+                                 for j in J if j != a), key=len)
             S._condition_i[k] = _count_meeting_tuples(candidates, target + 1) == target
     return S._condition_i[k]
 
@@ -176,17 +241,23 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-def _cosets_meeting(G: PermGroup, H: PermGroup, K: PermGroup) -> list[list[int]]:
-    """The right cosets H h with h ∈ K, i.e. those meeting K, each once and
-    as the ``G.index`` of its elements; ascending by least h."""
-    index = G.index
-    seen: set[int] = set()
-    cosets = []
-    for h in K.elements:
-        if index[h] not in seen:
-            coset = [index[x * h] for x in H.elements]
-            seen.update(coset)
-            cosets.append(coset)
+def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
+    """The right cosets G_j h with h ∈ G_a, i.e. those meeting G_a, each once
+    and as ``G.index`` lists, G_j first.
+
+    They are the orbit of G_j under right multiplication by the generators
+    of G_a: (G_j h) alpha = G_j (h alpha), one array lookup per element.
+    A coset is new iff its first element is in no coset found so far.
+    """
+    actions = S.parabolic_generators(t for t in S.type_set if t != a)
+    cosets = [list(S.maximal_indices(j))]
+    seen = set(cosets[0])
+    for coset in cosets:  # the list grows while it is walked
+        for act in actions:
+            if act[coset[0]] not in seen:
+                image = [act[x] for x in coset]
+                seen.update(image)
+                cosets.append(image)
     return cosets
 
 
@@ -210,15 +281,15 @@ def _count_meeting_tuples(candidates: list[list[int]], stop: int) -> int:
     return count
 
 
+def _corank_stabilizer(S: CPlusSystem, k: int) -> set[int]:
+    """B = ∩_{j != k} G_j as an index set, from the smallest G_j."""
+    meet, *others = sorted((S.maximal_indices(j) for j in S.type_set if j != k), key=len)
+    return meet.intersection(*others)
+
+
 def condition_ii(S: CPlusSystem) -> bool:
     """Every corank-1 intersection of maximal parabolics is trivial."""
-    for T in itertools.combinations(S.type_set, S.rank - 1):
-        meet = S.maximal_parabolic(T[0])
-        for t in T[1:]:
-            meet = subgroup_intersection(meet, S.maximal_parabolic(t))
-        if not meet.is_trivial():
-            return False
-    return True
+    return all(len(_corank_stabilizer(S, k)) == 1 for k in S.type_set)
 
 
 def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[list[int], ...]:
@@ -228,20 +299,13 @@ def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[list[int], ...]:
     h ∈ G_{j0}, are tested against the other G_j.
     """
     if k not in S._incident_cosets:
-        G = S.group
-        others = sorted((S.maximal_parabolic(j) for j in S.type_set if j != k),
-                        key=lambda H: H.order)
-        rest = [{G.index[x] for x in Gj} for Gj in others[1:]]
+        j0, *rest = sorted((j for j in S.type_set if j != k),
+                           key=lambda j: len(S.maximal_indices(j)))
+        others = [S.maximal_indices(j) for j in rest]
         S._incident_cosets[k] = tuple(
-            c for c in _cosets_meeting(G, S.maximal_parabolic(k), others[0])
-            if not any(Gj.isdisjoint(c) for Gj in rest))
+            c for c in _cosets_meeting(S, k, j0)
+            if not any(Gj.isdisjoint(c) for Gj in others))
     return S._incident_cosets[k]
-
-
-def _incident_type_k_elements(S: CPlusSystem, k: int) -> frozenset[Permutation]:
-    """∩_{j != k} (G_k G_j): the union of the type-k cosets incident to the base flag."""
-    elements = S.group.elements
-    return frozenset(elements[i] for c in _incident_type_k_cosets(S, k) for i in c)
 
 
 def condition_iii(S: CPlusSystem, k: int) -> bool:
@@ -254,8 +318,14 @@ def condition_iii(S: CPlusSystem, k: int) -> bool:
 
 
 def condition_iv(S: CPlusSystem) -> bool:
-    """No automorphism of the group inverts every generator in R."""
-    return not inverting_automorphism_exists(S.group, S.R)
+    """No automorphism of the group inverts every generator in R.
+
+    When r -> r^-1 extends to a homomorphism, its image contains every r^-1
+    and hence generates G, so the extension is an automorphism.
+    """
+    actions = [S.group.action(r) for r in S.R]
+    inverses = [S.alpha_inverse_action(i) for i in range(1, S.rank)]
+    return not extends_on_indices(actions, inverses)
 
 
 @dataclass
@@ -268,30 +338,21 @@ class TwoOrbitResult:
 def two_orbit_decomposition(S: CPlusSystem, k: int) -> TwoOrbitResult:
     """Double-coset decomposition G_k \\ ∩_{j != k}(G_k G_j) / B with B = ∩_{j != k} G_j.
 
-    Requires condition (i) for k.  The witness is the canonical (minimal)
-    element of the second class when there are exactly two classes; with more
-    or fewer classes only the count and sizes are reported.
+    Requires condition (i) for k and a trivial B, as condition (ii) gives.
+    With B trivial the double cosets are the type-k cosets kept by condition
+    (iii), ordered by least member.  The witness is the least element of the
+    second class when there are exactly two classes; with more or fewer
+    classes only the count and sizes are reported.
     """
     if not condition_i(S, k):
         raise ValueError("chamber transitivity of the truncation fails for this k")
-    Gk = S.maximal_parabolic(k)
-    B = _corank_stabilizer(S, k)
-    classes = double_coset_decomposition(Gk, _incident_type_k_elements(S, k), B)
+    if len(_corank_stabilizer(S, k)) != 1:
+        raise ValueError("the corank-1 intersection for this k is not trivial")
+    classes = sorted(_incident_type_k_cosets(S, k), key=min)
     witness = None
     if len(classes) == 2:
-        witness = min(classes[1])
+        witness = S.group.elements[min(classes[1])]
     return TwoOrbitResult(witness, len(classes), tuple(len(c) for c in classes))
-
-
-def _corank_stabilizer(S: CPlusSystem, k: int) -> PermGroup:
-    B = None
-    for j in S.type_set:
-        if j == k:
-            continue
-        Gj = S.maximal_parabolic(j)
-        B = Gj if B is None else subgroup_intersection(B, Gj)
-    assert B is not None
-    return B
 
 
 @dataclass
@@ -299,8 +360,9 @@ class ChiralityReport:
     """Outcome of the chirality decision with per-condition detail.
 
     ``failing_condition`` carries the code of the first failed check in the
-    evaluation order (ii), (i), (iii), (iv); ``per_condition`` records only
-    the conditions that were actually evaluated.
+    evaluation order (ii), (i), (iii), IC⁺, (iv); ``per_condition`` records
+    the conditions that were actually evaluated, except that IC⁺ (code 5)
+    appears only when it fails.
     """
 
     verdict: str
@@ -329,8 +391,10 @@ def is_chiral_hypertope(S: CPlusSystem, k: int = 0,
 
     Evaluation order and failure codes follow the reference semantics:
     (ii) -> 2, (i) -> 1, (iii) -> 3, (iv) -> 4, short-circuiting on the first
-    failure.  All four true is chiral; (i)-(iii) true with (iv) false means
-    the system is a regular hypertope (reported, not further verified).
+    failure.  Between (iii) and (iv) the system must be a C⁺-group: IC⁺
+    false is not a hypertope with code 5.  All true is chiral; (i)-(iii)
+    and IC⁺ true with (iv) false means the system is a regular hypertope
+    (reported, not further verified).
 
     With ``check_all_k`` the k-dependent conditions (i) and (iii) are
     evaluated for every k and must agree unanimously; any disagreement is
@@ -367,6 +431,10 @@ def is_chiral_hypertope(S: CPlusSystem, k: int = 0,
         if not evaluate(code):
             return ChiralityReport(NOT_HYPERTOPE, code, per, k,
                                    cross_k_disagreement=disagreement)
+    if not check_ic_plus(S):
+        per[5] = False
+        return ChiralityReport(NOT_HYPERTOPE, 5, per, k,
+                               cross_k_disagreement=disagreement)
 
     decomposition = two_orbit_decomposition(S, k)
     orbit_sizes = None

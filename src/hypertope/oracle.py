@@ -7,11 +7,13 @@ group-theoretic decision.  What it shares with the fast path:
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
 - the system's maximal parabolics: the oracle builds its coset geometry
-  (``associated_geometry``) over them, while the fast path never builds a
-  geometry and reads the cosets of (i) and (iii) from the same parabolics;
-- the inverting-automorphism test (the pair search of
-  ``extends_to_homomorphism``) -- that check is group-theoretic in both
-  routes.
+  (``associated_geometry``) over their ``PermGroup`` views, while the fast
+  path never builds a geometry and reads the cosets of (i) and (iii) from
+  the same parabolics as index sets;
+- the idea of the inverting-automorphism test, a pair search that is
+  group-theoretic in both routes.  The code differs: the oracle multiplies
+  permutations (``inverting_automorphism_exists``), the fast path looks up
+  indices (``extends_on_indices``).
 
 A kernel bug would therefore reach both verdicts alike;
 ``tests/test_kernel_crosscheck.py`` checks the kernel's group, parabolic and

@@ -2,17 +2,28 @@
 
 Elements are permutations of {0, ..., n-1} stored as image tuples, groups are
 fully enumerated element sets with a fixed lexicographic total order.  This is
-deliberately the dumb-but-exact representation: every higher-level test in
-this package (coset decompositions, product sets, intersection conditions)
-reduces to plain set computations over these enumerations.  Sets of elements
-that are not subgroups (product sets, double cosets) are frozensets.
+deliberately the dumb-but-exact representation.  Sets of elements that are
+not subgroups (product sets, double cosets) are frozensets.
 
 A group numbers its elements once, at closure: ``G.index`` maps each element
-to its position in the sorted element list (the identity is always 0).  The
-closure keeps the products x * g it computes as one index array per
-generator, ``G.action(g)``, so generation ("does S generate G?"), membership
-in a generated subgroup and the homomorphism test are breadth-first searches
-over integers (``generated_indices``), not new closures.
+to its position in the sorted element list (the identity is always 0), so
+the order of indices is the order of the elements.  The closure keeps the
+products x * g it computes as one index array per generator,
+``G.action(g)``.  After that, group computations are computations over
+integers, with no new permutation product:
+
+- the subgroup generated by some elements is the breadth-first search of
+  their actions from 0 (``generated_indices``), so subgroups are index sets
+  and their intersections are set intersections;
+- the action of g^-1 is the inverse array (``inverse_action``), the action
+  of g h the composition of two arrays (``compose_actions``);
+- the homomorphism test is a search over pairs of indices
+  (``extends_on_indices``).
+
+The element-set functions (``subgroup_intersection``, ``product_set``,
+``right_coset``, ``double_coset_decomposition``, ``extends_to_homomorphism``)
+compute such things from permutations.  The oracle, the coset geometry and
+the tests use them; the chirality decision uses none of them.
 
 Only the public constructor validates its input.  Products and inverses of
 permutations are permutations, so they are built unchecked.
@@ -249,6 +260,21 @@ def generated_indices(actions: Iterable[Sequence[int]]) -> set[int]:
     return seen
 
 
+def inverse_action(act: Sequence[int]) -> tuple[int, ...]:
+    """The action of g^-1 from the action of g: x -> x * g^-1."""
+    inv = [0] * len(act)
+    for x, y in enumerate(act):
+        inv[y] = x
+    return tuple(inv)
+
+
+def compose_actions(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The action of g h from the actions a of g and b of h: x -> (x * g) * h."""
+    if len(a) < 2:  # itemgetter of 0 or 1 points is not a tuple
+        return tuple(b)
+    return itemgetter(*a)(b)
+
+
 def generate_group(degree: int, gens: Sequence[Permutation],
                    cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """Close a generator list under composition and inverse.
@@ -419,6 +445,40 @@ def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
             elif phi[y] != fy:
                 consistent = False
     if len(phi) != G.order:
+        raise ValueError("gens do not generate G")
+    return consistent
+
+
+def extends_on_indices(actions: Sequence[Sequence[int]],
+                       images: Sequence[Sequence[int]]) -> bool:
+    """Does gens[i] -> images[i] extend to a homomorphism from G to G?
+
+    The elements gens[i] and images[i] of G are given by their right
+    actions on the indices of G (``G.action``).  This is the pair search of
+    ``extends_to_homomorphism`` with phi(x) an index too:
+    phi(x * gens[i]) = phi(x) * images[i] is ``images[i][phi[x]]``, so no
+    permutation is multiplied.  Raises ValueError when gens do not generate
+    G; an empty list stands for the trivial group.
+    """
+    if len(actions) != len(images):
+        raise ValueError("generator/image length mismatch")
+    edges = tuple(zip(actions, images))
+    phi = [-1] * (len(actions[0]) if actions else 1)
+    phi[0] = 0
+    stack = [0]
+    consistent = True
+    while stack:
+        x = stack.pop()
+        fx = phi[x]
+        for act, img in edges:
+            y = act[x]
+            fy = img[fx]
+            if phi[y] < 0:
+                phi[y] = fy
+                stack.append(y)
+            elif phi[y] != fy:
+                consistent = False
+    if -1 in phi:
         raise ValueError("gens do not generate G")
     return consistent
 

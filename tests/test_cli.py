@@ -149,6 +149,20 @@ def test_exit_codes_from_catalog(capsys):
     capsys.readouterr()
 
 
+def test_non_cplus_system_is_not_hypertope_with_code_5(tmp_path, capsys):
+    # S5, rank 4: (ii), (i) and (iii) hold for every k, IC⁺ does not
+    doc = tmp_path / "s5.yaml"
+    doc.write_text('degree: 5\ngenerators: ["(0 1)", "(0 1)(2 4)", "(0 4 3 1)"]\n')
+    assert main([str(doc), "--all-k", "--oracle", "--format", "json"]) == EXIT_NOT_HYPERTOPE
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["ic_plus"] is False
+    assert blob["chirality"]["verdict"] == "not-hypertope"
+    assert blob["chirality"]["failing_condition"] == 5
+    assert blob["chirality"]["per_condition"] == {"1": True, "2": True, "3": True, "5": False}
+    assert blob["oracle"]["verdict"] == "not-hypertope"
+    assert blob["agreement"] is True
+
+
 def test_truncated_document_is_input_error(tmp_path, capsys):
     doc = tmp_path / "broken.yaml"
     doc.write_text('degree: 3\ngenerators: [[1, 2,')

@@ -18,7 +18,7 @@ from hypertope.cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
     REGULAR,
-    _incident_type_k_elements,
+    _incident_type_k_cosets,
     associated_geometry,
     build_cplus,
     check_ic_plus,
@@ -30,7 +30,15 @@ from hypertope.cplus import (
     is_independent_generating_set,
     two_orbit_decomposition,
 )
-from hypertope.permcore import PermGroup, Permutation, generate_group, product_set
+from hypertope.permcore import (
+    PermGroup,
+    Permutation,
+    double_coset_decomposition,
+    extends_to_homomorphism,
+    generate_group,
+    product_set,
+    subgroup_intersection,
+)
 
 
 def torus_cplus():
@@ -81,6 +89,52 @@ def _cross_check_builders():
     return builders
 
 
+def torus_p_cplus(p):
+    """Ladder A: G = {x -> ax + b mod p} with a^2 = -1, R = (s, s t); |G| = 4p."""
+    a = next(a for a in range(2, p) if a * a % p == p - 1)
+    s = Permutation([a * x % p for x in range(p)])
+    t = Permutation([(a * x + 1) % p for x in range(p)])
+    R = (s, s * t)
+    return build_cplus(generate_group(p, R), R)
+
+
+@pytest.fixture(scope="module")
+def integer_path_systems():
+    """Fresh systems for the integer-path equivalence checks: every
+    ``build_corpus()`` instance, every catalog entry, the simplices of rank
+    4 to 6 and the torus p = 101."""
+    systems = [build_cplus(inst.group, inst.R) for inst in build_corpus()]
+    for name in catalog_names():
+        spec = spec_from_mapping(catalog_entry(name))
+        systems.append(build_cplus(generate_group(spec.degree, spec.generators),
+                                   spec.generators))
+    systems += [simplex_cplus(rank) for rank in (4, 5, 6)]
+    systems.append(torus_p_cplus(101))
+    return systems
+
+
+def _closed_parabolic(S, J):
+    """The parabolic of J closed from the permutations alpha_{ij}, i != j ∈ J."""
+    return generate_group(S.group.degree, [S.alpha(i, j) for i in J for j in J if i != j])
+
+
+def _ic_plus_reference(S):
+    """IC⁺ over permutation sets: every pair of subsets of size >= 2,
+    parabolics closed by ``generate_group`` and met by ``subgroup_intersection``."""
+    closed = {}
+
+    def P(J):
+        J = tuple(sorted(J))
+        if J not in closed:
+            closed[J] = _closed_parabolic(S, J)
+        return closed[J]
+
+    subsets = [J for size in range(2, S.rank + 1)
+               for J in itertools.combinations(S.type_set, size)]
+    return all(subgroup_intersection(P(J), P(K)).order == P(set(J) & set(K)).order
+               for a, J in enumerate(subsets) for K in subsets[a:])
+
+
 # -- construction -----------------------------------------------------------
 
 def test_build_requires_generating_set():
@@ -129,6 +183,18 @@ def test_maximal_parabolics_of_torus():
     assert [S.maximal_parabolic(i).order for i in S.type_set] == [4, 2, 4]
 
 
+def test_parabolic_index_sets_match_closures(integer_path_systems):
+    for S in integer_path_systems:
+        index = S.group.index
+        for size in range(S.rank + 1):
+            for J in itertools.combinations(S.type_set, size):
+                closed = _closed_parabolic(S, J)
+                assert S.parabolic_indices(J) == {index[x] for x in closed}, (S.R, J)
+                view = S.parabolic(J)
+                assert view.elements == closed.elements
+                assert view.index == closed.index
+
+
 # -- independence and IC+ ---------------------------------------------------
 
 def test_independence_examples():
@@ -146,6 +212,22 @@ def test_ic_plus_examples():
     c4 = cyclic(4)
     h = c4.generators[0]
     assert not check_ic_plus(build_cplus(c4, (h, h * h)))
+
+
+def test_ic_plus_matches_permutation_sets(integer_path_systems):
+    outcomes = set()
+    for S in integer_path_systems:
+        expected = _ic_plus_reference(S)
+        assert check_ic_plus(S) == expected, (S.group, S.R)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_ic_plus_is_computed_once():
+    S = torus_cplus()
+    assert check_ic_plus(S)
+    S.parabolic_indices = None  # a second computation would call it
+    assert check_ic_plus(S)
 
 
 # -- the four conditions ----------------------------------------------------
@@ -198,9 +280,20 @@ def test_condition_iii_matches_product_sets():
             Gk = S.maximal_parabolic(k)
             expected = frozenset.intersection(*(product_set(Gk, S.maximal_parabolic(j))
                                                 for j in S.type_set if j != k))
-            assert _incident_type_k_elements(S, k) == expected, (S.group, S.R, k)
+            elements = S.group.elements
+            kept = frozenset(elements[x] for c in _incident_type_k_cosets(S, k) for x in c)
+            assert kept == expected, (S.group, S.R, k)
             assert condition_iii(S, k) == (len(expected) == 2 * Gk.order)
             outcomes.add(condition_iii(S, k))
+    assert outcomes == {True, False}
+
+
+def test_condition_iv_matches_permutation_search(integer_path_systems):
+    outcomes = set()
+    for S in integer_path_systems:
+        expected = not extends_to_homomorphism(S.group, S.R, [r.inverse() for r in S.R])
+        assert condition_iv(S) == expected, (S.group, S.R)
+        outcomes.add(expected)
     assert outcomes == {True, False}
 
 
@@ -219,6 +312,41 @@ def test_two_orbit_decomposition_requires_condition_i():
     S = s5_rank4_cplus()
     with pytest.raises(ValueError):
         two_orbit_decomposition(S, 2)
+
+
+def test_two_orbit_decomposition_requires_trivial_corank_stabilizer():
+    c4 = cyclic(4)
+    h = c4.generators[0]
+    S = build_cplus(c4, (h, h * h))
+    assert condition_i(S, 0) and not condition_ii(S)
+    with pytest.raises(ValueError):
+        two_orbit_decomposition(S, 0)
+
+
+def test_witness_matches_double_cosets(integer_path_systems):
+    """Where (ii) and (i) hold, the classes and the witness equal those of
+    ``double_coset_decomposition`` over product sets.  All k up to |G| = 404,
+    k = 0 above, where the product sets get large."""
+    witnesses = 0
+    for S in integer_path_systems:
+        if S.rank < 3 or not condition_ii(S):
+            continue
+        for k in (S.type_set if S.group.order <= 404 else (0,)):
+            if not condition_i(S, k):
+                continue
+            Gk = S.maximal_parabolic(k)
+            others = [S.maximal_parabolic(j) for j in S.type_set if j != k]
+            meet = frozenset.intersection(*(product_set(Gk, Gj) for Gj in others))
+            B = others[0]
+            for Gj in others[1:]:
+                B = subgroup_intersection(B, Gj)
+            classes = double_coset_decomposition(Gk, meet, B)
+            d = two_orbit_decomposition(S, k)
+            assert (d.class_count, d.class_sizes) == (len(classes),
+                                                      tuple(len(c) for c in classes))
+            assert d.witness == (min(classes[1]) if len(classes) == 2 else None)
+            witnesses += d.witness is not None
+    assert witnesses > 200
 
 
 # -- the verdict ------------------------------------------------------------

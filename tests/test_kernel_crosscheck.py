@@ -5,7 +5,9 @@ fast == oracle gate.  These checks rebuild every group from its generators'
 image arrays in ``sympy.combinatorics`` (stabilizer chains, no element
 enumeration by ``permcore``) and compare the orders the decision depends on:
 |G|, the maximal parabolics G_i = ⟨α_i⁻¹α_j : i, j ≠ type⟩, and every
-pairwise intersection G_i ∩ G_j.
+pairwise intersection G_i ∩ G_j.  The kernel side reads what the decision
+reads: the parabolics as index sets of G (and their ``PermGroup`` views),
+intersected as sets.
 """
 
 import itertools
@@ -16,11 +18,7 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from hypertope.corpus import build_corpus  # noqa: E402
 from hypertope.cplus import build_cplus  # noqa: E402
-from hypertope.permcore import (  # noqa: E402
-    Permutation,
-    generate_group,
-    subgroup_intersection,
-)
+from hypertope.permcore import Permutation, generate_group  # noqa: E402
 
 SymPerm = combinatorics.Permutation
 SymGroup = combinatorics.PermutationGroup
@@ -48,10 +46,12 @@ def _sympy_orders(degree, R):
 
 
 def _kernel_orders(S):
-    maximal = S.maximal_parabolics()
-    meets = {(i, j): subgroup_intersection(maximal[i], maximal[j]).order
+    maximal = [S.maximal_indices(i) for i in S.type_set]
+    views = S.maximal_parabolics()
+    assert [H.order for H in views] == [len(H) for H in maximal]
+    meets = {(i, j): len(maximal[i] & maximal[j])
              for i, j in itertools.combinations(S.type_set, 2)}
-    return S.group.order, [H.order for H in maximal], meets
+    return S.group.order, [len(H) for H in maximal], meets
 
 
 def _assert_orders_agree(degree, R, S):
@@ -83,11 +83,13 @@ def _ladder_b_generators(rank):
 
 @pytest.mark.parametrize("degree, R", [
     pytest.param(101, _ladder_a_generators(101), id="ladder-a-p101"),
+    pytest.param(197, _ladder_a_generators(197), id="ladder-a-p197"),
     pytest.param(5, _ladder_b_generators(4), id="ladder-b-rank4"),
     pytest.param(6, _ladder_b_generators(5), id="ladder-b-rank5"),
+    pytest.param(7, _ladder_b_generators(6), id="ladder-b-rank6"),
 ])
 def test_ladder_orders_match_sympy(degree, R):
     G = generate_group(degree, R)
     S = build_cplus(G, R)
     _assert_orders_agree(degree, R, S)
-    assert G.order == {101: 404, 5: 60, 6: 360}[degree]
+    assert G.order == {101: 404, 197: 788, 5: 60, 6: 360, 7: 2520}[degree]

@@ -1,5 +1,8 @@
 """Brute-force path: incidence graph, clique chambers, direct verdicts."""
 
+import collections
+import random
+
 import pytest
 
 from hypertope.corpus import alternating, cyclic, symmetric, torus_rotation_group
@@ -10,13 +13,16 @@ from hypertope.cplus import (
     REGULAR,
     associated_geometry,
     build_cplus,
+    check_ic_plus,
+    condition_ii,
+    is_chiral_hypertope,
 )
 from hypertope.oracle import (
     build_incidence_graph,
     chambers_via_maximal_cliques,
     chirality_bruteforce,
 )
-from hypertope.permcore import Permutation, generate_group
+from hypertope.permcore import Permutation, action_table, generate_group, generated_indices
 
 
 def hexagon():
@@ -107,3 +113,56 @@ def test_oracle_verdicts_match_known_instances():
     h = c4.generators[0]
     rep = chirality_bruteforce(build_cplus(c4, (h, h * h)))
     assert rep.verdict == NOT_HYPERTOPE
+
+
+def _psl27():
+    """PSL(2,7) on the projective line over F_7 (point 7 is infinity),
+    generated by x -> x + 1 and x -> -1/x; order 168."""
+    t = Permutation([(x + 1) % 7 for x in range(7)] + [7])
+    s = Permutation([7] + [-pow(x, 5, 7) % 7 for x in range(1, 7)] + [0])
+    return generate_group(8, [t, s])
+
+
+def _sample_rank4(G, rng, count):
+    """``count`` seeded random triples of G that generate G, are independent
+    and pass (ii), as systems."""
+    acts = action_table(G)
+    out = []
+    while len(out) < count:
+        T = rng.sample(range(1, G.order), 3)
+        if len(generated_indices(acts[t] for t in T)) != G.order:
+            continue
+        if any(T[i] in generated_indices(acts[t] for t in T[:i] + T[i + 1:])
+               for i in range(3)):
+            continue
+        S = build_cplus(G, [G.elements[t] for t in T])
+        if condition_ii(S):
+            out.append(S)
+    return out
+
+
+def test_fast_matches_oracle_on_groups_rich_in_non_cplus_systems():
+    """Rank-4 systems of S5, PSL(2,7) and A6 where IC⁺ often fails after
+    (ii), (i) and (iii) hold, plus the rank-5 simplex in A6.  The group list
+    is local to this test: the acceptance corpus stays as it is."""
+    rng = random.Random(20261018)
+    groups = [("s5", symmetric(5), 10), ("psl27", _psl27(), 8), ("a6", alternating(6), 6)]
+    assert [G.order for _, G, _ in groups] == [120, 168, 360]
+    tally = collections.Counter()
+    for name, G, count in groups:
+        for S in _sample_rank4(G, rng, count):
+            fast = is_chiral_hypertope(S, check_all_k=True)
+            assert fast.verdict == chirality_bruteforce(S).verdict, (name, S.R)
+            if fast.failing_condition == 5:
+                assert not check_ic_plus(S)
+            tally[name, fast.failing_condition] += 1
+    assert all(tally[name, 5] for name, _, _ in groups), tally
+    assert sum(n for (_, code), n in tally.items() if code in (None, 4)) > 0, tally
+
+    n = 6
+    R = tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
+              for i in range(1, 5))
+    S = build_cplus(generate_group(n, R), R)
+    assert S.group.order == 360
+    assert is_chiral_hypertope(S, check_all_k=True).verdict == REGULAR
+    assert chirality_bruteforce(S).verdict == REGULAR

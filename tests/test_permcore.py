@@ -13,10 +13,13 @@ from hypertope.permcore import (
     Permutation,
     PermGroup,
     action_table,
+    compose_actions,
     double_coset_decomposition,
+    extends_on_indices,
     extends_to_homomorphism,
     generate_group,
     generated_indices,
+    inverse_action,
     inverting_automorphism_exists,
     product_set,
     right_coset,
@@ -165,6 +168,17 @@ def test_generated_indices_match_closure():
     assert generated_indices([]) == {0}
 
 
+def test_inverse_and_composed_actions_match_products():
+    G = _s4()
+    acts = action_table(G)
+    for g in G:
+        assert inverse_action(acts[G.index[g]]) == acts[G.index[g.inverse()]]
+        for h in G:
+            assert compose_actions(acts[G.index[g]], acts[G.index[h]]) == acts[G.index[g * h]]
+    trivial = PermGroup.trivial(2)
+    assert compose_actions(trivial.action(trivial.identity), (0,)) == (0,)
+
+
 # -- subgroup algebra -------------------------------------------------------
 
 def _s4():
@@ -281,6 +295,26 @@ def test_extension_matches_word_propagation_on_corpus_tuples(name):
             assert got == _word_propagation_extends(G, [a, b], images)
             seen[got] += 1
     assert seen[True] and seen[False]  # both outcomes exercised
+
+
+@pytest.mark.parametrize("name", ["s4", "a5", "f20"])
+def test_extension_on_indices_matches_permutation_search(name):
+    G = dict(rank3_group_list())[name]
+    acts = action_table(G)
+
+    def act(g):
+        return acts[G.index[g]]
+
+    seen = {True: 0, False: 0}
+    for a, b in generating_tuples(G, 2, independent=True):
+        for images in ([a.inverse(), b.inverse()], [b, a], [a, a]):
+            got = extends_on_indices([act(a), act(b)], [act(q) for q in images])
+            assert got == extends_to_homomorphism(G, [a, b], images)
+            seen[got] += 1
+    assert seen[True] and seen[False]  # both outcomes exercised
+    t = G.generators[0]
+    with pytest.raises(ValueError):
+        extends_on_indices([act(t)], [act(t)])  # t alone does not generate G
 
 
 def test_extension_requires_generating_set():
