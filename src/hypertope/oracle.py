@@ -1,8 +1,12 @@
 """Brute-force reference path: explicit incidence graph, maximal-clique
 chambers, direct orbit counting, direct chirality verdict.
 
-This module exists to be slow and obviously correct; it certifies the fast
-group-theoretic decision.  What it shares with the fast path:
+This module exists to be obviously correct; it certifies the fast
+group-theoretic decision.  It computes on one incidence graph, the coset
+geometry's ``view``: the cosets of ``right_coset_decomposition`` over
+permutations, numbered, with a neighbour bitmask per vertex.  The chambers
+are its maximal cliques, on which each generator acts through one vertex
+permutation.  What it shares with the fast path:
 
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
@@ -17,14 +21,13 @@ group-theoretic decision.  What it shares with the fast path:
 
 A kernel bug would therefore reach both verdicts alike;
 ``tests/test_kernel_crosscheck.py`` checks the kernel's group, parabolic and
-intersection orders against sympy, which shares no code with it.
+intersection orders against sympy, which shares no code with it, and
+``tests/test_oracle.py`` checks the graph layer against networkx.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .cosetgeo import CosetGeometry
+from .cosetgeo import CosetGeometry, TypedElement, maximal_cliques
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
@@ -33,7 +36,7 @@ from .cplus import (
     CPlusSystem,
     associated_geometry,
 )
-from .permcore import Permutation, RightCoset, inverting_automorphism_exists
+from .permcore import inverting_automorphism_exists
 
 DEFAULT_VERTEX_CAP = 50_000
 
@@ -46,17 +49,15 @@ class IncidenceGraph:
     """Explicit incidence graph of a coset incidence system.
 
     Vertices are (type, coset) pairs in deterministic order (type, then
-    canonical coset order); edges join incident elements of distinct types.
+    canonical coset order); bit b of ``adjacency[a]`` is set iff a and b
+    are incident elements of distinct types.
     """
 
-    def __init__(self, vertices: list[tuple[int, RightCoset]],
-                 adjacency: list[set[int]]):
+    def __init__(self, vertices: list[TypedElement], adjacency: list[int],
+                 index: dict[TypedElement, int]):
         self.vertices = vertices
         self.adjacency = adjacency
-        self.index = {v: i for i, v in enumerate(vertices)}
-
-    def type_of(self, v: int) -> int:
-        return self.vertices[v][0]
+        self.index = index
 
     @property
     def num_vertices(self) -> int:
@@ -64,73 +65,48 @@ class IncidenceGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(a.bit_count() for a in self.adjacency) // 2
 
 
 def build_incidence_graph(geometry: CosetGeometry,
                           vertex_cap: int = DEFAULT_VERTEX_CAP) -> IncidenceGraph:
-    """Materialize all elements and all pairwise incidences."""
-    vertices: list[tuple[int, RightCoset]] = []
-    for i in geometry.type_set:
-        for c in geometry.elements_of_type(i):
-            vertices.append((i, c))
-            if len(vertices) > vertex_cap:
-                raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
-    adjacency: list[set[int]] = [set() for _ in vertices]
-    for a, (i, c1) in enumerate(vertices):
-        for b in range(a + 1, len(vertices)):
-            j, c2 = vertices[b]
-            if i != j and geometry.incident(i, c1, j, c2):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    return IncidenceGraph(vertices, adjacency)
+    """All elements and all pairwise incidences, from the geometry's view."""
+    if sum(len(geometry.elements_of_type(i)) for i in geometry.type_set) > vertex_cap:
+        raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
+    view = geometry.view()
+    return IncidenceGraph(view.vertices, view.adjacency, view.index)
 
 
 def chambers_via_maximal_cliques(graph: IncidenceGraph) -> list[frozenset[int]]:
-    """All maximal cliques, via pivoting Bron-Kerbosch.
+    """All maximal cliques, via pivoting Bron-Kerbosch over bitmasks.
 
     The type partition keeps this benign: a clique holds at most one vertex
     per type.  For a geometry the size-r cliques are exactly the chambers.
     """
-    cliques: list[frozenset[int]] = []
-    adjacency = graph.adjacency
-
-    def expand(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda v: len(adjacency[v] & p))
-        for v in sorted(p - adjacency[pivot]):
-            expand(r | {v}, p & adjacency[v], x & adjacency[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(range(graph.num_vertices)), set())
-    return sorted(cliques, key=sorted)
+    everything = (1 << graph.num_vertices) - 1
+    return sorted((frozenset(c) for c in maximal_cliques(graph.adjacency, everything)),
+                  key=sorted)
 
 
 def _clique_orbits(geometry: CosetGeometry, graph: IncidenceGraph,
-                   cliques: list[frozenset[int]],
-                   generators) -> list[list[frozenset[int]]]:
-    """Orbits of right multiplication on cliques, ordered by minimal clique."""
+                   cliques: list[frozenset[int]]) -> list[set[frozenset[int]]]:
+    """Orbits of right multiplication on cliques, ordered by minimal clique.
+
+    Each generator of the group acts through one permutation of the vertices."""
+    moves = [[graph.index[i, geometry.shift(i, c, g)] for i, c in graph.vertices]
+             for g in geometry.group.generators or geometry.group.elements]
     clique_set = set(cliques)
-
-    def act(clique: frozenset[int], g: Permutation) -> frozenset[int]:
-        return frozenset(graph.index[(i, geometry.shift(i, c, g))] for i, c in
-                         (graph.vertices[v] for v in clique))
-
     seen: set[frozenset[int]] = set()
     orbits = []
     for start in cliques:
         if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
+        orbit, frontier = {start}, [start]
         while frontier:
             new = []
             for c in frontier:
-                for g in generators:
-                    img = act(c, g)
+                for move in moves:
+                    img = frozenset(move[v] for v in c)
                     if img not in orbit:
                         orbit.add(img)
                         new.append(img)
@@ -138,8 +114,14 @@ def _clique_orbits(geometry: CosetGeometry, graph: IncidenceGraph,
         if not orbit <= clique_set:
             raise RuntimeError("group action does not preserve the clique set")
         seen.update(orbit)
-        orbits.append(sorted(orbit, key=sorted))
+        orbits.append(orbit)
     return orbits
+
+
+def _adjacent_pair_in_one_orbit(orbits: list[set[frozenset[int]]]) -> bool:
+    """Do two chambers of one orbit share a ridge (all but one element)?"""
+    ridges = [(n, c - {v}) for n, orbit in enumerate(orbits) for c in orbit for v in c]
+    return len(set(ridges)) < len(ridges)
 
 
 def chirality_bruteforce(S: CPlusSystem,
@@ -156,31 +138,17 @@ def chirality_bruteforce(S: CPlusSystem,
     graph = build_incidence_graph(geometry, vertex_cap=vertex_cap)
     cliques = chambers_via_maximal_cliques(graph)
 
+    # every chamber is a maximal clique; in a geometry there are no others
     view = geometry.view()
-    thin_rc_geometry = (view.is_geometry() and view.is_thin()
+    thin_rc_geometry = (len(cliques) == len(view.chambers()) and view.is_thin()
                         and view.is_residually_connected())
 
-    generators = S.group.generators or S.group.elements
-    orbits = _clique_orbits(geometry, graph, cliques, generators)
-
-    cross_orbit = True
-    if len(orbits) == 2:
-        orbit_of = {c: n for n, orbit in enumerate(orbits) for c in orbit}
-        for a, c1 in enumerate(cliques):
-            for c2 in cliques[a + 1:]:
-                if len(c1 & c2) == len(c1) - 1 and orbit_of[c1] == orbit_of[c2]:
-                    cross_orbit = False
-                    break
-            if not cross_orbit:
-                break
-
+    orbits = _clique_orbits(geometry, graph, cliques)
     inverting = inverting_automorphism_exists(S.group, S.R)
 
-    orbit_sizes: Optional[tuple[int, int]] = None
-    if len(orbits) == 2:
-        orbit_sizes = (len(orbits[0]), len(orbits[1]))
-
-    if thin_rc_geometry and len(orbits) == 2 and cross_orbit:
+    orbit_sizes = (len(orbits[0]), len(orbits[1])) if len(orbits) == 2 else None
+    if (thin_rc_geometry and len(orbits) == 2
+            and not _adjacent_pair_in_one_orbit(orbits)):
         if inverting:
             return ChiralityReport(REGULAR, 4, {4: False}, k_used=0,
                                    orbit_sizes=orbit_sizes)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import yaml
 
 from hypertope import cli, oracle
 from hypertope.catalog import catalog_entry, catalog_names
@@ -68,19 +69,28 @@ def test_unknown_fields_rejected():
 A4 = 'name: "a4"\ndegree: 4\ngenerators: ["(0 1 2)", "(1 2 3)"]\n'
 
 
-@pytest.mark.parametrize("text", [
-    A4 + 'options: {k: "x"}\n',
-    A4 + 'options: {k: true}\n',
-    A4 + 'options: {oracle: "no"}\n',
-    A4 + 'options: {check_all_k: "no"}\n',
-    A4 + 'options: {element_cap: -5}\n',
-    A4 + 'options: {element_cap: 2.5}\n',
-    A4 + 'options: {threads: 2}\n',
-    'degree: true\ngenerators: [[0]]\n',
-    'degree: 2\ngenerators: [[true, false]]\n',
-    'name: 7\ndegree: 3\ngenerators: [[1, 2, 0]]\n',
-], ids=["k-string", "k-bool", "oracle-string", "check_all_k-string", "cap-negative",
-        "cap-float", "threads", "degree-bool", "images-bool", "name-int"])
+MISTYPED = {
+    "k-string": A4 + 'options: {k: "x"}\n',
+    "k-bool": A4 + 'options: {k: true}\n',
+    "oracle-string": A4 + 'options: {oracle: "no"}\n',
+    "check_all_k-string": A4 + 'options: {check_all_k: "no"}\n',
+    "cap-negative": A4 + 'options: {element_cap: -5}\n',
+    "cap-float": A4 + 'options: {element_cap: 2.5}\n',
+    "threads": A4 + 'options: {threads: 2}\n',
+    "degree-bool": 'degree: true\ngenerators: [[0]]\n',
+    "images-bool": 'degree: 2\ngenerators: [[true, false]]\n',
+    "name-int": 'name: 7\ndegree: 3\ngenerators: [[1, 2, 0]]\n',
+    # YAML syntax errors: the parser's message spans several lines
+    "truncated-flow": 'degree: 3\ngenerators: [[1, 0, 2]',
+    "unbalanced-bracket": 'degree: 3\ngenerators: [[1, 0, 2]]]\n',
+    "unclosed-mapping": '{degree: 3, generators: [[1, 0, 2]]\n',
+    "unclosed-quote": 'name: "a4\ndegree: 4\n',
+    "bad-indentation": 'degree: 3\n  generators: [[1, 0, 2]]\n',
+    "control-character": 'degree: 3\x00\n',
+}
+
+
+@pytest.mark.parametrize("text", MISTYPED.values(), ids=MISTYPED.keys())
 def test_mistyped_document_is_one_line_input_error(tmp_path, capsys, text):
     doc = tmp_path / "bad.yaml"
     doc.write_text(text)
@@ -90,6 +100,44 @@ def test_mistyped_document_is_one_line_input_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_yaml_syntax_error_names_problem_and_position():
+    with pytest.raises(InputError) as info:
+        parse_instance('degree: 3\ngenerators: [[1, 0, 2]]]\n')
+    message = str(info.value)
+    assert message.startswith("unparseable document: ") and "\n" not in message
+    assert message.endswith("(line 2, column 24)")
+
+
+DOCUMENTS = [MINIMAL, A4, *MISTYPED.values(),
+             'degree: 3\ngenerators: [[0, 0, 1]]\n', 'degree: 3\ngenerators: [[0, 1]]\n',
+             MINIMAL + 'surprise: 1\n', 'name: "x"\ndegree: 3\n',
+             'degree: 3\ngenerators: [[1, 2, 0]]\noptions: {frob: 1}\n',
+             'degree: 5\ngenerators: ["(0 1 2)(3 4)"]\noptions: {k: 1, oracle: true}\n',
+             'degree: 5\ngenerators: ["(0 1)", "(0 1)(2 4)", "(0 4 3 1)"]\n',
+             'degree: 3\ngenerators: [[1, 2,']
+
+
+def test_libyaml_and_python_loaders_give_the_same_spec(monkeypatch):
+    """Every catalog entry, serialized, and every document of this file
+    parses to the same spec, or fails, under both loaders."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    texts = DOCUMENTS + [serialize_instance(spec_from_mapping(catalog_entry(name)))
+                         for name in catalog_names()]
+
+    def parse_all(loader):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        out = []
+        for text in texts:
+            try:
+                out.append(parse_instance(text))
+            except InputError:
+                out.append(InputError)
+        return out
+
+    assert parse_all(yaml.CSafeLoader) == parse_all(yaml.SafeLoader)
 
 
 def test_threads_option_is_unknown(tmp_path, capsys):

@@ -1,11 +1,21 @@
 """Brute-force path: incidence graph, clique chambers, direct verdicts."""
 
 import collections
+import gc
+import itertools
 import random
 
 import pytest
 
-from hypertope.corpus import alternating, cyclic, symmetric, torus_rotation_group
+from hypertope import cli
+from hypertope.catalog import catalog_entry, catalog_names
+from hypertope.corpus import (
+    alternating,
+    build_corpus,
+    cyclic,
+    symmetric,
+    torus_rotation_group,
+)
 from hypertope.cosetgeo import build
 from hypertope.cplus import (
     CHIRAL,
@@ -18,6 +28,7 @@ from hypertope.cplus import (
     is_chiral_hypertope,
 )
 from hypertope.oracle import (
+    _adjacent_pair_in_one_orbit,
     build_incidence_graph,
     chambers_via_maximal_cliques,
     chirality_bruteforce,
@@ -30,6 +41,37 @@ def hexagon():
     H1 = generate_group(3, [Permutation([1, 0, 2])])
     H2 = generate_group(3, [Permutation([0, 2, 1])])
     return build(G, [H1, H2])
+
+
+def _simplex(rank):
+    """The rotation group of the regular (rank-1)-simplex in A_{rank+1}:
+    alpha_i = (0 1)(i i+1)."""
+    n = rank + 1
+    R = tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
+              for i in range(1, rank))
+    return build_cplus(generate_group(n, R), R)
+
+
+def _torus(p):
+    """The chiral torus map of the affine group x -> ax + b mod p, a^2 = -1:
+    |G| = 4p, R = (s, s t)."""
+    a = next(a for a in range(2, p) if a * a % p == p - 1)
+    s = Permutation([a * x % p for x in range(p)])
+    t = Permutation([(a * x + 1) % p for x in range(p)])
+    return build_cplus(generate_group(p, [s, s * t]), (s, s * t))
+
+
+def _non_geometry():
+    """A connected rank-4 system over C2^3 with a flag in no chamber."""
+    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1)]),
+                           Permutation.from_cycles(6, [(2, 3)]),
+                           Permutation.from_cycles(6, [(4, 5)])])
+    parabolics = [generate_group(6, [p]) for p in (
+        Permutation([0, 1, 2, 3, 5, 4]),
+        Permutation([0, 1, 3, 2, 4, 5]),
+        Permutation([0, 1, 3, 2, 5, 4]),
+        Permutation([1, 0, 2, 3, 4, 5]))]
+    return build(G, parabolics)
 
 
 def test_hexagon_graph_shape():
@@ -57,7 +99,7 @@ def test_base_chamber_is_a_clique():
     ids = [graph.index[(i, c)] for i, c in base]
     for a in ids:
         for b in ids:
-            assert a == b or b in graph.adjacency[a]
+            assert a == b or graph.adjacency[a] >> b & 1
 
 
 def test_cliques_equal_chambers_for_geometries():
@@ -76,15 +118,7 @@ def test_cliques_equal_chambers_for_geometries():
 
 
 def test_non_geometry_has_short_maximal_clique():
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1)]),
-                           Permutation.from_cycles(6, [(2, 3)]),
-                           Permutation.from_cycles(6, [(4, 5)])])
-    parabolics = [generate_group(6, [p]) for p in (
-        Permutation([0, 1, 2, 3, 5, 4]),
-        Permutation([0, 1, 3, 2, 4, 5]),
-        Permutation([0, 1, 3, 2, 5, 4]),
-        Permutation([1, 0, 2, 3, 4, 5]))]
-    geo = build(G, parabolics)
+    geo = _non_geometry()
     assert not geo.is_geometry()
     cliques = chambers_via_maximal_cliques(build_incidence_graph(geo))
     assert any(len(c) < 4 for c in cliques)
@@ -95,6 +129,13 @@ def test_vertex_cap():
     geo = associated_geometry(build_cplus(G, (s, s * t)))
     with pytest.raises(RuntimeError):
         build_incidence_graph(geo, vertex_cap=3)
+
+
+def test_cross_orbit_test_groups_chambers_by_ridge():
+    a, b, c = frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 4, 5})
+    assert _adjacent_pair_in_one_orbit([{a, b}, {c}])  # a, b share the ridge {0, 1}
+    assert not _adjacent_pair_in_one_orbit([{a, c}, {b}])
+    assert not _adjacent_pair_in_one_orbit([{a}, {b}, {c}])
 
 
 def test_oracle_verdicts_match_known_instances():
@@ -159,10 +200,121 @@ def test_fast_matches_oracle_on_groups_rich_in_non_cplus_systems():
     assert all(tally[name, 5] for name, _, _ in groups), tally
     assert sum(n for (_, code), n in tally.items() if code in (None, 4)) > 0, tally
 
-    n = 6
-    R = tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
-              for i in range(1, 5))
-    S = build_cplus(generate_group(n, R), R)
+    S = _simplex(5)
     assert S.group.order == 360
     assert is_chiral_hypertope(S, check_all_k=True).verdict == REGULAR
     assert chirality_bruteforce(S).verdict == REGULAR
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (lambda: _torus(197), CHIRAL),
+    (lambda: _simplex(6), REGULAR),
+], ids=["torus-p197", "simplex-r6"])
+def test_fast_matches_oracle_at_larger_orders(make, verdict):
+    S = make()
+    assert S.group.order in (788, 2520)
+    fast = is_chiral_hypertope(S, check_all_k=True)
+    oracle = chirality_bruteforce(S)
+    assert fast.verdict == oracle.verdict == verdict
+    assert fast.orbit_sizes == oracle.orbit_sizes == (S.group.order, S.group.order)
+    assert not fast.cross_k_disagreement
+
+
+def test_decision_and_oracle_leave_no_reference_cycles():
+    """Everything the decision and the oracle allocate is freed by reference
+    counting alone: the cyclic collector finds nothing."""
+    specs = [cli.spec_from_mapping({"degree": S.group.degree,
+                                    "generators": [list(r.images) for r in S.R],
+                                    "options": {"check_all_k": True}})
+             for S in (_simplex(4), _simplex(5), _torus(101))]
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in specs:
+            cli.run(spec)
+        assert gc.collect() == 0
+        chirality_bruteforce(_simplex(4))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- the graph layer against networkx ------------------------------------------
+
+def _graph_layer_instances():
+    """Geometries of every catalog entry, a seeded corpus sample, the rank-4
+    and rank-5 simplices, the rank-2 hexagon, and two systems that fail
+    geometry and connectedness."""
+    out = []
+    for name in catalog_names():
+        spec = cli.spec_from_mapping(catalog_entry(name))
+        S = build_cplus(generate_group(spec.degree, spec.generators), spec.generators)
+        out.append((name, associated_geometry(S)))
+    for inst in random.Random(20261018).sample(build_corpus(), 40):
+        out.append((inst.name, associated_geometry(build_cplus(inst.group, inst.R))))
+    for rank in (4, 5):
+        out.append((f"simplex-r{rank}", associated_geometry(_simplex(rank))))
+    out += [("hexagon", hexagon()), ("non-geometry", _non_geometry())]
+    H = generate_group(4, [Permutation([2, 3, 0, 1])])
+    out.append(("disconnected", build(generate_group(4, [Permutation([1, 2, 3, 0])]), [H, H])))
+    return out
+
+
+def _every_flag_extends(flags, rank):
+    """The geometry property as first defined: every flag lies in a chamber
+    (a flag of one vertex per type)."""
+    covered = {frozenset(sub) for c in flags if len(c) == rank for k in range(rank + 1)
+               for sub in itertools.combinations(c, k)}
+    return all(f in covered for f in flags)
+
+
+def _networkx_thin_and_rc(nx, nx_graph, flags, types, rank):
+    """Thinness and residual connectedness recomputed with networkx: the
+    residue of a flag is the subgraph on its common neighbours."""
+    thin, rc = True, nx.is_connected(nx_graph) if rank >= 2 else True
+    for flag in flags:
+        common = set(nx_graph)
+        for v in flag:
+            common &= set(nx_graph[v])
+        if len(flag) == rank - 1:
+            missing = set(range(rank)) - {types[v] for v in flag}
+            thin &= sum(1 for v in common if types[v] in missing) == 2
+        elif 0 < len(flag) < rank - 1 and len(common) > 1:
+            rc &= nx.is_connected(nx_graph.subgraph(common))
+    return thin, rc
+
+
+def test_graph_layer_matches_networkx():
+    """Edges against direct coset intersection (small instances), maximal
+    cliques against ``networkx.find_cliques``, ``is_thin`` and
+    ``is_residually_connected`` against networkx residues, and
+    ``is_geometry`` against the every-flag-extends definition."""
+    nx = pytest.importorskip("networkx")
+    seen = collections.Counter()
+    for name, geo in _graph_layer_instances():
+        graph = build_incidence_graph(geo)
+        V = graph.num_vertices
+        types = [graph.vertices[v][0] for v in range(V)]
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(V))
+        nx_graph.add_edges_from((a, b) for a in range(V) for b in range(a + 1, V)
+                                if graph.adjacency[a] >> b & 1)
+        assert nx_graph.number_of_edges() == graph.num_edges, name
+        if geo.group.order <= 60:
+            members = [frozenset(c.elements()) for _, c in graph.vertices]
+            for a, b in itertools.combinations(range(V), 2):
+                direct = types[a] != types[b] and bool(members[a] & members[b])
+                assert bool(graph.adjacency[a] >> b & 1) == direct, (name, a, b)
+        cliques = chambers_via_maximal_cliques(graph)
+        assert set(cliques) == {frozenset(c) for c in nx.find_cliques(nx_graph)}, name
+        assert len(cliques) == len(set(cliques)), name
+        # the flags are the cliques, the empty one included
+        flags = [frozenset()] + [frozenset(c) for c in nx.enumerate_all_cliques(nx_graph)]
+        thin, rc = _networkx_thin_and_rc(nx, nx_graph, flags, types, geo.rank)
+        view = geo.view()
+        assert view.is_thin() == thin, name
+        assert view.is_residually_connected() == rc, name
+        assert view.is_geometry() == _every_flag_extends(flags, geo.rank), name
+        seen.update([("thin", thin), ("rc", rc), ("geometry", view.is_geometry())])
+    assert all(seen[prop, value] for prop in ("thin", "rc", "geometry")
+               for value in (True, False)), seen
