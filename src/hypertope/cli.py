@@ -329,10 +329,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.catalog:
             spec = spec_from_mapping(catalog_entry(args.catalog))
+        elif args.input == "-":
+            spec = parse_instance(sys.stdin.read())
         elif args.input:
-            text = (sys.stdin.read() if args.input == "-"
-                    else open(args.input, encoding="utf-8").read())
-            spec = parse_instance(text)
+            with open(args.input, encoding="utf-8") as document:
+                spec = parse_instance(document.read())
         else:
             print("error: need an input document or --catalog NAME", file=sys.stderr)
             return EXIT_INPUT_ERROR

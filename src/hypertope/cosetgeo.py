@@ -25,10 +25,9 @@ from .permcore import (
     PermGroup,
     Permutation,
     RightCoset,
-    generate_group,
+    generated_indices,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cosetgeo.product_set
     right_coset_decomposition,
-    subgroup_intersection,
 )
 
 TypedElement = tuple[int, RightCoset]
@@ -366,28 +365,37 @@ class CosetGeometry:
         J ∪ {i}, for every J with at least two missing types.  Only valid
         when the geometry is flag-transitive; the caller asserts that unless
         ``verify_flag_transitive`` is set.
+
+        Subgroups are index sets of G.  A maximal parabolic is generated by
+        the actions of its generators, and the parabolic of J is the
+        intersection over J.  The subgroup generated by the parabolics of
+        the J ∪ {i} grows from their elements: one outside it adds its
+        action to the generators, until the subgroup is as large as the
+        parabolic of J or no element is left.
         """
         if verify_flag_transitive and not (self.is_geometry() and self.is_flag_transitive()):
             raise ValueError("group-theoretic test requires a flag-transitive geometry")
+        G = self.group
+        maximal = [generated_indices(G.action(g) for g in H.generators) for H in self.parabolics]
+
+        def parabolic(J: Sequence[int]) -> set[int]:
+            return set(range(G.order)).intersection(*(maximal[j] for j in J))
+
         I = self.type_set
         for k in range(0, self.rank - 1):
             for J in itertools.combinations(I, k):
-                G_J = self._parabolic_of(J)
-                gens: list[Permutation] = []
-                for i in I:
-                    if i not in J:
-                        gens.extend(self._parabolic_of(J + (i,)).elements)
-                generated = generate_group(self.group.degree, gens, cap=G_J.order + 1)
-                if generated.order != G_J.order:
+                target = len(parabolic(J))
+                actions: list[tuple[int, ...]] = []
+                generated = {0}
+                for x in sorted(set().union(*(parabolic(J + (i,)) for i in I if i not in J))):
+                    if len(generated) == target:
+                        break
+                    if x not in generated:
+                        actions.append(G.action(G.element(x)))
+                        generated = generated_indices(actions)
+                if len(generated) != target:
                     return False
         return True
-
-    def _parabolic_of(self, J: Sequence[int]) -> PermGroup:
-        """Intersection of the maximal parabolics indexed by J (G for empty J)."""
-        result = self.group
-        for j in J:
-            result = subgroup_intersection(result, self.parabolics[j])
-        return result
 
     # -- truncation -------------------------------------------------------
 

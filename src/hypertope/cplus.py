@@ -13,10 +13,11 @@ it is not a hypertope, with code 5.  IC⁺ comes after the three conditions,
 not first, so that their codes stay those of the reference semantics.
 
 After the one closure of G the decision is index arithmetic: an element is
-its number in ``G.index`` (the sorted order), and no permutation is
-multiplied.  From the actions of R recorded at closure (``G.action``) a
-system derives the inverse actions of the α_i and the actions of the
-α_{ij} (compositions of arrays).  Then:
+its position in the sorted order (``G.index_of``), no permutation is
+multiplied, and the witness is the one element it builds (``G.element``).
+From the actions of R recorded at closure (``G.action``) a system derives
+the inverse actions of the α_i and the actions of the α_{ij} (compositions
+of arrays).  Then:
 
 - every parabolic is an index set, the subgroup generated by the actions
   of its α_{ij} (``parabolic_indices``);
@@ -180,7 +181,7 @@ def is_independent_generating_set(S: CPlusSystem) -> bool:
     G = S.group
     for i, r in enumerate(S.R):
         others = generated_indices(G.action(x) for j, x in enumerate(S.R) if j != i)
-        if G.index[r] in others:
+        if G.index_of(r) in others:
             return False
     return True
 
@@ -346,7 +347,7 @@ def two_orbit_decomposition(S: CPlusSystem, k: int) -> TwoOrbitResult:
     classes = sorted(_incident_type_k_cosets(S, k), key=min)
     witness = None
     if len(classes) == 2:
-        witness = S.group.elements[min(classes[1])]
+        witness = S.group.element(min(classes[1]))
     return TwoOrbitResult(witness, len(classes), tuple(len(c) for c in classes))
 
 

@@ -1,15 +1,18 @@
 """Finite permutation group kernel.
 
-Elements are permutations of {0, ..., n-1} stored as image tuples, groups are
-fully enumerated element sets with a fixed lexicographic total order.  This is
-deliberately the dumb-but-exact representation.  Sets of elements that are
-not subgroups (product sets, double cosets) are frozensets.
+Elements are permutations of {0, ..., n-1} stored as image tuples, with the
+lexicographic total order.  Sets of elements that are not subgroups
+(product sets, double cosets) are frozensets.
 
-A group numbers its elements once, at closure: ``G.index`` maps each element
-to its position in the sorted element list (the identity is always 0), so
-the order of indices is the order of the elements.  The closure keeps the
-products x * g it computes as one index array per generator,
-``G.action(g)``.  After that, group computations are computations over
+A closure (``generate_group``) is a deterministic Schreier–Sims on the base
+0, 1, ..., m-1, the shortest prefix of the points whose pointwise
+stabilizer is trivial.  Its stabilizer chain keeps one transversal per
+base point, as image tuples, and an element is known by its m base images:
+two elements first differ at a point below m, so sorting the m-tuples
+sorts the elements.  The group numbers its elements once, in that order
+(the identity is always 0), and one breadth-first search over the m-tuples
+records each generator's action, the index array of x -> x * g
+(``G.action(g)``).  After that, group computations are computations over
 integers, with no new permutation product:
 
 - the subgroup generated by some elements is the breadth-first search of
@@ -20,10 +23,15 @@ integers, with no new permutation product:
 - the homomorphism test is a search over pairs of indices
   (``extends_on_indices``).
 
-The element-set functions (``subgroup_intersection``, ``product_set``,
-``right_coset``, ``double_coset_decomposition``, ``extends_to_homomorphism``)
-compute such things from permutations.  The oracle, the coset geometry and
-the tests use them; the chirality decision uses none of them.
+Membership and the index of one permutation are a sift through the chain,
+which ends with a comparison on every point.  The permutation at an index
+is a product of m transversal elements.  The full element list and the
+element -> index map are built only when first read: the oracle, the coset
+geometry, the corpus and the tests read them, the chirality decision does
+not.  The element-set functions (``subgroup_intersection``,
+``product_set``, ``right_coset``, ``double_coset_decomposition``,
+``extends_to_homomorphism``) compute from permutations, for the same
+callers.
 
 Only the public constructor validates its input.  Products and inverses of
 permutations are permutations, so they are built unchecked.
@@ -156,22 +164,36 @@ def _gcd(a: int, b: int) -> int:
 
 
 class PermGroup:
-    """A finite permutation group held as its full, sorted element list.
+    """A finite permutation group with its elements numbered in sorted order.
 
-    ``index`` numbers the elements by their position in that list.
-    ``action(g)`` is the index array of x -> x * g; the closure records it
-    for each generator, any other element's array is built on first request
-    and kept.  A group never holds more arrays than were asked for.
+    ``generators`` generate the group.  ``index_of(p)`` is the position of p
+    in the sorted element list (the identity is 0), ``element(i)`` the
+    element at position i.  ``action(g)`` is the index array of x -> x * g;
+    a closure records it for each generator, any other element's array is
+    built on first request and kept.  A group never holds more arrays than
+    were asked for.
+
+    A group from ``generate_group`` holds its stabilizer chain on the base
+    0, ..., m-1 and the sorted tuples of base images, one per element: an
+    element is known by where it sends 0, ..., m-1.  Membership and
+    ``index_of`` sift through the chain, ``action`` maps base images, and
+    the full element list ``elements`` and the map ``index`` (element ->
+    position) are built on first access only.  A group built from an
+    element list (the constructor) holds that list.
     """
 
-    __slots__ = ("degree", "generators", "elements", "index", "_actions", "_hash")
+    __slots__ = ("degree", "generators", "_elements", "_index", "_chain", "_keys",
+                 "_key_index", "_actions", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
+        self._elements: Optional[tuple[Permutation, ...]] = tuple(elements)
+        self._index: Optional[dict[Permutation, int]] = None
+        self._chain: Optional[list[dict[int, tuple[int, ...]]]] = None
+        self._keys: Optional[tuple[tuple[int, ...], ...]] = None
+        self._key_index: Optional[dict[tuple[int, ...], int]] = None
         self._actions: dict[Permutation, tuple[int, ...]] = {}
         self._hash: Optional[int] = None
 
@@ -190,37 +212,102 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._keys) if self._keys is not None else len(self._elements)
 
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    @property
+    def base_length(self) -> int:
+        """m, the length of the shortest prefix 0, ..., m-1 of the points
+        whose pointwise stabilizer is trivial: the base of a closure."""
+        if self._chain is None:
+            raise ValueError("only a closure holds a stabilizer chain")
+        return len(self._chain)
+
+    @property
+    def base_images(self) -> tuple[tuple[int, ...], ...]:
+        """The images of 0, ..., m-1 under each element, in index order."""
+        if self._keys is None:
+            raise ValueError("only a closure holds a stabilizer chain")
+        return self._keys
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted.  A closure builds them here, once, along
+        its generators' actions: one product per element."""
+        if self._elements is None:
+            elements: list[Optional[Permutation]] = [None] * self.order
+            elements[0] = self.identity
+            edges = [(g, self.action(g)) for g in self.generators]
+            reached = [0]
+            for x in reached:  # the list grows while it is walked
+                for g, act in edges:
+                    y = act[x]
+                    if elements[y] is None:
+                        elements[y] = elements[x] * g
+                        reached.append(y)
+            self._elements = tuple(elements)
+        return self._elements
+
+    @property
+    def index(self) -> dict[Permutation, int]:
+        """Element -> its position in ``elements``, built on first access."""
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.elements)}
+        return self._index
+
+    def element(self, i: int) -> Permutation:
+        """The element at position i.  A closure that has not built its
+        element list multiplies one transversal element per base point."""
+        if self._elements is not None:
+            return self._elements[i]
+        return _trusted(_chain_element(self._chain, self._keys[i], self.degree))
+
+    def _position(self, p: object) -> Optional[int]:
+        if not isinstance(p, Permutation) or p.degree != self.degree:
+            return None
+        if self._index is not None or self._chain is None:
+            return self.index.get(p)
+        if _sift(self._chain, p.images, tuple(range(self.degree))) is not None:
+            return None
+        return self._key_index[p.images[:len(self._chain)]]
+
+    def index_of(self, p: Permutation) -> int:
+        """The position of p; ValueError when p is not in the group.  For a
+        closure this is a sift, which compares the result with the identity
+        on every point, not on the base alone."""
+        i = self._position(p)
+        if i is None:
+            raise ValueError("element not in the group")
+        return i
+
     def action(self, g: Permutation) -> tuple[int, ...]:
-        """x -> x * g on indices: ``action(g)[index[x]] == index[x * g]``."""
+        """x -> x * g on positions: ``action(g)[index_of(x)] == index_of(x * g)``."""
         act = self._actions.get(g)
         if act is None:
-            if g not in self.index:
-                raise ValueError("element not in the group")
+            self.index_of(g)
             act = self._actions[g] = _right_action(self, g)
         return act
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.index
+    def __contains__(self, p: object) -> bool:
+        return self._position(p) is not None
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.order
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self.index.keys() <= other.index.keys()
+        return self.degree == other.degree and all(g in other for g in self.generators)
 
     def is_trivial(self) -> bool:
-        return len(self.elements) == 1
+        return self.order == 1
 
     def __eq__(self, other: object) -> bool:
+        """Same elements; read from the element lists, which a closure builds."""
         return (isinstance(other, PermGroup) and self.degree == other.degree
                 and self.index.keys() == other.index.keys())
 
@@ -234,8 +321,18 @@ class PermGroup:
 
 
 def _right_action(G: PermGroup, g: Permutation) -> tuple[int, ...]:
-    index = G.index
-    return tuple([index[x * g] for x in G.elements])
+    if G._chain is None:
+        index = G.index
+        return tuple([index[x * g] for x in G.elements])
+    number, images = G._key_index, g.images
+    return tuple([number[_key_getter(key)(images)] for key in G._keys])
+
+
+def _key_getter(key: tuple[int, ...]):
+    """images -> the tuple of images of the points of ``key``."""
+    if len(key) > 1:
+        return itemgetter(*key)
+    return lambda images: tuple([images[p] for p in key])
 
 
 def action_table(G: PermGroup) -> list[tuple[int, ...]]:
@@ -279,36 +376,181 @@ def generate_group(degree: int, gens: Sequence[Permutation],
                    cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     """Close a generator list under composition and inverse.
 
-    Breadth-first closure from the identity; the element list comes out
-    sorted, so the result is independent of generator order.  The products
-    x * g of the closure are kept as each generator's action.  Raises
-    GroupTooLargeError as soon as the closure exceeds ``cap``.
+    A deterministic Schreier–Sims builds the stabilizer chain of the group
+    on the base 0, 1, ..., m-1, the shortest prefix of the points whose
+    pointwise stabilizer is trivial.  |G| is the product of the orbit
+    lengths, which bounds it from below at every stage: GroupTooLargeError
+    is raised as soon as it exceeds ``cap``.  Then one breadth-first search
+    over the m-tuples of base images, from (0, ..., m-1), records each
+    generator's action: x * g sends the base to g of x's base images, O(m)
+    per element.  Two elements differ first at a point below m, so the
+    sorted m-tuples number the elements as the sorted image tuples would;
+    the result is independent of generator order.
     """
     gens = tuple(dict.fromkeys(gens))  # dedupe, keep first occurrence
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    found = [Permutation.identity(degree)]  # in order of discovery
-    number = {found[0]: 0}
+    builder = _SchreierSims(degree, cap)
+    for g in gens:
+        builder.sift_into(g.images, builder.identity, 0)
+    chain = builder.chain
+    m = len(chain)
+    start = tuple(range(m))
+    found = [start]  # in order of discovery
+    number = {start: 0}
     edges: list[list[int]] = [[] for _ in gens]  # edges[i][n]: number of found[n] * gens[i]
-    for x in found:  # the list grows while it is walked
-        for g, row in zip(gens, edges):
-            y = x * g
+    images = [g.images for g in gens]
+    for key in found:  # the list grows while it is walked
+        get = _key_getter(key)
+        for g, row in zip(images, edges):
+            y = get(g)
             n = number.get(y)
             if n is None:
                 n = number[y] = len(found)
-                if n >= cap:
-                    raise GroupTooLargeError(cap)
                 found.append(y)
             row.append(n)
-    G = PermGroup(degree, gens, sorted(found))
-    to_index = [G.index[x] for x in found]
+    G = PermGroup(degree, gens, ())
+    G._elements, G._chain, G._keys = None, chain, tuple(sorted(found))
+    G._key_index = {key: i for i, key in enumerate(G._keys)}
+    to_index = [G._key_index[key] for key in found]
     for g, row in zip(gens, edges):
         act = [0] * len(found)
-        for n, m in enumerate(row):
-            act[to_index[n]] = to_index[m]
+        for n, y in enumerate(row):
+            act[to_index[n]] = to_index[y]
         G._actions[g] = tuple(act)
     return G
+
+
+# -- the stabilizer chain ------------------------------------------------------
+#
+# Level l of a chain is the dict {point: u}: the orbit of l under the
+# pointwise stabilizer of 0, ..., l-1, each point with a transversal element
+# u, as an image tuple, that sends l to it (l itself to the identity).  Every
+# element is one product u_{m-1} ... u_1 u_0, one factor per level.
+
+
+class _SchreierSims:
+    """The state of a deterministic Schreier–Sims; ``chain`` is the result.
+
+    Each level keeps its strong generators S_l, which fix 0, ..., l-1, and
+    grows its orbit and transversal from the root along them.  Every
+    Schreier generator u_b s u_{b s}^-1 that is not a tree edge is sifted
+    through the levels below, to the identity on every point.  One that
+    does not sift is a new strong generator of the levels from l+1 down to
+    the first point it moves, which are then completed from the bottom up;
+    a base that runs out gains levels, so it stays a prefix.  A generator
+    that fixes a level's point is a strong generator of the next level, so
+    the root's Schreier generator for it is not sifted.
+    """
+
+    def __init__(self, degree: int, cap: int):
+        self.degree = degree
+        self.cap = cap
+        self.identity = tuple(range(degree))
+        self.chain: list[dict[int, tuple[int, ...]]] = []
+        self.orbits: list[list[int]] = []  # each level's points, in order of discovery
+        self.tree: list[dict[int, tuple[int, int]]] = []  # point -> (point, generator) it came from
+        self.strong: list[list[tuple[int, ...]]] = []
+        self.checked: list[list[int]] = []  # checked[l][k]: orbit points met by strong[l][k]
+        self.order = 1  # the product of the orbit lengths
+
+    def sift_into(self, a: tuple[int, ...], b: tuple[int, ...], first: int) -> None:
+        """Sift a * b^-1 from level ``first``; a residue becomes a strong
+        generator."""
+        found = _sift(self.chain, a, b, first)
+        if found is not None:
+            level, h = found
+            if level == len(self.chain):  # h fixes the whole base
+                level = next(p for p in range(level, self.degree) if h[p] != p)
+            self.add(h, first, level)
+
+    def add(self, h: tuple[int, ...], first: int, level: int) -> None:
+        """Make h, which fixes 0, ..., level-1 and moves level, a strong
+        generator of the levels first, ..., level and complete them."""
+        while len(self.chain) <= level:
+            point = len(self.chain)
+            self.chain.append({point: self.identity})
+            self.orbits.append([point])
+            self.tree.append({})
+            self.strong.append([])
+            self.checked.append([])
+        for l in range(first, level + 1):
+            self.strong[l].append(h)
+            self.checked[l].append(0)
+        for l in range(level, first - 1, -1):
+            self.complete(l)
+
+    def complete(self, level: int) -> None:
+        """Meet every orbit point with every strong generator of the level."""
+        transversal, orbit, parent = self.chain[level], self.orbits[level], self.tree[level]
+        S, done = self.strong[level], self.checked[level]
+        grown = True
+        while grown:
+            grown = False
+            for k, s in enumerate(S):
+                while done[k] < len(orbit):
+                    b = orbit[done[k]]
+                    done[k] += 1
+                    c = s[b]
+                    if c not in transversal:
+                        self.order = self.order // len(orbit) * (len(orbit) + 1)
+                        if self.order > self.cap:
+                            raise GroupTooLargeError(self.cap)
+                        transversal[c] = itemgetter(*transversal[b])(s)
+                        parent[c] = (b, k)
+                        orbit.append(c)
+                        grown = True
+                    elif parent.get(c) != (b, k) and not b == c == level:
+                        self.sift_into(itemgetter(*transversal[b])(s), transversal[c], level + 1)
+
+
+def _sift(chain: list[dict[int, tuple[int, ...]]], a: tuple[int, ...],
+          b: tuple[int, ...], first: int = 0) -> Optional[tuple[int, tuple[int, ...]]]:
+    """Sift x = a * b^-1 through the levels from ``first`` on.
+
+    x is kept as the pair (a, b): dividing it by a transversal element u
+    is the one forward product b -> u * b, and no inverse is formed.
+    Returns None when x reaches the identity, which is checked on every
+    point (a == b), not on the base alone.  Otherwise returns the level
+    whose orbit misses x's image of its point, or len(chain) when x fixes
+    the whole base but is not the identity, with the residue: x divided by
+    the transversal elements met.
+    """
+    for level in range(first, len(chain)):
+        image = a[level]
+        if b[level] == image:  # x fixes the point: its factor is the identity
+            continue
+        u = chain[level].get(b.index(image))
+        if u is None:
+            return level, _divide(a, b)
+        b = itemgetter(*u)(b)
+    if a == b:
+        return None
+    return len(chain), _divide(a, b)
+
+
+def _divide(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of a * b^-1."""
+    return itemgetter(*a)(inverse_action(b))
+
+
+def _chain_element(chain: list[dict[int, tuple[int, ...]]], key: Sequence[int],
+                   degree: int) -> tuple[int, ...]:
+    """The images of the element whose base images are ``key``: the product
+    of its transversal elements, one per level."""
+    factors = []
+    key = list(key)
+    for level, transversal in enumerate(chain):
+        if key[level] != level:
+            u = transversal[key[level]]
+            factors.append(u)
+            inv = inverse_action(u)
+            key = [inv[x] for x in key]  # the base images of (element) * u^-1
+    images = tuple(range(degree))
+    for u in reversed(factors):
+        images = itemgetter(*images)(u)
+    return images
 
 
 def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:

@@ -1,6 +1,8 @@
 """CLI front end: parsing, serialization, exit codes, report stability."""
 
+import gc
 import json
+import warnings
 
 import pytest
 import yaml
@@ -294,3 +296,18 @@ def test_catalog_list(capsys):
 def test_no_input_is_error(capsys):
     assert main([]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+def test_document_file_is_closed(tmp_path, capsys):
+    """Reading a document path leaves no unclosed file, on success and on
+    an input error alike."""
+    good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+    good.write_text(serialize_instance(spec_from_mapping(catalog_entry("torus-4-4-1-2"))))
+    bad.write_text(MISTYPED["unclosed-mapping"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(good)]) == EXIT_CHIRAL
+        assert main([str(bad)]) == EXIT_INPUT_ERROR
+        gc.collect()
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

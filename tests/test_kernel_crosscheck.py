@@ -7,7 +7,9 @@ enumeration by ``permcore``) and compare the orders the decision depends on:
 |G|, the maximal parabolics G_i = ⟨α_i⁻¹α_j : i, j ≠ type⟩, and every
 pairwise intersection G_i ∩ G_j.  The kernel side reads what the decision
 reads: the parabolics as index sets of G (and their ``PermGroup`` views),
-intersected as sets.
+intersected as sets.  The closure's own chain is checked too: its order,
+and its base 0, ..., m-1 as the shortest prefix of the points whose
+pointwise stabilizer is trivial.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from hypertope.corpus import build_corpus  # noqa: E402
+from hypertope.corpus import build_corpus, rank3_group_list, rank4_group_list  # noqa: E402
 from hypertope.cplus import build_cplus  # noqa: E402
 from hypertope.permcore import Permutation, generate_group  # noqa: E402
 
@@ -93,3 +95,28 @@ def test_ladder_orders_match_sympy(degree, R):
     S = build_cplus(G, R)
     _assert_orders_agree(degree, R, S)
     assert G.order == {101: 404, 197: 788, 5: 60, 6: 360, 7: 2520}[degree]
+
+
+def _sympy_group(G):
+    return SymGroup([SymPerm(list(g.images)) for g in G.generators]
+                    or [SymPerm(list(range(G.degree)))])
+
+
+def _chain_cases():
+    cases = [pytest.param(G.degree, list(G.generators), id=name)
+             for name, G in rank3_group_list() + rank4_group_list()]
+    cases += [pytest.param(p, list(_ladder_a_generators(p)), id=f"ladder-a-p{p}")
+              for p in (101, 401, 797, 2477)]
+    cases += [pytest.param(rank + 1, list(_ladder_b_generators(rank)), id=f"simplex-rank{rank}")
+              for rank in (4, 5, 6, 7)]
+    return cases
+
+
+@pytest.mark.parametrize("degree, gens", _chain_cases())
+def test_chain_order_and_base_length_match_sympy(degree, gens):
+    G = generate_group(degree, gens)
+    H = _sympy_group(G)
+    m = G.base_length
+    assert G.order == H.order()
+    assert H.pointwise_stabilizer(list(range(m))).is_trivial
+    assert m > 0 and not H.pointwise_stabilizer(list(range(m - 1))).is_trivial

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertope import cli
 from hypertope.corpus import generating_tuples, rank3_group_list
 from hypertope.cosetgeo import CosetGeometry
 from hypertope.permcore import (
@@ -120,6 +122,113 @@ def test_duplicate_generators_deduplicated():
     G = generate_group(3, [g, g])
     assert G.generators == (g,)
     assert G.order == 3
+
+
+# -- closure on base images --------------------------------------------------
+
+def _plain_closure(degree, gens):
+    """Every element's image tuple, sorted, by a breadth-first closure over
+    full permutations that shares no code with ``generate_group``."""
+    found = [tuple(range(degree))]
+    seen = set(found)
+    for x in found:
+        for g in gens:
+            y = tuple(g.images[p] for p in x)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return sorted(found)
+
+
+def _torus_generators(p):
+    """R = (s, s t) of the torus map group x -> ax + b mod p, a^2 = -1."""
+    a = next(a for a in range(2, p) if a * a % p == p - 1)
+    s = Permutation([a * x % p for x in range(p)])
+    t = Permutation([(a * x + 1) % p for x in range(p)])
+    return [s, s * t]
+
+
+def _closure_cases():
+    cases = [(G.degree, list(G.generators)) for _, G in rank3_group_list()]
+    cases.append((101, _torus_generators(101)))
+    # groups that fix a prefix of the points, so the base has levels with
+    # one-point orbits, and the trivial group at degrees 0 and 1
+    cases.append((7, [Permutation.from_cycles(7, [(4, 6)]), Permutation.from_cycles(7, [(3, 5)])]))
+    cases.append((9, [Permutation.from_cycles(9, [(6, 7, 8)]), Permutation.from_cycles(9, [(0, 1)])]))
+    cases += [(0, []), (1, []), (3, [Permutation.identity(3)])]
+    rng = random.Random(20261018)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        cases.append((n, [Permutation(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]))
+    return cases
+
+
+def test_base_images_are_prefixes_of_the_plain_closure():
+    for degree, gens in _closure_cases():
+        G = generate_group(degree, gens)
+        full = _plain_closure(degree, gens)
+        m = G.base_length
+        assert G.order == len(full)
+        assert G.base_images == tuple(x[:m] for x in full)
+        # m is the shortest such prefix: one point fewer confuses two elements
+        assert m == 0 or len({x[:m - 1] for x in full}) < len(full)
+        assert [x.images for x in G.elements] == full
+        position = {x: i for i, x in enumerate(full)}
+        for g in G.generators:
+            assert G.action(g) == tuple(position[tuple(g.images[p] for p in x)] for x in full)
+
+
+@pytest.mark.parametrize("degree, gens, i", [
+    (101, _torus_generators(101), 5),
+    (5, [Permutation([1, 2, 3, 4, 0])], 1),
+])
+def test_non_member_agreeing_on_the_base_is_rejected(degree, gens, i):
+    G = generate_group(degree, gens)
+    x = G.element(i)
+    assert x.images == _plain_closure(degree, gens)[i]
+    assert x in G and G.index_of(x) == i and G.action(x)[0] == i
+    m = G.base_length
+    images = list(x.images)
+    images[m], images[m + 1] = images[m + 1], images[m]
+    y = Permutation(images)
+    assert y.images[:m] == x.images[:m]
+    assert y not in G
+    with pytest.raises(ValueError):
+        G.index_of(y)
+    with pytest.raises(ValueError):
+        G.action(y)
+
+
+def test_cap_raises_from_the_orbit_lengths_of_s12():
+    """|S12| = 479001600: the closure raises as soon as the product of its
+    orbit lengths passes the cap, without enumerating elements."""
+    gens = [Permutation.from_cycles(12, [(0, 1)]), Permutation.from_cycles(12, [tuple(range(12))])]
+    for cap in (1000, 479001599):
+        t0 = time.process_time()
+        with pytest.raises(GroupTooLargeError):
+            generate_group(12, gens, cap=cap)
+        assert time.process_time() - t0 < 5
+    with pytest.raises(GroupTooLargeError):
+        generate_group(12, gens[::-1], cap=479001599)
+
+
+def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
+    closed = []
+
+    def closure(*args, **kwargs):
+        closed.append(generate_group(*args, **kwargs))
+        return closed[-1]
+
+    monkeypatch.setattr(cli, "generate_group", closure)
+    gens = _torus_generators(101)
+    report = cli.run(cli.spec_from_mapping({"degree": 101,
+                                            "generators": [list(g.images) for g in gens]}))
+    assert report.chirality.verdict == "chiral-hypertope"
+    assert report.chirality.orbit_sizes == (404, 404)
+    (G,) = closed
+    assert G._elements is None and G._index is None
+    witness = report.chirality.witness
+    assert witness == G.elements[G.index_of(witness)]  # built here, after the decision
 
 
 # -- element numbering and actions --------------------------------------------
