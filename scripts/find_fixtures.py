@@ -7,8 +7,8 @@ Two searches live here:
   first instance hitting each failure code 1-4 plus a chiral and a regular
   instance.  Code 1 (a corank-1 truncation with several chamber orbits while
   all corank-1 parabolic intersections stay trivial) is rare; the sweep runs
-  on element indices and the library's action table, so S5-sized groups stay
-  tractable.
+  on element indices and the library's action and conjugation tables, so
+  S5-sized groups stay tractable.
 
 * non-geometry sweep: rank-4 subgroup quadruples whose coset system is
   connected but not a geometry.  Rank-3 systems need not be tried: any
@@ -39,6 +39,7 @@ from hypertope.oracle import build_incidence_graph, chambers_via_maximal_cliques
 from hypertope.permcore import (
     Permutation,
     action_table,
+    conjugation_table,
     generate_group,
     generated_indices,
 )
@@ -52,7 +53,7 @@ def scan_rank4_code1(name, G):
     acts = action_table(G)
     n = G.order
     inv = [G.index[x.inverse()] for x in G.elements]
-    conj = [[acts[g][acts[x][inv[g]]] for x in range(n)] for g in range(n)]
+    conj = conjugation_table(acts)  # conj[g][x] is the index of g^-1 x g
 
     def closure(gens):
         return frozenset(generated_indices(acts[g] for g in gens))

@@ -14,6 +14,7 @@ from .permcore import (
     RightCoset,
     action_table,
     compose_actions,
+    conjugation_table,
     double_coset_decomposition,
     extends_on_indices,
     extends_to_homomorphism,

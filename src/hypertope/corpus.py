@@ -1,14 +1,15 @@
 """Small-group catalog and instance generation for cross-validation runs.
 
 Instances are pairs (group, R) with R an ordered generating tuple.  To keep
-exhaustive sweeps tractable, generating tuples are deduplicated up to
-simultaneous conjugation: conjugate tuples give isomorphic coset systems and
-identical verdicts.
+exhaustive sweeps tractable, one tuple is taken per simultaneous-conjugacy
+class (conjugate tuples give isomorphic coset systems and identical
+verdicts): the least member of the class.  The sweep is an orderly search
+(canonical augmentation) that only ever extends class-minimal prefixes, so
+generation and independence are tested once per class.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -16,6 +17,7 @@ from .permcore import (
     PermGroup,
     Permutation,
     action_table,
+    conjugation_table,
     generate_group,
     generated_indices,
 )
@@ -77,27 +79,28 @@ def regular_representation(G: PermGroup,
 # -- generating tuple enumeration ------------------------------------------
 
 def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = None,
-                      dedupe: bool = True,
                       limit: Optional[int] = None) -> Iterator[tuple[Permutation, ...]]:
-    """Ordered generating ``size``-tuples of nonidentity elements of G.
+    """Ordered generating ``size``-tuples of distinct nonidentity elements of
+    G, one per simultaneous-conjugacy class, in ascending order.
 
     ``independent`` filters on whether each entry avoids the subgroup
-    generated by the others (None keeps both kinds).  With ``dedupe`` only
-    one representative per simultaneous-conjugacy class is yielded, in
-    deterministic order.
+    generated by the others (None keeps both kinds).  ``limit`` stops the
+    search after that many tuples.
 
-    Tuples are tried as element indices (0 is the identity), against one
-    local table of every element's action: generation and membership are
-    searches over it, and the dedupe key is the least tuple of conjugate
-    indices over G.
+    Tuples are element indices (0 is the identity), and each yielded tuple
+    T is the least of its class: T <= T^g for every g, entrywise
+    conjugation compared lexicographically.  Distinctness, generation and
+    independence hold for all of a class or none of it, and a prefix of a
+    class-minimal tuple is class-minimal.  So the search is depth first in
+    ascending order and extends a prefix P by t only when t is the least of
+    its orbit under C(P) = {g : P^g = P}; C(P + t) is then the part of C(P)
+    that fixes t.  Generation and independence are searches over one local
+    action table, run on complete tuples only.
     """
-    seen: set[tuple] = set()
-    count = 0
     acts = action_table(G)
-    inv = [G.index[x.inverse()] for x in G.elements]
-    for T in itertools.product(range(1, G.order), repeat=size):
-        if len(set(T)) != size:
-            continue
+    conj = conjugation_table(acts)
+    count = 0
+    for T in _class_minimal_tuples(conj, size, (), range(G.order)):
         if len(generated_indices(acts[t] for t in T)) != G.order:
             continue
         if independent is not None:
@@ -106,17 +109,30 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
                 for i in range(size))
             if is_indep != independent:
                 continue
-        if dedupe:
-            # g^-1 t g: from g^-1, right-multiply by t, then by g
-            key = min(tuple(ag[acts[t][inv[g]]] for t in T)
-                      for g, ag in enumerate(acts))
-            if key in seen:
-                continue
-            seen.add(key)
         yield tuple(G.elements[t] for t in T)
         count += 1
         if limit is not None and count >= limit:
             return
+
+
+def _class_minimal_tuples(conj: Sequence[Sequence[int]], size: int,
+                          prefix: tuple[int, ...],
+                          stabilizer: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The class-minimal extensions of ``prefix`` to ``size`` distinct
+    nonidentity indices, in ascending order.
+
+    ``prefix`` is class-minimal and ``stabilizer`` lists the g with
+    prefix^g = prefix; ``conj[g][t]`` is the index of g^-1 t g.
+    """
+    if len(prefix) == size:
+        yield prefix
+        return
+    rows = [conj[g] for g in stabilizer]
+    least = list(map(min, zip(*rows)))  # least of each orbit under the stabilizer
+    for t in range(1, len(conj)):
+        if least[t] == t and t not in prefix:
+            yield from _class_minimal_tuples(
+                conj, size, prefix + (t,), [g for g, row in zip(stabilizer, rows) if row[t] == t])
 
 
 @dataclass
@@ -159,8 +175,9 @@ def rank4_group_list() -> list[tuple[str, PermGroup]]:
 def build_corpus(independent: Optional[bool] = True,
                  rank3_limit_per_group: Optional[int] = None,
                  rank4_limit_per_group: Optional[int] = 6) -> list[CorpusInstance]:
-    """Deterministic instance corpus: exhaustive (deduplicated) rank-3 sweeps
-    over the group catalog plus a batch of rank-4 instances."""
+    """Deterministic instance corpus: exhaustive rank-3 sweeps (one tuple per
+    conjugacy class) over the group catalog plus a batch of rank-4
+    instances."""
     corpus: list[CorpusInstance] = []
     for name, G in rank3_group_list():
         for idx, R in enumerate(generating_tuples(

@@ -19,7 +19,8 @@ integers, with no new permutation product:
   their actions from 0 (``generated_indices``), so subgroups are index sets
   and their intersections are set intersections;
 - the action of g^-1 is the inverse array (``inverse_action``), the action
-  of g h the composition of two arrays (``compose_actions``);
+  of g h the composition of two arrays (``compose_actions``), and
+  conjugation is a table read from the actions (``conjugation_table``);
 - the homomorphism test is a search over pairs of indices
   (``extends_on_indices``).
 
@@ -339,6 +340,16 @@ def action_table(G: PermGroup) -> list[tuple[int, ...]]:
     """``G.action`` of every element, in index order: a |G| x |G| table that
     the caller holds and drops; nothing is kept on G."""
     return [_right_action(G, g) for g in G.elements]
+
+
+def conjugation_table(actions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """From a group's ``action_table``, the table whose row g maps the index
+    of t to the index of g^-1 t g, with no permutation product."""
+    table = []
+    for ag in actions:
+        g_inv = ag.index(0)  # x * g is the identity iff x = g^-1
+        table.append(tuple([ag[at[g_inv]] for at in actions]))  # g^-1, then t, then g
+    return table
 
 
 def generated_indices(actions: Iterable[Sequence[int]]) -> set[int]:

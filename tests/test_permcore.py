@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertope import cli
-from hypertope.corpus import generating_tuples, rank3_group_list
+from hypertope.corpus import generating_tuples, rank3_group_list, rank4_group_list
 from hypertope.cosetgeo import CosetGeometry
 from hypertope.permcore import (
     GroupTooLargeError,
@@ -16,6 +16,7 @@ from hypertope.permcore import (
     PermGroup,
     action_table,
     compose_actions,
+    conjugation_table,
     double_coset_decomposition,
     extends_on_indices,
     extends_to_homomorphism,
@@ -288,6 +289,17 @@ def test_inverse_and_composed_actions_match_products():
     assert compose_actions(trivial.action(trivial.identity), (0,)) == (0,)
 
 
+def _conjugates_by_products(G):
+    """[g][t] -> index of g^-1 t g, from permutation products."""
+    return [[G.index[g.inverse() * t * g] for t in G.elements] for g in G.elements]
+
+
+def test_conjugation_table_matches_products():
+    for G in (_s4(), dict(rank3_group_list())["f20"]):
+        table = conjugation_table(action_table(G))
+        assert [list(row) for row in table] == _conjugates_by_products(G)
+
+
 # -- subgroup algebra -------------------------------------------------------
 
 def _s4():
@@ -459,3 +471,45 @@ def test_subgroup_intersection_is_lower_bound(data):
     M = subgroup_intersection(H, K)
     assert M.is_subgroup_of(H) and M.is_subgroup_of(K)
     assert H.order % M.order == 0 and K.order % M.order == 0
+
+
+# -- the corpus sweep ---------------------------------------------------------
+
+def _reference_tuples(G, size, independent, conj):
+    """Brute force: every ordered tuple, the filters, then the tuples T with
+    T = min over g of T^g (``conj`` from ``_conjugates_by_products``)."""
+    n = G.order
+    acts = action_table(G)
+    out = []
+    for T in itertools.product(range(1, n), repeat=size):
+        if len(set(T)) != size or len(generated_indices(acts[t] for t in T)) != n:
+            continue
+        if independent is not None:
+            others = [generated_indices(acts[t] for t in T[:i] + T[i + 1:])
+                      for i in range(size)]
+            if all(t not in H for t, H in zip(T, others)) != independent:
+                continue
+        if T == min(tuple(row[t] for t in T) for row in conj):
+            out.append(T)
+    return out
+
+
+@pytest.mark.parametrize("name, size", [
+    ("c6", 2), ("d8", 2), ("s4", 2), ("a5", 2), ("f20", 2),
+    ("c6", 3), ("d8", 3), ("f20", 3),
+    ("c2^3", 3), ("d6", 3), ("s4", 3),
+])
+def test_generating_tuples_are_the_class_minima(name, size):
+    G = dict(rank3_group_list() + rank4_group_list())[name]
+    conj = _conjugates_by_products(G)
+    counts = {}
+    for independent in (True, None, False):
+        expected = _reference_tuples(G, size, independent, conj)
+        counts[independent] = len(expected)
+        for limit in (None, 6):
+            got = [tuple(G.index[x] for x in T)
+                   for T in generating_tuples(G, size, independent=independent, limit=limit)]
+            assert got == expected[:limit]
+        classes = [min(tuple(row[t] for t in T) for row in conj) for T in got]
+        assert len(set(classes)) == len(got)  # no two yielded tuples are conjugate
+    assert counts[None] == counts[True] + counts[False] > 0
