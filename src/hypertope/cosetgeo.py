@@ -5,9 +5,11 @@ two cosets are incident iff they intersect.  Flags, residues, truncations and
 the geometric property tests (geometry / thin / connected / residually
 connected / chamber- and flag-transitive) all live here.
 
-A ``CosetGeometry`` answers every coset question from one map per type,
-element of G -> its coset, built in a single pass over G: the canonical
-cosets of a type and the image of a coset under right multiplication.
+A ``CosetGeometry`` answers every coset question from one coset column per
+type, built in a single pass over G: the canonical cosets of the type, and
+for each position of ``G.elements`` the number of the coset holding that
+element.  The image of a coset under right multiplication by g is the
+column's entry at the position of ``representative * g``.
 
 Its ``view`` is the incidence graph, built once in O(|G| r^2): the typed
 cosets numbered by type and then canonical order, and per vertex an integer
@@ -27,7 +29,7 @@ from .permcore import (
     RightCoset,
     generated_indices,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cosetgeo.product_set
-    right_coset_decomposition,
+    right_coset_column,
 )
 
 TypedElement = tuple[int, RightCoset]
@@ -47,6 +49,14 @@ class Flag:
         if len({t for t, _ in self.items}) != len(self.items):
             raise ValueError("flag assigns more than one element to a type")
         self._hash: Optional[int] = None
+
+    @classmethod
+    def _trusted(cls, items: tuple[TypedElement, ...]):
+        """A flag of items already one per type, in type order: no check."""
+        flag = object.__new__(cls)
+        flag.items = items
+        flag._hash = None
+        return flag
 
     @property
     def types(self) -> tuple[int, ...]:
@@ -138,10 +148,13 @@ class IncidenceView:
         J = sorted(J)
         if not set(J) <= set(self.types):
             raise ValueError("flag type outside the type set")
-        return [Flag(self.vertices[v] for v in f) for f, _ in self._flag_tuples(J)]
+        # vertices are numbered by type, so each flag tuple is in type order
+        return [Flag._trusted(tuple([self.vertices[v] for v in f]))
+                for f, _ in self._flag_tuples(J)]
 
     def chambers(self) -> list[Chamber]:
-        return [Chamber(self.vertices[v] for v in f) for f, _ in self._flag_tuples(self.types)]
+        return [Chamber._trusted(tuple([self.vertices[v] for v in f]))
+                for f, _ in self._flag_tuples(self.types)]
 
     def residue(self, flag: Flag) -> "IncidenceView":
         """Elements incident to every element of the flag, over the remaining types."""
@@ -253,10 +266,10 @@ def _bron_kerbosch(adjacency: Sequence[int], clique: tuple[int, ...], candidates
 class CosetGeometry:
     """Coset incidence system of a group with an indexed family of subgroups.
 
-    The element -> coset map of each type and the incidence view are built
-    lazily, once, and cached; the object is otherwise immutable.  The maps
-    are keyed by subgroup, and a truncation shares its parent's store, so a
-    map built for either serves both.
+    The coset column of each type and the incidence view are built lazily,
+    once, and cached; the object is otherwise immutable.  The columns are
+    keyed by subgroup, and a truncation shares its parent's store, so a
+    column built for either serves both.
     """
 
     def __init__(self, group: PermGroup, parabolics: Sequence[PermGroup]):
@@ -265,8 +278,7 @@ class CosetGeometry:
                 raise ValueError("parabolic is not a subgroup of the group")
         self.group = group
         self.parabolics = tuple(parabolics)
-        self._coset_maps: dict[PermGroup, dict[Permutation, RightCoset]] = {}
-        self._elements: dict[PermGroup, tuple[RightCoset, ...]] = {}
+        self._columns: dict[PermGroup, tuple[list[int], tuple[RightCoset, ...]]] = {}
         self._view: Optional[IncidenceView] = None
 
     @property
@@ -277,23 +289,25 @@ class CosetGeometry:
     def type_set(self) -> tuple[int, ...]:
         return tuple(range(self.rank))
 
-    def _coset_map(self, i: int) -> dict[Permutation, RightCoset]:
-        """Every element of the group mapped to its type-i coset."""
+    def _column(self, i: int) -> tuple[list[int], tuple[RightCoset, ...]]:
+        """The type-i coset column: (coset number per position, cosets)."""
         H = self.parabolics[i]
-        if H not in self._coset_maps:
-            self._coset_maps[H] = right_coset_decomposition(self.group, H)
-        return self._coset_maps[H]
+        if H not in self._columns:
+            self._columns[H] = right_coset_column(self.group, H)
+        return self._columns[H]
 
     def elements_of_type(self, i: int) -> tuple[RightCoset, ...]:
         """The type-i cosets, ascending by canonical representative."""
-        H = self.parabolics[i]
-        if H not in self._elements:
-            self._elements[H] = tuple(dict.fromkeys(self._coset_map(i).values()))
-        return self._elements[H]
+        return self._column(i)[1]
+
+    def coset_number(self, i: int, x: Permutation) -> int:
+        """The number, in ``elements_of_type(i)``, of the type-i coset
+        holding the element x of G."""
+        return self._column(i)[0][self.group.positions[x.images]]
 
     def shift(self, i: int, c: RightCoset, g: Permutation) -> RightCoset:
         """The type-i coset c g: the image of c under right multiplication by g."""
-        return self._coset_map(i)[c.representative * g]
+        return self.elements_of_type(i)[self.coset_number(i, c.representative * g)]
 
     def incident(self, i: int, c1: RightCoset, j: int, c2: RightCoset) -> bool:
         """Typed incidence: same-type elements are incident iff equal, cosets
@@ -303,7 +317,8 @@ class CosetGeometry:
     def base_chamber(self) -> Chamber:
         """The chamber of the identity cosets; always pairwise incident."""
         e = self.group.identity
-        return Chamber((i, self._coset_map(i)[e]) for i in self.type_set)
+        return Chamber((i, self.elements_of_type(i)[self.coset_number(i, e)])
+                       for i in self.type_set)
 
     def view(self) -> IncidenceView:
         """The geometry as an explicit incidence graph, built once.
@@ -317,12 +332,11 @@ class CosetGeometry:
             type_masks: dict[int, int] = {}
             columns = []  # per type: the vertex of each element's coset
             for i in self.type_set:
-                cosets = self.elements_of_type(i)
-                number = {c: len(vertices) + n for n, c in enumerate(cosets)}
-                type_masks[i] = ((1 << len(cosets)) - 1) << len(vertices)
+                column, cosets = self._column(i)
+                offset = len(vertices)
+                type_masks[i] = ((1 << len(cosets)) - 1) << offset
                 vertices.extend((i, c) for c in cosets)
-                coset_of = self._coset_map(i)
-                columns.append([number[coset_of[x]] for x in self.group.elements])
+                columns.append([offset + c for c in column])
             adjacency = [0] * len(vertices)
             for a, b in itertools.combinations(columns, 2):
                 for u, w in set(zip(a, b)):
@@ -406,8 +420,7 @@ class CosetGeometry:
         if not set(J) <= set(self.type_set):
             raise ValueError("truncation types outside the type set")
         child = CosetGeometry(self.group, [self.parabolics[j] for j in J])
-        child._coset_maps = self._coset_maps
-        child._elements = self._elements
+        child._columns = self._columns
         return child
 
     # -- group actions ----------------------------------------------------

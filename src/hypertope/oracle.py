@@ -3,10 +3,11 @@ chambers, direct orbit counting, direct chirality verdict.
 
 This module exists to be obviously correct; it certifies the fast
 group-theoretic decision.  It computes on one incidence graph, the coset
-geometry's ``view``: the cosets of ``right_coset_decomposition`` over
-permutations, numbered, with a neighbour bitmask per vertex.  The chambers
-are its maximal cliques, on which each generator acts through one vertex
-permutation.  What it shares with the fast path:
+geometry's ``view``: the cosets of the per-type coset columns, each built
+from permutation products h g over G, numbered, with a neighbour bitmask
+per vertex.  The chambers are its maximal cliques, on which each generator
+acts through one vertex permutation, read from the same columns.  What it
+shares with the fast path:
 
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
@@ -88,13 +89,25 @@ def chambers_via_maximal_cliques(graph: IncidenceGraph) -> list[frozenset[int]]:
                   key=sorted)
 
 
+def _vertex_moves(geometry: CosetGeometry, graph: IncidenceGraph) -> list[list[int]]:
+    """Each generator's permutation of the vertices under right multiplication.
+
+    Vertex (i, c) goes to the type-i coset holding ``c.representative * g``:
+    one product, then the type's coset column.  The type-i vertices follow
+    the coset order from the first of them on."""
+    first: dict[int, int] = {}
+    for n, (i, _) in enumerate(graph.vertices):
+        first.setdefault(i, n)
+    return [[first[i] + geometry.coset_number(i, c.representative * g) for i, c in graph.vertices]
+            for g in geometry.group.generators or geometry.group.elements]
+
+
 def _clique_orbits(geometry: CosetGeometry, graph: IncidenceGraph,
                    cliques: list[frozenset[int]]) -> list[set[frozenset[int]]]:
     """Orbits of right multiplication on cliques, ordered by minimal clique.
 
     Each generator of the group acts through one permutation of the vertices."""
-    moves = [[graph.index[i, geometry.shift(i, c, g)] for i, c in graph.vertices]
-             for g in geometry.group.generators or geometry.group.elements]
+    moves = _vertex_moves(geometry, graph)
     clique_set = set(cliques)
     seen: set[frozenset[int]] = set()
     orbits = []

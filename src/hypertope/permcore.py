@@ -26,11 +26,12 @@ integers, with no new permutation product:
 
 Membership and the index of one permutation are a sift through the chain,
 which ends with a comparison on every point.  The permutation at an index
-is a product of m transversal elements.  The full element list and the
-element -> index map are built only when first read: the oracle, the coset
-geometry, the corpus and the tests read them, the chirality decision does
-not.  The element-set functions (``subgroup_intersection``,
-``product_set``, ``right_coset``, ``double_coset_decomposition``,
+is a product of m transversal elements.  The full element list, the
+element -> index map and the image tuple -> index map are built only when
+first read: the oracle, the coset geometry, the corpus and the tests read
+them, the chirality decision does not.  The element-set functions
+(``subgroup_intersection``, ``product_set``, ``right_coset``,
+``right_coset_column``, ``double_coset_decomposition``,
 ``extends_to_homomorphism``) compute from permutations, for the same
 callers.
 
@@ -178,13 +179,14 @@ class PermGroup:
     0, ..., m-1 and the sorted tuples of base images, one per element: an
     element is known by where it sends 0, ..., m-1.  Membership and
     ``index_of`` sift through the chain, ``action`` maps base images, and
-    the full element list ``elements`` and the map ``index`` (element ->
-    position) are built on first access only.  A group built from an
-    element list (the constructor) holds that list.
+    the full element list ``elements`` and the maps ``index`` (element ->
+    position) and ``positions`` (image tuple -> position) are built on
+    first access only.  A group built from an element list (the
+    constructor) holds that list.
     """
 
-    __slots__ = ("degree", "generators", "_elements", "_index", "_chain", "_keys",
-                 "_key_index", "_actions", "_hash")
+    __slots__ = ("degree", "generators", "_elements", "_index", "_positions", "_chain",
+                 "_keys", "_key_index", "_actions", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
@@ -192,6 +194,7 @@ class PermGroup:
         self.generators = tuple(generators)
         self._elements: Optional[tuple[Permutation, ...]] = tuple(elements)
         self._index: Optional[dict[Permutation, int]] = None
+        self._positions: Optional[dict[tuple[int, ...], int]] = None
         self._chain: Optional[list[dict[int, tuple[int, ...]]]] = None
         self._keys: Optional[tuple[tuple[int, ...], ...]] = None
         self._key_index: Optional[dict[tuple[int, ...], int]] = None
@@ -258,6 +261,14 @@ class PermGroup:
         if self._index is None:
             self._index = {x: i for i, x in enumerate(self.elements)}
         return self._index
+
+    @property
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """Image tuple -> its element's position in ``elements``, built on
+        first access.  A lookup hashes a tuple, not a ``Permutation``."""
+        if self._positions is None:
+            self._positions = {x.images: i for i, x in enumerate(self.elements)}
+        return self._positions
 
     def element(self, i: int) -> Permutation:
         """The element at position i.  A closure that has not built its
@@ -621,24 +632,38 @@ def right_coset(H: PermGroup, g: Permutation) -> RightCoset:
     return RightCoset(H, min(h * g for h in H))
 
 
-def right_coset_decomposition(G: PermGroup,
-                              H: PermGroup) -> dict[Permutation, RightCoset]:
-    """Every element of G mapped to its right coset of H.
+def right_coset_column(G: PermGroup,
+                       H: PermGroup) -> tuple[list[int], tuple[RightCoset, ...]]:
+    """The right cosets of H in G as a column over ``G.elements``.
 
-    One pass over the sorted elements of G: the first unseen member of a
-    coset is its minimum, so each coset gets its canonical representative
-    without a search, and the cosets first appear, in the map's values, in
-    ascending order of representative.
+    Returns (column, cosets): ``cosets`` ascending by canonical
+    representative, and ``column[n]`` the number in ``cosets`` of the coset
+    holding ``G.elements[n]``.  One pass over the sorted elements of G: the
+    first unplaced member of a coset is its minimum, so each coset gets its
+    canonical representative without a search; its members h g are
+    products of image tuples, placed by ``G.positions``.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    coset_of: dict[Permutation, RightCoset] = {}
-    for g in G.elements:
-        if g not in coset_of:
-            coset = RightCoset(H, g)
-            for h in H:
-                coset_of[h * g] = coset
-    return coset_of
+    positions = G.positions
+    times = [_key_getter(h.images) for h in H.elements]  # g's images -> h g's images
+    column = [-1] * G.order
+    cosets: list[RightCoset] = []
+    for n, g in enumerate(G.elements):
+        if column[n] < 0:
+            for h_times in times:
+                column[positions[h_times(g.images)]] = len(cosets)
+            cosets.append(RightCoset(H, g))
+    return column, tuple(cosets)
+
+
+def right_coset_decomposition(G: PermGroup,
+                              H: PermGroup) -> dict[Permutation, RightCoset]:
+    """Every element of G mapped to its right coset of H, read from
+    ``right_coset_column``: the cosets first appear, in the map's values,
+    in ascending order of representative."""
+    column, cosets = right_coset_column(G, H)
+    return {x: cosets[c] for x, c in zip(G.elements, column)}
 
 
 def double_coset_decomposition(H: PermGroup, S: frozenset[Permutation],
@@ -669,11 +694,11 @@ def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
 
     Breadth-first search over the pairs (x, phi(x)), from phi(1) = 1 along
     phi(x * gens[i]) = phi(x) * images[i]: x moves on indices by
-    ``G.action``, phi(x) by products.  The pairs reached are the subgroup D
-    of the direct product generated by the (gens[i], images[i]), so the map
-    is well defined iff every edge agrees with the value phi already has,
-    i.e. iff |D| == |G|.  Raises ValueError when gens do not generate G,
-    whether or not the images conflict.
+    ``G.action``, phi(x) by products of image tuples.  The pairs reached
+    are the subgroup D of the direct product generated by the (gens[i],
+    images[i]), so the map is well defined iff every edge agrees with the
+    value phi already has, i.e. iff |D| == |G|.  Raises ValueError when
+    gens do not generate G, whether or not the images conflict.
     """
     if len(gens) != len(images):
         raise ValueError("generator/image length mismatch")
@@ -682,16 +707,16 @@ def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
     for g in gens:
         if g not in G:
             raise ValueError("generator not in G")
-    edges = [(G.action(g), q) for g, q in zip(gens, images)]
-    phi = {0: Permutation.identity(images[0].degree) if images else None}
+    edges = [(G.action(g), q.images) for g, q in zip(gens, images)]
+    phi = {0: tuple(range(images[0].degree)) if images else ()}
     stack = [0]
     consistent = True
     while stack:
         x = stack.pop()
-        fx = phi[x]
+        fx_times = _key_getter(phi[x])  # q's images -> phi(x) q's images
         for act, q in edges:
             y = act[x]
-            fy = fx * q
+            fy = fx_times(q)
             if y not in phi:
                 phi[y] = fy
                 stack.append(y)

@@ -1,10 +1,21 @@
 """Coset incidence systems: incidence, flags, residues, truncations, orbits."""
 
+import itertools
+
 import pytest
 
-from hypertope.corpus import symmetric, torus_rotation_group
+from hypertope.catalog import catalog_entry, catalog_names
+from hypertope.cli import spec_from_mapping
+from hypertope.corpus import (
+    generating_tuples,
+    rank3_group_list,
+    rank4_group_list,
+    symmetric,
+    torus_rotation_group,
+)
 from hypertope.cosetgeo import CosetGeometry, Flag, build
 from hypertope.cplus import associated_geometry, build_cplus
+from hypertope.oracle import _vertex_moves, build_incidence_graph
 from hypertope.permcore import (
     PermGroup,
     Permutation,
@@ -81,6 +92,47 @@ def test_coset_map_matches_element_sets(make):
                 for c2 in geo.elements_of_type(j):
                     direct = bool(members[i][c1] & members[j][c2])
                     assert geo.incident(i, c1, j, c2) == direct
+
+
+COLUMN_SYSTEMS = ([f"r3-{name}" for name, _ in rank3_group_list()]
+                  + [f"r4-{name}" for name, _ in rank4_group_list()]
+                  + [f"catalog-{name}" for name in catalog_names()])
+
+
+def _column_system(system: str):
+    """A corpus group with its least generating tuple of the rank, or a
+    catalog instance, as a system."""
+    kind, name = system.split("-", 1)
+    if kind == "catalog":
+        spec = spec_from_mapping(catalog_entry(name))
+        return build_cplus(generate_group(spec.degree, spec.generators), spec.generators)
+    groups = dict(rank3_group_list() if kind == "r3" else rank4_group_list())
+    R = next(generating_tuples(groups[name], 2 if kind == "r3" else 3, limit=1))
+    return build_cplus(groups[name], R)
+
+
+@pytest.mark.parametrize("system", COLUMN_SYSTEMS)
+def test_coset_columns_match_permutation_arithmetic(system):
+    """Cosets, shifts by every element and the oracle's vertex moves, each
+    against sets of permutation products built here."""
+    geo = associated_geometry(_column_system(system))
+    G = geo.group
+    for i, H in enumerate(geo.parabolics):
+        cosets = geo.elements_of_type(i)
+        members = [frozenset(h * c.representative for h in H) for c in cosets]
+        assert [c.representative for c in cosets] == sorted(min(m) for m in members)
+        holder = {x: n for n, m in enumerate(members) for x in m}
+        assert len(holder) == G.order
+        for x in G:
+            assert members[geo.coset_number(i, x)] == frozenset(h * x for h in H)
+        for c, g in itertools.product(cosets, G):
+            assert geo.shift(i, c, g) == cosets[holder[c.representative * g]]
+    graph = build_incidence_graph(geo)
+    for g, move in zip(G.generators or G.elements, _vertex_moves(geo, graph)):
+        assert move == [graph.index[i, geo.shift(i, c, g)] for i, c in graph.vertices]
+    # flags built unchecked equal the checked constructor's
+    assert all(f == Flag(f.items) for f in geo.chambers())
+    assert all(f == Flag(f.items) for f in geo.flags_of_type([0, geo.rank - 1]))
 
 
 def test_same_type_incidence_is_equality():
