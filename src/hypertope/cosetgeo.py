@@ -51,7 +51,7 @@ class Flag:
         self._hash: Optional[int] = None
 
     @classmethod
-    def _trusted(cls, items: tuple[TypedElement, ...]):
+    def _trusted(cls, items: tuple[TypedElement, ...]) -> "Flag":
         """A flag of items already one per type, in type order: no check."""
         flag = object.__new__(cls)
         flag.items = items
@@ -148,7 +148,7 @@ class IncidenceView:
         J = sorted(J)
         if not set(J) <= set(self.types):
             raise ValueError("flag type outside the type set")
-        # vertices are numbered by type, so each flag tuple is in type order
+        # a flag tuple holds one vertex of each type of J, in J's order
         return [Flag._trusted(tuple([self.vertices[v] for v in f]))
                 for f, _ in self._flag_tuples(J)]
 

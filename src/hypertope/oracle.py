@@ -17,8 +17,8 @@ shares with the fast path:
   the same parabolics as index sets;
 - the idea of the inverting-automorphism test, a pair search that is
   group-theoretic in both routes.  The code differs: the oracle multiplies
-  permutations (``inverting_automorphism_exists``), the fast path looks up
-  indices (``extends_on_indices``).
+  permutations, as image tuples (``inverting_automorphism_exists``), the
+  fast path looks up indices (``extends_on_indices``).
 
 A kernel bug would therefore reach both verdicts alike;
 ``tests/test_kernel_crosscheck.py`` checks the kernel's group, parabolic and
