@@ -46,7 +46,6 @@ from .cplus import (
     two_orbit_decomposition,
 )
 from .oracle import (
-    IncidenceGraph,
     build_incidence_graph,
     chambers_via_maximal_cliques,
     chirality_bruteforce,

@@ -13,9 +13,12 @@ column's entry at the position of ``representative * g``.
 
 Its ``view`` is the incidence graph, built once in O(|G| r^2): the typed
 cosets numbered by type and then canonical order, and per vertex an integer
-bitmask of its neighbours, the cosets meeting it.  Flags, residues,
-connectivity, thinness and maximal flags are mask operations on this one
-graph, which the oracle reads too.
+bitmask of its neighbours, the cosets meeting it; the oracle reads it too.
+One walk over its flags, made once, records each flag with the mask of its
+common neighbours.  Flags, chambers, thinness, residual connectedness and
+the maximal flags read that walk: vertices of one type are never adjacent,
+so every clique is a flag, and a flag is maximal iff it has no common
+neighbour.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .permcore import (
 )
 
 TypedElement = tuple[int, RightCoset]
+FlagTuple = tuple[tuple[int, ...], int]  # a flag's vertices, ascending, and its common neighbours
 
 
 class Flag:
@@ -109,8 +113,8 @@ class IncidenceView:
     different types.  ``type_masks`` holds the view's vertices of each type.
     A residue shares its parent's vertices and adjacency and keeps, per
     remaining type, the vertices incident to its flag.  A flag is a tuple of
-    pairwise adjacent vertices, found by backtracking over candidate masks.
-    A view is immutable, so ``is_geometry`` is computed once and kept.
+    pairwise adjacent vertices, ascending, which is also type order.  A view
+    is immutable, so its flag walk and ``index`` are built once and kept.
     """
 
     def __init__(self, vertices: Sequence[TypedElement], adjacency: Sequence[int],
@@ -119,13 +123,28 @@ class IncidenceView:
         self.adjacency = adjacency
         self.type_masks = type_masks
         self.types = tuple(sorted(type_masks))
-        self.index = {v: n for n, v in enumerate(vertices)} if index is None else index
         self.mask = sum(type_masks.values())  # all vertices: the type masks are disjoint
-        self._is_geometry: Optional[bool] = None
+        self._index = index
+        self._flags: Optional[dict[tuple[int, ...], list[FlagTuple]]] = None
 
     @property
     def rank(self) -> int:
         return len(self.types)
+
+    @property
+    def index(self) -> dict[TypedElement, int]:
+        """Typed element -> vertex number, built on first read."""
+        if self._index is None:
+            self._index = {v: n for n, v in enumerate(self.vertices)}
+        return self._index
+
+    @property
+    def num_vertices(self) -> int:
+        return self.mask.bit_count()
+
+    @property
+    def num_edges(self) -> int:
+        return sum((self.adjacency[v] & self.mask).bit_count() for v in _bits(self.mask)) // 2
 
     @property
     def elements_by_type(self) -> dict[int, tuple[TypedElement, ...]]:
@@ -137,11 +156,18 @@ class IncidenceView:
             return a == b
         return bool(self.adjacency[self.index[a]] >> self.index[b] & 1)
 
-    def _flag_tuples(self, J: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    def _walk(self) -> dict[tuple[int, ...], list[FlagTuple]]:
+        """Every flag with its common neighbours, grouped by type set, each
+        group in canonical order; walked once and kept."""
+        if self._flags is None:
+            self._flags = {(): [((), self.mask)]}
+            _walk_flags(self.adjacency, [(t, self.type_masks[t]) for t in self.types],
+                        0, (), (), self.mask, self._flags)
+        return self._flags
+
+    def _flag_tuples(self, J: Sequence[int]) -> list[FlagTuple]:
         """(vertices, common neighbours) of each flag of type J, in canonical order."""
-        out: list[tuple[tuple[int, ...], int]] = []
-        _extend_flags(self.adjacency, [self.type_masks[t] for t in J], (), self.mask, out)
-        return out
+        return self._walk().get(tuple(J), [])
 
     def flags_of_type(self, J: Iterable[int]) -> list[Flag]:
         """All flags with domain exactly J, in canonical order."""
@@ -153,8 +179,13 @@ class IncidenceView:
                 for f, _ in self._flag_tuples(J)]
 
     def chambers(self) -> list[Chamber]:
-        return [Chamber._trusted(tuple([self.vertices[v] for v in f]))
-                for f, _ in self._flag_tuples(self.types)]
+        vertex = self.vertices.__getitem__
+        return [Chamber._trusted(tuple(map(vertex, f))) for f, _ in self._flag_tuples(self.types)]
+
+    def maximal_flags(self) -> list[tuple[int, ...]]:
+        """The flags with no common neighbour, ascending.  Vertices of one
+        type are never adjacent, so these are the maximal cliques."""
+        return sorted(f for flags in self._walk().values() for f, common in flags if not common)
 
     def residue(self, flag: Flag) -> "IncidenceView":
         """Elements incident to every element of the flag, over the remaining types."""
@@ -174,10 +205,7 @@ class IncidenceView:
     def is_geometry(self) -> bool:
         """Is every maximal flag a chamber?  (Buekenhout's definition: every
         flag then extends to a chamber.)"""
-        if self._is_geometry is None:
-            self._is_geometry = all(len(c) == self.rank
-                                    for c in maximal_cliques(self.adjacency, self.mask))
-        return self._is_geometry
+        return all(len(f) == self.rank for f in self.maximal_flags())
 
     def is_thin(self) -> bool:
         """Every corank-1 flag is incident to exactly two elements of the missing type."""
@@ -213,15 +241,21 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _extend_flags(adjacency: Sequence[int], masks: Sequence[int], chosen: tuple[int, ...],
-                  common: int, out: list) -> None:
-    """Append every extension of ``chosen`` by one vertex of each remaining
-    mask, pairwise adjacent, with the common neighbours of the whole tuple."""
-    if len(chosen) == len(masks):
-        out.append((chosen, common))
-        return
-    for v in _bits(common & masks[len(chosen)]):
-        _extend_flags(adjacency, masks, chosen + (v,), common & adjacency[v], out)
+def _walk_flags(adjacency: Sequence[int], typed_masks: Sequence[tuple[int, int]], first: int,
+                types: tuple[int, ...], flag: tuple[int, ...], common: int, out: dict) -> None:
+    """Record each extension of ``flag`` (of type set ``types``, with common
+    neighbours ``common``) by one vertex of a type in ``typed_masks[first:]``,
+    with its common neighbours, and walk on from it.  A flag grows only by
+    types after its last one, so each flag is reached once."""
+    for k in range(first, len(typed_masks)):
+        t, m = typed_masks[k]
+        grown = types + (t,)
+        found = out.setdefault(grown, [])
+        for v in _bits(common & m):
+            child = flag + (v,), common & adjacency[v]
+            found.append(child)
+            if k + 1 < len(typed_masks):
+                _walk_flags(adjacency, typed_masks, k + 1, grown, *child, out)
 
 
 def _connected(adjacency: Sequence[int], mask: int) -> bool:
@@ -236,31 +270,6 @@ def _connected(adjacency: Sequence[int], mask: int) -> bool:
         frontier = reach & mask & ~seen
         seen |= frontier
     return seen == mask
-
-
-def maximal_cliques(adjacency: Sequence[int], candidates: int) -> Iterator[tuple[int, ...]]:
-    """Every maximal clique of the subgraph induced on ``candidates``.
-
-    In an incidence graph a clique holds at most one vertex per type, so the
-    maximal cliques are the maximal flags.
-    """
-    yield from _bron_kerbosch(adjacency, (), candidates, 0)
-
-
-def _bron_kerbosch(adjacency: Sequence[int], clique: tuple[int, ...], candidates: int,
-                   excluded: int) -> Iterator[tuple[int, ...]]:
-    """Bron–Kerbosch with pivoting, the sets P and X held as bitmasks."""
-    if not candidates:
-        if not excluded:
-            yield clique
-        return
-    pivot = max(_bits(candidates | excluded),
-                key=lambda u: (adjacency[u] & candidates).bit_count())
-    for v in _bits(candidates & ~adjacency[pivot]):
-        yield from _bron_kerbosch(adjacency, clique + (v,), candidates & adjacency[v],
-                                  excluded & adjacency[v])
-        candidates &= ~(1 << v)
-        excluded |= 1 << v
 
 
 class CosetGeometry:

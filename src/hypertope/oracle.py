@@ -1,13 +1,18 @@
-"""Brute-force reference path: explicit incidence graph, maximal-clique
+"""Brute-force reference path: explicit incidence graph, maximal flags as
 chambers, direct orbit counting, direct chirality verdict.
 
 This module exists to be obviously correct; it certifies the fast
 group-theoretic decision.  It computes on one incidence graph, the coset
 geometry's ``view``: the cosets of the per-type coset columns, each built
 from permutation products h g over G, numbered, with a neighbour bitmask
-per vertex.  The chambers are its maximal cliques, on which each generator
-acts through one vertex permutation, read from the same columns.  What it
-shares with the fast path:
+per vertex.  One walk over the view's flags gives the chambers, thinness,
+residual connectedness and the maximal cliques: vertices of one type are
+never adjacent, so every clique is a flag, and a flag is maximal iff it has
+no common neighbour (no Bron–Kerbosch search).  Cliques are ascending
+vertex tuples.  Each generator g moves vertex (i, c) to the type-i coset
+holding the element at ``G.action(g)[position of c.representative]``, read
+from the type's coset column with no product, and so permutes the cliques
+by number.  What it shares with the fast path:
 
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
@@ -28,7 +33,7 @@ intersection orders against sympy, which shares no code with it, and
 
 from __future__ import annotations
 
-from .cosetgeo import CosetGeometry, TypedElement, maximal_cliques
+from .cosetgeo import CosetGeometry, IncidenceView
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
@@ -41,100 +46,94 @@ from .permcore import inverting_automorphism_exists
 
 DEFAULT_VERTEX_CAP = 50_000
 
+Clique = tuple[int, ...]
+
 
 class VertexCapError(RuntimeError):
     """The incidence graph has more vertices than the configured cap."""
 
 
-class IncidenceGraph:
-    """Explicit incidence graph of a coset incidence system.
+def build_incidence_graph(geometry: CosetGeometry,
+                          vertex_cap: int = DEFAULT_VERTEX_CAP) -> IncidenceView:
+    """All elements and all pairwise incidences: the geometry's view.
 
     Vertices are (type, coset) pairs in deterministic order (type, then
     canonical coset order); bit b of ``adjacency[a]`` is set iff a and b
-    are incident elements of distinct types.
-    """
-
-    def __init__(self, vertices: list[TypedElement], adjacency: list[int],
-                 index: dict[TypedElement, int]):
-        self.vertices = vertices
-        self.adjacency = adjacency
-        self.index = index
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(a.bit_count() for a in self.adjacency) // 2
-
-
-def build_incidence_graph(geometry: CosetGeometry,
-                          vertex_cap: int = DEFAULT_VERTEX_CAP) -> IncidenceGraph:
-    """All elements and all pairwise incidences, from the geometry's view."""
+    are incident elements of distinct types."""
     if sum(len(geometry.elements_of_type(i)) for i in geometry.type_set) > vertex_cap:
         raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
-    view = geometry.view()
-    return IncidenceGraph(view.vertices, view.adjacency, view.index)
+    return geometry.view()
 
 
-def chambers_via_maximal_cliques(graph: IncidenceGraph) -> list[frozenset[int]]:
-    """All maximal cliques, via pivoting Bron-Kerbosch over bitmasks.
+def chambers_via_maximal_cliques(graph: IncidenceView) -> list[Clique]:
+    """All maximal cliques as ascending vertex tuples, ascending: the flags
+    of the graph's flag walk with no common neighbour.
 
-    The type partition keeps this benign: a clique holds at most one vertex
-    per type.  For a geometry the size-r cliques are exactly the chambers.
+    A clique holds at most one vertex per type, so it is a flag.  For a
+    geometry the size-r cliques are exactly the chambers.
     """
-    everything = (1 << graph.num_vertices) - 1
-    return sorted((frozenset(c) for c in maximal_cliques(graph.adjacency, everything)),
-                  key=sorted)
+    return graph.maximal_flags()
 
 
-def _vertex_moves(geometry: CosetGeometry, graph: IncidenceGraph) -> list[list[int]]:
+def _vertex_moves(geometry: CosetGeometry, graph: IncidenceView) -> list[list[int]]:
     """Each generator's permutation of the vertices under right multiplication.
 
     Vertex (i, c) goes to the type-i coset holding ``c.representative * g``:
-    one product, then the type's coset column.  The type-i vertices follow
-    the coset order from the first of them on."""
+    the closure's action of g on the representative's position, then the
+    type's coset column.  The type-i vertices follow the coset order from
+    the first of them on."""
+    G = geometry.group
     first: dict[int, int] = {}
     for n, (i, _) in enumerate(graph.vertices):
         first.setdefault(i, n)
-    return [[first[i] + geometry.coset_number(i, c.representative * g) for i, c in graph.vertices]
-            for g in geometry.group.generators or geometry.group.elements]
+    columns = {i: geometry._column(i)[0] for i in first}
+    places = [(first[i], columns[i], G.positions[c.representative.images])
+              for i, c in graph.vertices]
+    moves = []
+    for g in G.generators or G.elements:
+        act = G.action(g)
+        moves.append([offset + column[act[x]] for offset, column, x in places])
+    return moves
 
 
-def _clique_orbits(geometry: CosetGeometry, graph: IncidenceGraph,
-                   cliques: list[frozenset[int]]) -> list[set[frozenset[int]]]:
+def _clique_orbits(geometry: CosetGeometry, graph: IncidenceView,
+                   cliques: list[Clique]) -> list[list[Clique]]:
     """Orbits of right multiplication on cliques, ordered by minimal clique.
 
-    Each generator of the group acts through one permutation of the vertices."""
-    moves = _vertex_moves(geometry, graph)
-    clique_set = set(cliques)
-    seen: set[frozenset[int]] = set()
+    Each generator moves the vertices through one permutation, so it moves
+    the cliques through one permutation of their numbers; the orbits are a
+    breadth-first search over those numbers."""
+    number = {c: n for n, c in enumerate(cliques)}
+    try:
+        # a vertex keeps its type, so the image of an ascending clique is ascending
+        perms = [[number[tuple(map(move.__getitem__, c))] for c in cliques]
+                 for move in _vertex_moves(geometry, graph)]
+    except KeyError:
+        raise RuntimeError("group action does not preserve the clique set") from None
+    orbit_of = [-1] * len(cliques)
     orbits = []
-    for start in cliques:
-        if start in seen:
+    for start in range(len(cliques)):
+        if orbit_of[start] >= 0:
             continue
-        orbit, frontier = {start}, [start]
-        while frontier:
-            new = []
-            for c in frontier:
-                for move in moves:
-                    img = frozenset(move[v] for v in c)
-                    if img not in orbit:
-                        orbit.add(img)
-                        new.append(img)
-            frontier = new
-        if not orbit <= clique_set:
-            raise RuntimeError("group action does not preserve the clique set")
-        seen.update(orbit)
-        orbits.append(orbit)
+        orbit_of[start] = len(orbits)
+        orbit = [start]
+        for n in orbit:  # grows while it is read
+            for perm in perms:
+                m = perm[n]
+                if orbit_of[m] < 0:
+                    orbit_of[m] = len(orbits)
+                    orbit.append(m)
+        orbits.append([cliques[n] for n in orbit])
     return orbits
 
 
-def _adjacent_pair_in_one_orbit(orbits: list[set[frozenset[int]]]) -> bool:
+def _adjacent_pair_in_one_orbit(orbits: list[list[Clique]]) -> bool:
     """Do two chambers of one orbit share a ridge (all but one element)?"""
-    ridges = [(n, c - {v}) for n, orbit in enumerate(orbits) for c in orbit for v in c]
-    return len(set(ridges)) < len(ridges)
+    for orbit in orbits:
+        ridges = [c[:k] + c[k + 1:] for c in orbit for k in range(len(c))]
+        if len(set(ridges)) < len(ridges):
+            return True
+    return False
 
 
 def chirality_bruteforce(S: CPlusSystem,
@@ -152,9 +151,8 @@ def chirality_bruteforce(S: CPlusSystem,
     cliques = chambers_via_maximal_cliques(graph)
 
     # every chamber is a maximal clique; in a geometry there are no others
-    view = geometry.view()
-    thin_rc_geometry = (len(cliques) == len(view.chambers()) and view.is_thin()
-                        and view.is_residually_connected())
+    thin_rc_geometry = (len(cliques) == len(graph.chambers()) and graph.is_thin()
+                        and graph.is_residually_connected())
 
     orbits = _clique_orbits(geometry, graph, cliques)
     inverting = inverting_automorphism_exists(S.group, S.R)

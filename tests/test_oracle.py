@@ -111,10 +111,8 @@ def test_cliques_equal_chambers_for_geometries():
         geo = associated_geometry(S)
         assert geo.is_geometry()
         graph = build_incidence_graph(geo)
-        cliques = {frozenset(graph.vertices[v] for v in c)
-                   for c in chambers_via_maximal_cliques(graph)}
-        chambers = {frozenset(ch.items) for ch in geo.chambers()}
-        assert cliques == chambers
+        chambers = [tuple(graph.index[e] for e in ch) for ch in geo.chambers()]
+        assert chambers_via_maximal_cliques(graph) == sorted(chambers)
 
 
 def test_non_geometry_has_short_maximal_clique():
@@ -132,10 +130,10 @@ def test_vertex_cap():
 
 
 def test_cross_orbit_test_groups_chambers_by_ridge():
-    a, b, c = frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({0, 4, 5})
-    assert _adjacent_pair_in_one_orbit([{a, b}, {c}])  # a, b share the ridge {0, 1}
-    assert not _adjacent_pair_in_one_orbit([{a, c}, {b}])
-    assert not _adjacent_pair_in_one_orbit([{a}, {b}, {c}])
+    a, b, c = (0, 1, 2), (0, 1, 3), (0, 4, 5)
+    assert _adjacent_pair_in_one_orbit([[a, b], [c]])  # a, b share the ridge (0, 1)
+    assert not _adjacent_pair_in_one_orbit([[a, c], [b]])
+    assert not _adjacent_pair_in_one_orbit([[a], [b], [c]])
 
 
 def test_oracle_verdicts_match_known_instances():
@@ -286,7 +284,8 @@ def _networkx_thin_and_rc(nx, nx_graph, flags, types, rank):
 
 def test_graph_layer_matches_networkx():
     """Edges against direct coset intersection (small instances), maximal
-    cliques against ``networkx.find_cliques``, ``is_thin`` and
+    cliques against ``networkx.find_cliques``, the flag walk of every type
+    set against networkx's cliques of that type set, ``is_thin`` and
     ``is_residually_connected`` against networkx residues, and
     ``is_geometry`` against the every-flag-extends definition."""
     nx = pytest.importorskip("networkx")
@@ -306,10 +305,17 @@ def test_graph_layer_matches_networkx():
                 direct = types[a] != types[b] and bool(members[a] & members[b])
                 assert bool(graph.adjacency[a] >> b & 1) == direct, (name, a, b)
         cliques = chambers_via_maximal_cliques(graph)
-        assert set(cliques) == {frozenset(c) for c in nx.find_cliques(nx_graph)}, name
-        assert len(cliques) == len(set(cliques)), name
-        # the flags are the cliques, the empty one included
-        flags = [frozenset()] + [frozenset(c) for c in nx.enumerate_all_cliques(nx_graph)]
+        assert cliques == sorted(tuple(sorted(c)) for c in nx.find_cliques(nx_graph)), name
+        # the flags are the cliques, the empty one included; the walk holds
+        # each flag once, under its type set, in ascending order
+        nx_cliques = [()] + [tuple(sorted(c)) for c in nx.enumerate_all_cliques(nx_graph)]
+        by_type = collections.defaultdict(list)
+        for c in nx_cliques:
+            by_type[tuple(types[v] for v in c)].append(c)
+        for k in range(geo.rank + 1):
+            for J in itertools.combinations(range(geo.rank), k):
+                assert [f for f, _ in graph._flag_tuples(J)] == sorted(by_type[J]), (name, J)
+        flags = [frozenset(c) for c in nx_cliques]
         thin, rc = _networkx_thin_and_rc(nx, nx_graph, flags, types, geo.rank)
         view = geo.view()
         assert view.is_thin() == thin, name
