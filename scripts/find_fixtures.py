@@ -52,7 +52,7 @@ def scan_rank4_code1(name, G):
     Elements are G's indices; ``acts[b][a]`` is the index of a * b."""
     acts = action_table(G)
     n = G.order
-    inv = [G.index[x.inverse()] for x in G.elements]
+    inv = [G.index_of(x.inverse()) for x in G.elements]
     conj = conjugation_table(acts)  # conj[g][x] is the index of g^-1 x g
 
     def closure(gens):

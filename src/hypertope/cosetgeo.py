@@ -1,8 +1,8 @@
 """Coset incidence systems in the sense of Tits.
 
 Elements of type i are the right cosets of the i-th distinguished subgroup;
-two cosets are incident iff they intersect.  Flags, residues, truncations and
-the geometric property tests (geometry / thin / connected / residually
+two cosets are incident iff they intersect.  Flags, truncations and the
+geometric property tests (geometry / thin / connected / residually
 connected / chamber- and flag-transitive) all live here.
 
 A ``CosetGeometry`` answers every coset question from one coset column per
@@ -76,13 +76,6 @@ class Flag:
                 return c
         raise KeyError(t)
 
-    def restrict(self, types: Iterable[int]) -> "Flag":
-        ts = set(types)
-        return Flag((t, c) for t, c in self.items if t in ts)
-
-    def extend(self, t: int, c: RightCoset) -> "Flag":
-        return Flag(self.items + ((t, c),))
-
     def __iter__(self):
         return iter(self.items)
 
@@ -111,20 +104,19 @@ class IncidenceView:
     Vertex n is the typed element ``vertices[n]``, and bit m of
     ``adjacency[n]`` is set iff vertices n and m are incident and of
     different types.  ``type_masks`` holds the view's vertices of each type.
-    A residue shares its parent's vertices and adjacency and keeps, per
-    remaining type, the vertices incident to its flag.  A flag is a tuple of
-    pairwise adjacent vertices, ascending, which is also type order.  A view
-    is immutable, so its flag walk and ``index`` are built once and kept.
+    A flag is a tuple of pairwise adjacent vertices, ascending, which is
+    also type order.  A view is immutable, so its flag walk and ``index``
+    are built once and kept.
     """
 
     def __init__(self, vertices: Sequence[TypedElement], adjacency: Sequence[int],
-                 type_masks: dict[int, int], index: Optional[dict[TypedElement, int]] = None):
+                 type_masks: dict[int, int]):
         self.vertices = vertices
         self.adjacency = adjacency
         self.type_masks = type_masks
         self.types = tuple(sorted(type_masks))
         self.mask = sum(type_masks.values())  # all vertices: the type masks are disjoint
-        self._index = index
+        self._index: Optional[dict[TypedElement, int]] = None
         self._flags: Optional[dict[tuple[int, ...], list[FlagTuple]]] = None
 
     @property
@@ -145,11 +137,6 @@ class IncidenceView:
     @property
     def num_edges(self) -> int:
         return sum((self.adjacency[v] & self.mask).bit_count() for v in _bits(self.mask)) // 2
-
-    @property
-    def elements_by_type(self) -> dict[int, tuple[TypedElement, ...]]:
-        return {t: tuple(self.vertices[v] for v in _bits(m))
-                for t, m in self.type_masks.items()}
 
     def incident(self, a: TypedElement, b: TypedElement) -> bool:
         if a[0] == b[0]:
@@ -186,17 +173,6 @@ class IncidenceView:
         """The flags with no common neighbour, ascending.  Vertices of one
         type are never adjacent, so these are the maximal cliques."""
         return sorted(f for flags in self._walk().values() for f, common in flags if not common)
-
-    def residue(self, flag: Flag) -> "IncidenceView":
-        """Elements incident to every element of the flag, over the remaining types."""
-        remaining = [t for t in self.types if t not in flag.types]
-        if not remaining:
-            raise ValueError("a chamber has an empty residue type set")
-        common = self.mask
-        for e in flag:
-            common &= self.adjacency[self.index[e]]
-        return IncidenceView(self.vertices, self.adjacency,
-                             {t: self.type_masks[t] & common for t in remaining}, self.index)
 
     def is_connected(self) -> bool:
         """Literal incidence-graph connectivity (isolated vertices count)."""
@@ -361,11 +337,6 @@ class CosetGeometry:
 
     def chambers(self) -> list[Chamber]:
         return self.view().chambers()
-
-    def residue(self, flag: Flag) -> IncidenceView:
-        if set(flag.types) == set(self.type_set):
-            raise ValueError("residue of a chamber is empty")
-        return self.view().residue(flag)
 
     # -- geometric property tests ----------------------------------------
 

@@ -33,9 +33,9 @@ of arrays).  Then:
 
 The decision never builds the coset geometry: (i) counts the chambers
 through the base type-a coset and (iii) keeps the type-k cosets meeting
-every G_j.  ``parabolic`` and ``maximal_parabolic(s)`` give ``PermGroup``
-views of the index sets, built on request; they and the geometry
-(``associated_geometry``) serve the oracle and the tests.
+every G_j.  ``parabolic`` and ``maximal_parabolic(s)`` close the same
+generators with ``generate_group`` on request; these ``PermGroup``s and the
+geometry (``associated_geometry``) serve the oracle and the tests.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .permcore import (
     Permutation,
     compose_actions,
     extends_on_indices,
+    generate_group,
     generated_indices,
     inverse_action,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cplus.product_set
@@ -68,7 +69,7 @@ class CPlusSystem:
     system, not on the group, which other systems may share.  So are IC⁺,
     each k's result of condition (i) and its type-k cosets of condition
     (iii); the decomposition of the two chamber orbits reuses the latter.
-    The ``PermGroup`` views of the parabolics and the associated coset
+    The parabolics as ``PermGroup`` closures and the associated coset
     geometry are built only on request.
     """
 
@@ -76,7 +77,6 @@ class CPlusSystem:
         self.group = group
         self.R = tuple(R)
         self.rank = len(self.R) + 1
-        self._alphas = (group.identity,) + self.R  # alpha_0 = identity
         self._inverse_actions: dict[int, tuple[int, ...]] = {}
         self._alpha_actions: dict[tuple[int, int], tuple[int, ...]] = {}
         self._indices: dict[tuple[int, ...], set[int]] = {}
@@ -90,18 +90,14 @@ class CPlusSystem:
     def type_set(self) -> tuple[int, ...]:
         return tuple(range(self.rank))
 
-    def alpha(self, i: int, j: int) -> Permutation:
-        """alpha_{ij} = alpha_i^-1 alpha_j; note alpha_{ji} = alpha_{ij}^-1."""
-        return self._alphas[i].inverse() * self._alphas[j]
-
     def alpha_inverse_action(self, i: int) -> tuple[int, ...]:
-        """The action of alpha_i^-1 on ``G.index``, for 1 <= i < rank."""
+        """The action of alpha_i^-1 on the positions of G, for 1 <= i < rank."""
         if i not in self._inverse_actions:
             self._inverse_actions[i] = inverse_action(self.group.action(self.R[i - 1]))
         return self._inverse_actions[i]
 
     def alpha_action(self, i: int, j: int) -> tuple[int, ...]:
-        """The action of alpha_{ij} on ``G.index``, for i < j: x -> x alpha_i^-1
+        """The action of alpha_{ij} on the positions of G, for i < j: x -> x alpha_i^-1
         alpha_j.  Its entry at 0 is the index of alpha_{ij}."""
         if (i, j) not in self._alpha_actions:
             act = self.group.action(self.R[j - 1])
@@ -116,7 +112,7 @@ class CPlusSystem:
         return [self.alpha_action(key[0], j) for j in key[1:]]
 
     def parabolic_indices(self, J: Iterable[int]) -> set[int]:
-        """⟨alpha_{ij} : i, j ∈ J⟩ as a set of ``G.index`` values, kept on the
+        """⟨alpha_{ij} : i, j ∈ J⟩ as a set of positions of G, kept on the
         system: callers must not change it.  It is {0} when |J| <= 1, since
         alpha_{ii} = 1.
 
@@ -136,18 +132,13 @@ class CPlusSystem:
         return self.parabolic_indices(j for j in self.type_set if j != i)
 
     def parabolic(self, J: Iterable[int]) -> PermGroup:
-        """The parabolic of J as a ``PermGroup``, built once from its index
-        set: the elements in index order, which is sorted order."""
+        """The parabolic of J as a ``PermGroup``, closed once from the
+        alpha_{mj} of ``parabolic_generators``."""
         key = tuple(sorted(set(J)))
         if key not in self._parabolic_cache:
-            if key == self.type_set:
-                group = self.group
-            else:
-                elements = self.group.elements
-                gens = dict.fromkeys(elements[act[0]] for act in self.parabolic_generators(key))
-                group = PermGroup(self.group.degree, tuple(gens),
-                                  [elements[x] for x in sorted(self.parabolic_indices(key))])
-            self._parabolic_cache[key] = group
+            G = self.group
+            self._parabolic_cache[key] = G if key == self.type_set else generate_group(
+                G.degree, [G.element(act[0]) for act in self.parabolic_generators(key)])
         return self._parabolic_cache[key]
 
     def maximal_parabolic(self, i: int) -> PermGroup:
@@ -220,7 +211,7 @@ def condition_i(S: CPlusSystem, k: int) -> bool:
     stabilizer in B = ∩_{j != k} G_j, so the truncation is chamber-transitive
     iff exactly |G_a : B| chambers pass through the base coset G_a (a ≠ k,
     G_a smallest).  They are counted as the pairwise meeting tuples of the
-    cosets G_j h, h ∈ G_a, held as bitmasks over ``G.index``.
+    cosets G_j h, h ∈ G_a, held as bitmasks over the positions of G.
     """
     if k not in S._condition_i:
         J = [j for j in S.type_set if j != k]
@@ -244,7 +235,7 @@ def _mask(indices: Iterable[int]) -> int:
 
 def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
     """The right cosets G_j h with h ∈ G_a, i.e. those meeting G_a, each once
-    and as ``G.index`` lists, G_j first.
+    and as lists of positions of G, G_j first.
 
     They are the orbit of G_j under right multiplication by the generators
     of G_a: (G_j h) alpha = G_j (h alpha), one array lookup per element.
@@ -289,7 +280,7 @@ def condition_ii(S: CPlusSystem) -> bool:
 
 
 def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[list[int], ...]:
-    """The type-k cosets that meet every G_j, j ≠ k, as ``G.index`` lists.
+    """The type-k cosets that meet every G_j, j ≠ k, as lists of positions of G.
 
     They all meet G_{j0} for the smallest G_{j0}, so only the cosets G_k h,
     h ∈ G_{j0}, are tested against the other G_j.

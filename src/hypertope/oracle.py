@@ -17,9 +17,9 @@ by number.  What it shares with the fast path:
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
 - the system's maximal parabolics: the oracle builds its coset geometry
-  (``associated_geometry``) over their ``PermGroup`` views, while the fast
-  path never builds a geometry and reads the cosets of (i) and (iii) from
-  the same parabolics as index sets;
+  (``associated_geometry``) over their ``PermGroup`` closures, while the
+  fast path never builds a geometry and reads the cosets of (i) and (iii)
+  from the same parabolics as index sets;
 - the idea of the inverting-automorphism test, a pair search that is
   group-theoretic in both routes.  The code differs: the oracle multiplies
   permutations, as image tuples (``inverting_automorphism_exists``), the
@@ -27,8 +27,41 @@ by number.  What it shares with the fast path:
 
 A kernel bug would therefore reach both verdicts alike;
 ``tests/test_kernel_crosscheck.py`` checks the kernel's group, parabolic and
-intersection orders against sympy, which shares no code with it, and
-``tests/test_oracle.py`` checks the graph layer against networkx.
+intersection orders and condition (iv) against sympy, which shares no code
+with it, and ``tests/test_oracle.py`` checks the graph layer against
+networkx.
+
+The verdict states the definition in full, but at rank >= 3 the thinness
+and geometry checks never decide it: two clique orbits with no ridge
+shared inside one orbit already give a thin geometry.  Write C0 for the
+base chamber (G_0, ..., G_{r-1}), P_k for its panel without type k, and
+α_ab = α_a^-1 α_b, which lies in every G_j with j ∉ {a, b}.
+
+- No panel lies on three chambers: two of them would share it inside one
+  orbit.
+- For m ≠ k, G_k α_mk meets every G_j with j ≠ k: for j ≠ m it holds
+  α_mk, and for j = m, with a third type l, α_mk = α_ml α_lk lies in
+  G_k G_m.  So P_k ∪ {G_k α_mk} is a chamber.  C0 α_jk differs from C0 at
+  most at types j and k and lies in C0's orbit, so α_jk lies in both G_j
+  and G_k or in neither.
+- Each G_k ≠ G.  If G_i = G, then C0 α_ik differs from C0 at most at type
+  k, so α_ik ∈ G_k for every k ≠ i; then α_kb = α_ki α_ib ∈ G_k, so every
+  G_k = G, and the one chamber is one orbit.  As G_k ≠ G, some α_mk is not
+  in G_k, and P_k lies on a second chamber D_k = P_k ∪ {G_k α_mk}, the
+  same for each such m.
+- It is a geometry.  A maximal clique that is not a chamber has an orbit
+  of non-chambers, so the chambers would form one orbit, holding C0 and
+  D_k on the ridge P_k.
+- It is thin.  D_k is not in C0's orbit, so every corank-1 flag, which
+  lies in a chamber, is a panel of C0 or of D_k moved by some g.  P_k lies
+  on C0 and D_k.  Take j ≠ k.  If α_jk ∉ G_k, then D_k = D_j α_jk, and the
+  panel of D_k without type j is P_j α_jk.  Otherwise α_jk lies in every
+  G_l; then α_jm ∉ G_m, or α_mk = α_mj α_jk would lie in G_k.  So
+  D_k = D_m α_mk, and the panel is the type-j panel of D_m, which is of
+  the first kind, moved by α_mk.  Each lies on two chambers.
+
+``tests/test_oracle.py`` pins both checks directly and checks the claim on
+the corpus.
 """
 
 from __future__ import annotations

@@ -24,10 +24,12 @@ integers, with no new permutation product:
 - the homomorphism test is a search over pairs of indices
   (``extends_on_indices``).
 
-Membership and the index of one permutation are a sift through the chain,
-which ends with a comparison on every point.  The permutation at an index
-is a product of m transversal elements.  The full element list, the
-element -> index map and the image tuple -> index map are built only when
+Every ``PermGroup`` is such a closure; subgroups that the oracle and the
+tests need as groups (parabolics, ``subgroup_intersection``) are closed
+from their generators too.  Membership and the index of one permutation
+are a sift through the chain, which ends with a comparison on every point.
+The permutation at an index is a product of m transversal elements.  The
+full element list and the image tuple -> index map are built only when
 first read: the oracle, the coset geometry, the corpus and the tests read
 them, the chirality decision does not.  The element-set functions
 (``subgroup_intersection``, ``product_set``, ``right_coset``,
@@ -168,55 +170,40 @@ def _gcd(a: int, b: int) -> int:
 class PermGroup:
     """A finite permutation group with its elements numbered in sorted order.
 
-    ``generators`` generate the group.  ``index_of(p)`` is the position of p
-    in the sorted element list (the identity is 0), ``element(i)`` the
-    element at position i.  ``action(g)`` is the index array of x -> x * g;
-    a closure records it for each generator, any other element's array is
-    built on first request and kept.  A group never holds more arrays than
-    were asked for.
+    Every group is a closure, built by ``generate_group``.  ``generators``
+    generate the group.  ``index_of(p)`` is the position of p in the sorted
+    element list (the identity is 0), ``element(i)`` the element at
+    position i.  ``action(g)`` is the index array of x -> x * g; the closure
+    records it for each generator, any other element's array is built on
+    first request and kept.  A group never holds more arrays than were
+    asked for.
 
-    A group from ``generate_group`` holds its stabilizer chain on the base
-    0, ..., m-1 and the sorted tuples of base images, one per element: an
-    element is known by where it sends 0, ..., m-1.  Membership and
-    ``index_of`` sift through the chain, ``action`` maps base images, and
-    the full element list ``elements`` and the maps ``index`` (element ->
-    position) and ``positions`` (image tuple -> position) are built on
-    first access only.  A group built from an element list (the
-    constructor) holds that list.
+    The group holds its stabilizer chain on the base 0, ..., m-1 and the
+    sorted tuples of base images, one per element: an element is known by
+    where it sends 0, ..., m-1.  Membership and ``index_of`` sift through
+    the chain, ``action`` maps base images, and the full element list
+    ``elements`` and the map ``positions`` (image tuple -> position) are
+    built on first access only.
     """
 
-    __slots__ = ("degree", "generators", "_elements", "_index", "_positions", "_chain",
+    __slots__ = ("degree", "generators", "_elements", "_positions", "_chain",
                  "_keys", "_key_index", "_actions", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: Sequence[Permutation]):
+                 chain: list[dict[int, tuple[int, ...]]], keys: Sequence[tuple[int, ...]]):
         self.degree = degree
         self.generators = tuple(generators)
-        self._elements: Optional[tuple[Permutation, ...]] = tuple(elements)
-        self._index: Optional[dict[Permutation, int]] = None
+        self._chain = chain
+        self._keys = tuple(keys)
+        self._key_index = {key: i for i, key in enumerate(self._keys)}
+        self._elements: Optional[tuple[Permutation, ...]] = None
         self._positions: Optional[dict[tuple[int, ...], int]] = None
-        self._chain: Optional[list[dict[int, tuple[int, ...]]]] = None
-        self._keys: Optional[tuple[tuple[int, ...], ...]] = None
-        self._key_index: Optional[dict[tuple[int, ...], int]] = None
         self._actions: dict[Permutation, tuple[int, ...]] = {}
         self._hash: Optional[int] = None
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        e = Permutation.identity(degree)
-        return cls(degree, (), (e,))
-
-    @classmethod
-    def _from_elements(cls, degree: int, elements: Iterable[Permutation],
-                       generators: Optional[Sequence[Permutation]] = None) -> "PermGroup":
-        elements = tuple(sorted(set(elements)))
-        if generators is None:
-            generators = tuple(g for g in elements if not g.is_identity())
-        return cls(degree, generators, elements)
-
     @property
     def order(self) -> int:
-        return len(self._keys) if self._keys is not None else len(self._elements)
+        return len(self._keys)
 
     @property
     def identity(self) -> Permutation:
@@ -225,22 +212,18 @@ class PermGroup:
     @property
     def base_length(self) -> int:
         """m, the length of the shortest prefix 0, ..., m-1 of the points
-        whose pointwise stabilizer is trivial: the base of a closure."""
-        if self._chain is None:
-            raise ValueError("only a closure holds a stabilizer chain")
+        whose pointwise stabilizer is trivial: the base of the chain."""
         return len(self._chain)
 
     @property
     def base_images(self) -> tuple[tuple[int, ...], ...]:
         """The images of 0, ..., m-1 under each element, in index order."""
-        if self._keys is None:
-            raise ValueError("only a closure holds a stabilizer chain")
         return self._keys
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted.  A closure builds them here, once, along
-        its generators' actions: one product per element."""
+        """Every element, sorted, built here once along the generators'
+        actions: one product per element."""
         if self._elements is None:
             elements: list[Optional[Permutation]] = [None] * self.order
             elements[0] = self.identity
@@ -256,13 +239,6 @@ class PermGroup:
         return self._elements
 
     @property
-    def index(self) -> dict[Permutation, int]:
-        """Element -> its position in ``elements``, built on first access."""
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self.elements)}
-        return self._index
-
-    @property
     def positions(self) -> dict[tuple[int, ...], int]:
         """Image tuple -> its element's position in ``elements``, built on
         first access.  A lookup hashes a tuple, not a ``Permutation``."""
@@ -271,8 +247,8 @@ class PermGroup:
         return self._positions
 
     def element(self, i: int) -> Permutation:
-        """The element at position i.  A closure that has not built its
-        element list multiplies one transversal element per base point."""
+        """The element at position i: read from ``elements`` once they are
+        built, else the product of one transversal element per base point."""
         if self._elements is not None:
             return self._elements[i]
         return _trusted(_chain_element(self._chain, self._keys[i], self.degree))
@@ -280,16 +256,16 @@ class PermGroup:
     def _position(self, p: object) -> Optional[int]:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return None
-        if self._index is not None or self._chain is None:
-            return self.index.get(p)
+        if self._positions is not None:
+            return self._positions.get(p.images)
         if _sift(self._chain, p.images, tuple(range(self.degree))) is not None:
             return None
         return self._key_index[p.images[:len(self._chain)]]
 
     def index_of(self, p: Permutation) -> int:
-        """The position of p; ValueError when p is not in the group.  For a
-        closure this is a sift, which compares the result with the identity
-        on every point, not on the base alone."""
+        """The position of p; ValueError when p is not in the group.  Before
+        ``positions`` is built this is a sift, which compares the result
+        with the identity on every point, not on the base alone."""
         i = self._position(p)
         if i is None:
             raise ValueError("element not in the group")
@@ -319,13 +295,15 @@ class PermGroup:
         return self.order == 1
 
     def __eq__(self, other: object) -> bool:
-        """Same elements; read from the element lists, which a closure builds."""
-        return (isinstance(other, PermGroup) and self.degree == other.degree
-                and self.index.keys() == other.index.keys())
+        """Same elements.  Equal groups have the same sorted base images, but
+        the base images alone do not decide: <(0 1)> and <(0 1)(2 3)> both
+        have (0,) and (1,).  With equal orders, inclusion is equality."""
+        return self is other or (isinstance(other, PermGroup) and self.degree == other.degree
+                                 and self._keys == other._keys and self.is_subgroup_of(other))
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.degree, self.elements))
+            self._hash = hash((self.degree, self._keys))
         return self._hash
 
     def __repr__(self) -> str:
@@ -333,9 +311,6 @@ class PermGroup:
 
 
 def _right_action(G: PermGroup, g: Permutation) -> tuple[int, ...]:
-    if G._chain is None:
-        index = G.index
-        return tuple([index[x * g] for x in G.elements])
     number, images = G._key_index, g.images
     return tuple([number[_key_getter(key)(images)] for key in G._keys])
 
@@ -432,9 +407,7 @@ def generate_group(degree: int, gens: Sequence[Permutation],
                 n = number[y] = len(found)
                 found.append(y)
             row.append(n)
-    G = PermGroup(degree, gens, ())
-    G._elements, G._chain, G._keys = None, chain, tuple(sorted(found))
-    G._key_index = {key: i for i, key in enumerate(G._keys)}
+    G = PermGroup(degree, gens, chain, sorted(found))
     to_index = [G._key_index[key] for key in found]
     for g, row in zip(gens, edges):
         act = [0] * len(found)
@@ -576,11 +549,20 @@ def _chain_element(chain: list[dict[int, tuple[int, ...]]], key: Sequence[int],
 
 
 def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
-    """H ∩ K, iterating the smaller group and testing membership in the larger."""
+    """H ∩ K, closed from the elements of the smaller group that lie in the
+    larger.  An element is kept as a generator only when the kept ones do
+    not generate it (``generated_indices`` over the smaller group's
+    actions), so there are at most log2 |H ∩ K| of them."""
     if H.degree != K.degree:
         raise ValueError("degree mismatch")
     small, large = (H, K) if H.order <= K.order else (K, H)
-    return PermGroup._from_elements(H.degree, (x for x in small if x in large))
+    gens: list[Permutation] = []
+    generated = {0}
+    for n, x in enumerate(small.elements):
+        if n not in generated and x in large:
+            gens.append(x)
+            generated = generated_indices(small.action(g) for g in gens)
+    return generate_group(H.degree, gens)
 
 
 def product_set(H: PermGroup, K: PermGroup,

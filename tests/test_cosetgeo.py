@@ -172,15 +172,6 @@ def test_flag_rejects_duplicate_type():
         Flag([(0, c), (0, d)])
 
 
-def test_flag_restrict_and_extend():
-    geo = torus_system()
-    ch = geo.base_chamber()
-    partial = ch.restrict([0, 2])
-    assert partial.types == (0, 2)
-    back = partial.extend(1, ch.get(1))
-    assert back == Flag(ch.items)
-
-
 def test_flags_of_type_counts_match_backtracking():
     geo = torus_system()
     view = geo.view()
@@ -188,15 +179,6 @@ def test_flags_of_type_counts_match_backtracking():
     pairs = [(c1, c2) for c1 in geo.elements_of_type(0)
              for c2 in geo.elements_of_type(1) if geo.incident(0, c1, 1, c2)]
     assert len(view.flags_of_type([0, 1])) == len(pairs)
-
-
-def test_residue_matches_exhaustive_filter():
-    geo = torus_system()
-    c0 = geo.elements_of_type(0)[0]
-    res = geo.residue(Flag([(0, c0)]))
-    for t in (1, 2):
-        manual = [c for c in geo.elements_of_type(t) if geo.incident(0, c0, t, c)]
-        assert [c for (_, c) in res.elements_by_type[t]] == manual
 
 
 # -- structural predicates --------------------------------------------------

@@ -113,9 +113,16 @@ def integer_path_systems():
     return systems
 
 
+def _alpha(S, i, j):
+    """The reference alpha_{ij} = alpha_i^-1 alpha_j as a permutation, with
+    alpha_0 = 1 and alpha_i = R[i-1]; note alpha_{ji} = alpha_{ij}^-1."""
+    alphas = (S.group.identity,) + S.R
+    return alphas[i].inverse() * alphas[j]
+
+
 def _closed_parabolic(S, J):
     """The parabolic of J closed from the permutations alpha_{ij}, i != j ∈ J."""
-    return generate_group(S.group.degree, [S.alpha(i, j) for i in J for j in J if i != j])
+    return generate_group(S.group.degree, [_alpha(S, i, j) for i in J for j in J if i != j])
 
 
 def _ic_plus_reference(S):
@@ -157,8 +164,10 @@ def test_alpha_telescoping(data):
     i = data.draw(st.integers(0, 2))
     j = data.draw(st.integers(0, 2))
     k = data.draw(st.integers(0, 2))
-    assert S.alpha(i, j) * S.alpha(j, k) == S.alpha(i, k)
-    assert S.alpha(j, i) == S.alpha(i, j).inverse()
+    assert _alpha(S, i, j) * _alpha(S, j, k) == _alpha(S, i, k)
+    assert _alpha(S, j, i) == _alpha(S, i, j).inverse()
+    if i < j:  # the system's array of alpha_{ij} is the reference's action
+        assert S.alpha_action(i, j) == S.group.action(_alpha(S, i, j))
 
 
 def test_parabolic_recipe_matches_single_base_point():
@@ -168,7 +177,7 @@ def test_parabolic_recipe_matches_single_base_point():
         for J in itertools.combinations(S.type_set, size):
             m = J[0]
             direct = generate_group(S.group.degree,
-                                    [S.alpha(m, j) for j in J if j != m])
+                                    [_alpha(S, m, j) for j in J if j != m])
             assert S.parabolic(J) == direct
 
 
@@ -185,14 +194,14 @@ def test_maximal_parabolics_of_torus():
 
 def test_parabolic_index_sets_match_closures(integer_path_systems):
     for S in integer_path_systems:
-        index = S.group.index
+        G = S.group
         for size in range(S.rank + 1):
             for J in itertools.combinations(S.type_set, size):
                 closed = _closed_parabolic(S, J)
-                assert S.parabolic_indices(J) == {index[x] for x in closed}, (S.R, J)
+                assert S.parabolic_indices(J) == {G.index_of(x) for x in closed}, (S.R, J)
                 view = S.parabolic(J)
-                assert view.elements == closed.elements
-                assert view.index == closed.index
+                assert view == closed and view.elements == closed.elements
+                assert view.base_images == closed.base_images
 
 
 # -- independence and IC+ ---------------------------------------------------

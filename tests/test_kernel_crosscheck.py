@@ -6,10 +6,13 @@ image arrays in ``sympy.combinatorics`` (stabilizer chains, no element
 enumeration by ``permcore``) and compare the orders the decision depends on:
 |G|, the maximal parabolics G_i = ⟨α_i⁻¹α_j : i, j ≠ type⟩, and every
 pairwise intersection G_i ∩ G_j.  The kernel side reads what the decision
-reads: the parabolics as index sets of G (and their ``PermGroup`` views),
-intersected as sets.  The closure's own chain is checked too: its order,
-and its base 0, ..., m-1 as the shortest prefix of the points whose
-pointwise stabilizer is trivial.
+reads: the parabolics as index sets of G (and their ``PermGroup``
+closures), intersected as sets.  The closure's own chain is checked too:
+its order, and its base 0, ..., m-1 as the shortest prefix of the points
+whose pointwise stabilizer is trivial.  Condition (iv) is checked against
+an order that sympy computes: r -> r^-1 extends to a homomorphism of G iff
+the subgroup of G x G generated by the pairs (r, r^-1), on 2n points, has
+order |G|.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import pytest
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from hypertope.corpus import build_corpus, rank3_group_list, rank4_group_list  # noqa: E402
-from hypertope.cplus import build_cplus  # noqa: E402
+from hypertope.cplus import CHIRAL, build_cplus, condition_iv  # noqa: E402
 from hypertope.permcore import Permutation, generate_group  # noqa: E402
 
 SymPerm = combinatorics.Permutation
@@ -134,3 +137,28 @@ def test_chain_order_and_base_length_match_sympy(degree, gens):
     assert G.order == _sympy_chain_order(H)
     assert H.pointwise_stabilizer(list(range(m))).is_trivial
     assert m > 0 and not H.pointwise_stabilizer(list(range(m - 1))).is_trivial
+
+
+def _sympy_inversion_extends(R):
+    """Does r -> r^-1 extend to a homomorphism of G = <R>?  It does iff its
+    graph, the subgroup of G x G generated by the pairs (r, r^-1) acting on
+    2n points, has order |G|; computed by sympy alone."""
+    gens = [SymPerm(list(r.images)) for r in R]
+    n = gens[0].size
+    pairs = [SymPerm(g.array_form + [n + x for x in (~g).array_form]) for g in gens]
+    return SymGroup(pairs).order() == SymGroup(gens).order()
+
+
+def test_condition_iv_matches_sympy(rank4_classes):
+    """The acceptance corpus (|G| <= 60) and every chiral independent
+    rank-4 class of S5 and of PSL(2,7) (|G| = 120, 168)."""
+    systems = [(inst.group, inst.R) for inst in build_corpus()]
+    systems += [(G, R) for G, classes in rank4_classes.values()
+                for R, report in classes if report.verdict == CHIRAL]
+    assert len(systems) == 333 + 80 + 72
+    outcomes = set()
+    for G, R in systems:
+        expected = not _sympy_inversion_extends(R)
+        assert condition_iv(build_cplus(G, R)) == expected, (G, R)
+        outcomes.add(expected)
+    assert outcomes == {True, False}

@@ -29,6 +29,7 @@ from hypertope.cplus import (
 )
 from hypertope.oracle import (
     _adjacent_pair_in_one_orbit,
+    _clique_orbits,
     build_incidence_graph,
     chambers_via_maximal_cliques,
     chirality_bruteforce,
@@ -122,6 +123,40 @@ def test_non_geometry_has_short_maximal_clique():
     assert any(len(c) < 4 for c in cliques)
 
 
+def test_thinness_and_geometry_checks_directly():
+    """The oracle's thinness and geometry checks never decide its verdict
+    (the ``oracle`` module docstring gives the argument), so they are pinned
+    here on their own: the view of the C3 x C3 system (code 3) is a
+    residually connected geometry that is not thin, and the non-geometry
+    that ``scripts/find_fixtures.py nongeometry`` finds is neither."""
+    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
+                           Permutation.from_cycles(6, [(3, 4, 5)])])
+    view = associated_geometry(build_cplus(G, tuple(G.generators))).view()
+    assert view.is_geometry() and view.is_residually_connected()
+    assert not view.is_thin()
+    view = _non_geometry().view()
+    assert view.is_connected()
+    assert not view.is_geometry() and not view.is_thin()
+    assert sorted({len(c) for c in view.maximal_flags()}) == [3, 4]
+
+
+def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
+    """The argument of the ``oracle`` module docstring, checked on the
+    corpus: wherever the maximal cliques fall into two orbits with no ridge
+    shared inside one, the view is a thin geometry.  Systems that are not
+    thin occur, so the check is not vacuous."""
+    seen = collections.Counter()
+    for inst in build_corpus():
+        geo = associated_geometry(build_cplus(inst.group, inst.R))
+        view = geo.view()
+        orbits = _clique_orbits(geo, view, chambers_via_maximal_cliques(view))
+        unmixed = len(orbits) == 2 and not _adjacent_pair_in_one_orbit(orbits)
+        thin_geometry = view.is_thin() and view.is_geometry()
+        assert thin_geometry or not unmixed, inst.name
+        seen[unmixed, thin_geometry] += 1
+    assert seen[True, True] and seen[False, False], seen
+
+
 def test_vertex_cap():
     G, (s, t) = torus_rotation_group()
     geo = associated_geometry(build_cplus(G, (s, s * t)))
@@ -154,14 +189,6 @@ def test_oracle_verdicts_match_known_instances():
     assert rep.verdict == NOT_HYPERTOPE
 
 
-def _psl27():
-    """PSL(2,7) on the projective line over F_7 (point 7 is infinity),
-    generated by x -> x + 1 and x -> -1/x; order 168."""
-    t = Permutation([(x + 1) % 7 for x in range(7)] + [7])
-    s = Permutation([7] + [-pow(x, 5, 7) % 7 for x in range(1, 7)] + [0])
-    return generate_group(8, [t, s])
-
-
 def _sample_rank4(G, rng, count):
     """``count`` seeded random triples of G that generate G, are independent
     and pass (ii), as systems."""
@@ -180,12 +207,12 @@ def _sample_rank4(G, rng, count):
     return out
 
 
-def test_fast_matches_oracle_on_groups_rich_in_non_cplus_systems():
+def test_fast_matches_oracle_on_groups_rich_in_non_cplus_systems(psl27):
     """Rank-4 systems of S5, PSL(2,7) and A6 where IC⁺ often fails after
     (ii), (i) and (iii) hold, plus the rank-5 simplex in A6.  The group list
     is local to this test: the acceptance corpus stays as it is."""
     rng = random.Random(20261018)
-    groups = [("s5", symmetric(5), 10), ("psl27", _psl27(), 8), ("a6", alternating(6), 6)]
+    groups = [("s5", symmetric(5), 10), ("psl27", psl27, 8), ("a6", alternating(6), 6)]
     assert [G.order for _, G, _ in groups] == [120, 168, 360]
     tally = collections.Counter()
     for name, G, count in groups:
@@ -202,6 +229,23 @@ def test_fast_matches_oracle_on_groups_rich_in_non_cplus_systems():
     assert S.group.order == 360
     assert is_chiral_hypertope(S, check_all_k=True).verdict == REGULAR
     assert chirality_bruteforce(S).verdict == REGULAR
+
+
+def test_rank4_sweeps_certify_chiral_verdicts_by_both_paths(rank4_classes):
+    """Every independent rank-4 class of S5 (776) and of PSL(2,7) (630):
+    the fast path's tallies are pinned, and the oracle gives the same
+    verdict on each of the 248 chiral and code-5 classes."""
+    tallies = {"s5": {None: 80, 1: 60, 2: 606, 3: 6, 5: 24},
+               "psl27": {None: 72, 1: 28, 2: 458, 5: 72}}
+    checked = 0
+    for name, (G, classes) in rank4_classes.items():
+        tally = collections.Counter(report.failing_condition for _, report in classes)
+        assert tally == tallies[name], (name, tally)
+        for R, report in classes:
+            if report.failing_condition in (None, 5):
+                assert chirality_bruteforce(build_cplus(G, R)).verdict == report.verdict, (name, R)
+                checked += 1
+    assert checked == 248
 
 
 @pytest.mark.parametrize("make, verdict", [

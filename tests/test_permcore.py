@@ -13,7 +13,6 @@ from hypertope.cosetgeo import CosetGeometry
 from hypertope.permcore import (
     GroupTooLargeError,
     Permutation,
-    PermGroup,
     action_table,
     compose_actions,
     conjugation_table,
@@ -116,6 +115,20 @@ def test_closure_cap_enforced():
 def test_empty_generators_give_trivial_group():
     G = generate_group(3, [])
     assert G.order == 1 and G.identity in G
+
+
+def test_equality_is_same_elements():
+    """Equal groups built from other generators are equal and hash alike;
+    groups with the same base images but other elements are not equal."""
+    a = Permutation([1, 0, 2, 3])
+    b = Permutation([1, 2, 3, 0])
+    G, H = generate_group(4, [a, b]), generate_group(4, [b * a, a * b * b])
+    assert H.generators != G.generators and H == G and hash(H) == hash(G)
+    t, tt = generate_group(4, [a]), generate_group(4, [Permutation([1, 0, 3, 2])])
+    assert t.base_images == tt.base_images == ((0,), (1,))
+    assert t != tt and tt != t
+    assert generate_group(4, []) == generate_group(4, [Permutation.identity(4)])
+    assert generate_group(3, []) != generate_group(4, [])
 
 
 def test_duplicate_generators_deduplicated():
@@ -227,7 +240,7 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
     assert report.chirality.verdict == "chiral-hypertope"
     assert report.chirality.orbit_sizes == (404, 404)
     (G,) = closed
-    assert G._elements is None and G._index is None
+    assert G._elements is None and G._positions is None
     witness = report.chirality.witness
     assert witness == G.elements[G.index_of(witness)]  # built here, after the decision
 
@@ -236,8 +249,10 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
 
 def test_index_numbers_sorted_elements_from_identity():
     G = _s4()
-    assert [G.index[x] for x in G.elements] == list(range(G.order))
-    assert G.index[G.identity] == 0
+    assert [G.index_of(x) for x in G.elements] == list(range(G.order))  # by sifting
+    assert G.index_of(G.identity) == 0
+    assert G.positions == {x.images: i for i, x in enumerate(G.elements)}
+    assert [G.index_of(x) for x in G.elements] == list(range(G.order))  # from positions
 
 
 def test_action_is_right_multiplication_on_indices():
@@ -245,7 +260,7 @@ def test_action_is_right_multiplication_on_indices():
     for g in G:
         act = G.action(g)
         for x in G:
-            assert G.index[x * g] == act[G.index[x]]
+            assert G.index_of(x * g) == act[G.index_of(x)]
 
 
 def test_closure_actions_equal_recomputed_actions():
@@ -255,11 +270,11 @@ def test_closure_actions_equal_recomputed_actions():
         G = generate_group(4, gens)
         recorded = [G.action(g) for g in G.generators]
         fresh = generate_group(4, list(G.elements))  # other generators, same group
-        assert fresh == G and fresh.index == G.index
+        assert fresh == G and fresh.positions == G.positions
         assert recorded == [fresh.action(g) for g in G.generators]
-        assert recorded == [tuple(G.index[x * g] for x in G.elements)
+        assert recorded == [tuple(G.index_of(x * g) for x in G.elements)
                             for g in G.generators]
-        assert action_table(G) == [tuple(G.index[x * g] for x in G.elements) for g in G]
+        assert action_table(G) == [tuple(G.index_of(x * g) for x in G.elements) for g in G]
 
 
 def test_action_rejects_non_members():
@@ -267,14 +282,14 @@ def test_action_rejects_non_members():
     with pytest.raises(ValueError):
         G.action(Permutation([1, 2, 3, 0]))
     with pytest.raises(ValueError):
-        PermGroup.trivial(3).action(Permutation([1, 0, 2]))
+        generate_group(3, []).action(Permutation([1, 0, 2]))
 
 
 def test_generated_indices_match_closure():
     G = _s4()
     for a, b in itertools.combinations(G.elements, 2):
         H = generate_group(4, [a, b])
-        assert generated_indices([G.action(a), G.action(b)]) == {G.index[h] for h in H}
+        assert generated_indices([G.action(a), G.action(b)]) == {G.index_of(h) for h in H}
     assert generated_indices([]) == {0}
 
 
@@ -282,16 +297,17 @@ def test_inverse_and_composed_actions_match_products():
     G = _s4()
     acts = action_table(G)
     for g in G:
-        assert inverse_action(acts[G.index[g]]) == acts[G.index[g.inverse()]]
+        assert inverse_action(acts[G.index_of(g)]) == acts[G.index_of(g.inverse())]
         for h in G:
-            assert compose_actions(acts[G.index[g]], acts[G.index[h]]) == acts[G.index[g * h]]
-    trivial = PermGroup.trivial(2)
+            assert (compose_actions(acts[G.index_of(g)], acts[G.index_of(h)])
+                    == acts[G.index_of(g * h)])
+    trivial = generate_group(2, [])
     assert compose_actions(trivial.action(trivial.identity), (0,)) == (0,)
 
 
 def _conjugates_by_products(G):
     """[g][t] -> index of g^-1 t g, from permutation products."""
-    return [[G.index[g.inverse() * t * g] for t in G.elements] for g in G.elements]
+    return [[G.index_of(g.inverse() * t * g) for t in G.elements] for g in G.elements]
 
 
 def test_conjugation_table_matches_products():
@@ -424,7 +440,7 @@ def test_extension_on_indices_matches_permutation_search(name):
     acts = action_table(G)
 
     def act(g):
-        return acts[G.index[g]]
+        return acts[G.index_of(g)]
 
     seen = {True: 0, False: 0}
     for a, b in generating_tuples(G, 2, independent=True):
@@ -448,7 +464,7 @@ def test_extension_requires_generating_set():
         extends_to_homomorphism(G, [t], [c])  # order 2 -> order 3: conflicting
     with pytest.raises(ValueError):
         extends_to_homomorphism(G, [], [])
-    assert extends_to_homomorphism(PermGroup.trivial(3), [], [])
+    assert extends_to_homomorphism(generate_group(3, []), [], [])
 
 
 def test_inverting_automorphism_cases():
@@ -507,7 +523,7 @@ def test_generating_tuples_are_the_class_minima(name, size):
         expected = _reference_tuples(G, size, independent, conj)
         counts[independent] = len(expected)
         for limit in (None, 6):
-            got = [tuple(G.index[x] for x in T)
+            got = [tuple(G.index_of(x) for x in T)
                    for T in generating_tuples(G, size, independent=independent, limit=limit)]
             assert got == expected[:limit]
         classes = [min(tuple(row[t] for t in T) for row in conj) for T in got]
