@@ -17,7 +17,6 @@ from hypertope.cosetgeo import CosetGeometry, Flag, build
 from hypertope.cplus import associated_geometry, build_cplus
 from hypertope.oracle import _vertex_moves, build_incidence_graph
 from hypertope.permcore import (
-    PermGroup,
     Permutation,
     generate_group,
     right_coset,

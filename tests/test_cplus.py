@@ -31,7 +31,6 @@ from hypertope.cplus import (
     two_orbit_decomposition,
 )
 from hypertope.permcore import (
-    PermGroup,
     Permutation,
     double_coset_decomposition,
     extends_to_homomorphism,

@@ -117,27 +117,24 @@ def test_cliques_equal_chambers_for_geometries():
 
 
 def test_non_geometry_has_short_maximal_clique():
-    geo = _non_geometry()
-    assert not geo.is_geometry()
-    cliques = chambers_via_maximal_cliques(build_incidence_graph(geo))
-    assert any(len(c) < 4 for c in cliques)
+    """The non-geometry that ``scripts/find_fixtures.py nongeometry`` finds:
+    its view fails ``is_geometry`` and ``is_thin`` directly."""
+    view = build_incidence_graph(_non_geometry())
+    assert view.is_connected()
+    assert not view.is_geometry() and not view.is_thin()
+    assert sorted({len(c) for c in chambers_via_maximal_cliques(view)}) == [3, 4]
 
 
-def test_thinness_and_geometry_checks_directly():
+def test_non_thin_geometry_fails_is_thin():
     """The oracle's thinness and geometry checks never decide its verdict
     (the ``oracle`` module docstring gives the argument), so they are pinned
-    here on their own: the view of the C3 x C3 system (code 3) is a
-    residually connected geometry that is not thin, and the non-geometry
-    that ``scripts/find_fixtures.py nongeometry`` finds is neither."""
+    on their own: here the view of the C3 x C3 system (code 3), a residually
+    connected geometry that is not thin; above, the non-geometry."""
     G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
                            Permutation.from_cycles(6, [(3, 4, 5)])])
     view = associated_geometry(build_cplus(G, tuple(G.generators))).view()
     assert view.is_geometry() and view.is_residually_connected()
     assert not view.is_thin()
-    view = _non_geometry().view()
-    assert view.is_connected()
-    assert not view.is_geometry() and not view.is_thin()
-    assert sorted({len(c) for c in view.maximal_flags()}) == [3, 4]
 
 
 def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
