@@ -35,7 +35,7 @@ from hypertope.corpus import (
 )
 from hypertope.cosetgeo import build
 from hypertope.cplus import build_cplus, is_chiral_hypertope
-from hypertope.oracle import build_incidence_graph, chambers_via_maximal_cliques
+from hypertope.oracle import chambers_via_maximal_cliques
 from hypertope.permcore import (
     Permutation,
     action_table,
@@ -130,8 +130,7 @@ def search_nongeometry():
         for quad in itertools.combinations_with_replacement(subs.values(), 4):
             geo = build(G, list(quad))
             if geo.is_connected() and not geo.is_geometry():
-                sizes = sorted({len(c) for c in chambers_via_maximal_cliques(
-                    build_incidence_graph(geo))})
+                sizes = sorted({len(c) for c in chambers_via_maximal_cliques(geo.view())})
                 print(f"{name}: parabolics "
                       f"{[[list(g.images) for g in H.generators] for H in quad]} "
                       f"clique sizes {sizes}")

@@ -95,7 +95,8 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     ascending order and extends a prefix P by t only when t is the least of
     its orbit under C(P) = {g : P^g = P}; C(P + t) is then the part of C(P)
     that fixes t.  Generation and independence are searches over one local
-    action table, run on complete tuples only.
+    action table, run on complete tuples only; the search for T[i] in the
+    subgroup generated by the other entries stops once it reaches T[i].
     """
     acts = action_table(G)
     conj = conjugation_table(acts)
@@ -104,15 +105,31 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
         if len(generated_indices(acts[t] for t in T)) != G.order:
             continue
         if independent is not None:
-            is_indep = all(
-                T[i] not in generated_indices(acts[t] for t in T[:i] + T[i + 1:])
-                for i in range(size))
+            is_indep = not any(_reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
+                               for i in range(size))
             if is_indep != independent:
                 continue
         yield tuple(G.elements[t] for t in T)
         count += 1
         if limit is not None and count >= limit:
             return
+
+
+def _reaches(actions: Sequence[Sequence[int]], target: int) -> bool:
+    """Does the subgroup generated by the elements with these actions hold
+    the index ``target``?  The breadth-first search of ``generated_indices``
+    from the identity, stopped as soon as it reaches ``target``."""
+    seen = {0}
+    reached = [0]
+    for x in reached:  # the list grows while it is walked
+        for act in actions:
+            y = act[x]
+            if y not in seen:
+                if y == target:
+                    return True
+                seen.add(y)
+                reached.append(y)
+    return target in seen
 
 
 def _class_minimal_tuples(conj: Sequence[Sequence[int]], size: int,

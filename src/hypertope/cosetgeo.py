@@ -5,26 +5,31 @@ two cosets are incident iff they intersect.  Flags, truncations and the
 geometric property tests (geometry / thin / connected / residually
 connected / chamber- and flag-transitive) all live here.
 
-A ``CosetGeometry`` answers every coset question from one coset column per
-type, built in a single pass over G: the canonical cosets of the type, and
-for each position of ``G.elements`` the number of the coset holding that
-element.  The image of a coset under right multiplication by g is the
-column's entry at the position of ``representative * g``.
+One builder, ``coset_view``, makes the incidence graph from G and, per
+type, a subgroup given as a set of positions of G.  The cosets of a type
+are the orbit of the subgroup under right multiplication by the generators
+of G: (H x) g = H (x g), one lookup in g's action array per element.  Each
+coset is numbered by its least position, which is the position of its
+canonical (least) representative, because positions follow the sorted
+order of the elements.  The view keeps, per type, the coset number of each
+position (the coset column) and the least position of each coset, and per
+vertex an integer bitmask of its neighbours, the cosets meeting it, read
+off the columns in O(|G| r^2).  The oracle builds it from the system's
+maximal parabolic index sets; a ``CosetGeometry`` builds it from the
+positions its ``PermGroup`` parabolics generate, and makes ``RightCoset``,
+``Flag`` and ``Chamber`` objects only when one of its methods returns them.
 
-Its ``view`` is the incidence graph, built once in O(|G| r^2): the typed
-cosets numbered by type and then canonical order, and per vertex an integer
-bitmask of its neighbours, the cosets meeting it; the oracle reads it too.
-One walk over its flags, made once, records each flag with the mask of its
-common neighbours.  Flags, chambers, thinness, residual connectedness and
-the maximal flags read that walk: vertices of one type are never adjacent,
-so every clique is a flag, and a flag is maximal iff it has no common
-neighbour.
+One walk over the view's flags, made once, records each flag with the mask
+of its common neighbours.  Flags, chambers, thinness, residual
+connectedness and the maximal flags read that walk: vertices of one type
+are never adjacent, so every clique is a flag, and a flag is maximal iff it
+has no common neighbour.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .permcore import (
     PermGroup,
@@ -32,7 +37,6 @@ from .permcore import (
     RightCoset,
     generated_indices,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cosetgeo.product_set
-    right_coset_column,
 )
 
 TypedElement = tuple[int, RightCoset]
@@ -99,24 +103,39 @@ class Chamber(Flag):
 
 
 class IncidenceView:
-    """An explicit incidence system on numbered vertices with bitmask edges.
+    """The incidence graph of a coset system, on numbered vertices with
+    bitmask edges, made from the coset columns of its types.
 
-    Vertex n is the typed element ``vertices[n]``, and bit m of
+    ``columns[i][x]`` is the number of the type-i coset holding position x
+    of G, and ``least[i][c]`` the least position in coset c.  Vertex n is
+    ``vertices[n]``, the pair (type i, coset number c); the type-i vertices
+    are numbered consecutively from ``offsets[i]``.  Bit m of
     ``adjacency[n]`` is set iff vertices n and m are incident and of
-    different types.  ``type_masks`` holds the view's vertices of each type.
-    A flag is a tuple of pairwise adjacent vertices, ascending, which is
-    also type order.  A view is immutable, so its flag walk and ``index``
-    are built once and kept.
+    different types; ``type_masks`` holds the vertices of each type.  A flag
+    is a tuple of pairwise adjacent vertices, ascending, which is also type
+    order.  A view is immutable, so its flag walk is built once and kept.
     """
 
-    def __init__(self, vertices: Sequence[TypedElement], adjacency: Sequence[int],
-                 type_masks: dict[int, int]):
-        self.vertices = vertices
-        self.adjacency = adjacency
-        self.type_masks = type_masks
-        self.types = tuple(sorted(type_masks))
-        self.mask = sum(type_masks.values())  # all vertices: the type masks are disjoint
-        self._index: Optional[dict[TypedElement, int]] = None
+    def __init__(self, cosets: Sequence[tuple[list[int], list[int]]]):
+        """``cosets[i]`` is type i's (column, least), as ``coset_column``
+        gives them.  The cosets of x ∈ G, one per type, pairwise meet, and
+        every meeting pair arises so: the edges are the distinct pairs of
+        entries of two columns at one position, O(|G| r^2)."""
+        self.columns = [column for column, _ in cosets]
+        self.least = [least for _, least in cosets]
+        self.offsets = list(itertools.accumulate(map(len, self.least), initial=0))[:-1]
+        self.vertices = [(i, c) for i, least in enumerate(self.least) for c in range(len(least))]
+        self.type_masks = {i: ((1 << len(least)) - 1) << offset
+                           for i, (least, offset) in enumerate(zip(self.least, self.offsets))}
+        self.types = tuple(range(len(self.least)))
+        self.mask = (1 << len(self.vertices)) - 1
+        self.adjacency = [0] * len(self.vertices)
+        vertex_columns = [[offset + c for c in column]
+                          for offset, column in zip(self.offsets, self.columns)]
+        for a, b in itertools.combinations(vertex_columns, 2):
+            for u, w in set(zip(a, b)):
+                self.adjacency[u] |= 1 << w
+                self.adjacency[w] |= 1 << u
         self._flags: Optional[dict[tuple[int, ...], list[FlagTuple]]] = None
 
     @property
@@ -124,24 +143,20 @@ class IncidenceView:
         return len(self.types)
 
     @property
-    def index(self) -> dict[TypedElement, int]:
-        """Typed element -> vertex number, built on first read."""
-        if self._index is None:
-            self._index = {v: n for n, v in enumerate(self.vertices)}
-        return self._index
-
-    @property
     def num_vertices(self) -> int:
-        return self.mask.bit_count()
+        return len(self.vertices)
 
     @property
     def num_edges(self) -> int:
-        return sum((self.adjacency[v] & self.mask).bit_count() for v in _bits(self.mask)) // 2
+        return sum(m.bit_count() for m in self.adjacency) // 2
 
-    def incident(self, a: TypedElement, b: TypedElement) -> bool:
-        if a[0] == b[0]:
-            return a == b
-        return bool(self.adjacency[self.index[a]] >> self.index[b] & 1)
+    def vertex(self, i: int, c: int) -> int:
+        """The number of the vertex of type i and coset number c."""
+        return self.offsets[i] + c
+
+    def incident(self, u: int, v: int) -> bool:
+        """Are vertices u and v incident: equal, or adjacent?"""
+        return u == v or bool(self.adjacency[u] >> v & 1)
 
     def _walk(self) -> dict[tuple[int, ...], list[FlagTuple]]:
         """Every flag with its common neighbours, grouped by type set, each
@@ -156,18 +171,16 @@ class IncidenceView:
         """(vertices, common neighbours) of each flag of type J, in canonical order."""
         return self._walk().get(tuple(J), [])
 
-    def flags_of_type(self, J: Iterable[int]) -> list[Flag]:
-        """All flags with domain exactly J, in canonical order."""
+    def flags_of_type(self, J: Iterable[int]) -> list[tuple[int, ...]]:
+        """All flags with domain exactly J, as vertex tuples, in canonical order."""
         J = sorted(J)
         if not set(J) <= set(self.types):
             raise ValueError("flag type outside the type set")
-        # a flag tuple holds one vertex of each type of J, in J's order
-        return [Flag._trusted(tuple([self.vertices[v] for v in f]))
-                for f, _ in self._flag_tuples(J)]
+        return [f for f, _ in self._flag_tuples(J)]
 
-    def chambers(self) -> list[Chamber]:
-        vertex = self.vertices.__getitem__
-        return [Chamber._trusted(tuple(map(vertex, f))) for f, _ in self._flag_tuples(self.types)]
+    def chambers(self) -> list[tuple[int, ...]]:
+        """The flags of every type, as vertex tuples, in canonical order."""
+        return [f for f, _ in self._flag_tuples(self.types)]
 
     def maximal_flags(self) -> list[tuple[int, ...]]:
         """The flags with no common neighbour, ascending.  Vertices of one
@@ -207,6 +220,45 @@ class IncidenceView:
                    for k in range(1, self.rank - 1)
                    for J in itertools.combinations(self.types, k)
                    for _, common in self._flag_tuples(J))
+
+
+def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], list[int]]:
+    """The right cosets of a subgroup of G, given as a set of positions of G.
+
+    Returns (column, least): ``column[x]`` is the number of the coset
+    holding position x, and ``least[c]`` the least position in coset c.
+    The cosets are the orbit of the subgroup under right multiplication by
+    the generators of G, each coset mapped through a generator's action
+    array; a coset is new iff its first position is in none found so far.
+    They are then numbered by least position, in one pass over the
+    positions in order.
+    """
+    actions = [G.action(g) for g in G.generators]
+    found = [list(subgroup)]
+    column = [-1] * G.order
+    for x in found[0]:
+        column[x] = 0
+    for coset in found:  # the list grows while it is walked
+        for act in actions:
+            if column[act[coset[0]]] < 0:
+                n = len(found)
+                image = [act[x] for x in coset]
+                for y in image:
+                    column[y] = n
+                found.append(image)
+    number = [-1] * len(found)
+    least: list[int] = []
+    for x, c in enumerate(column):
+        if number[c] < 0:
+            number[c] = len(least)
+            least.append(x)
+    return [number[c] for c in column], least
+
+
+def coset_view(G: PermGroup, subgroups: Sequence[Collection[int]]) -> IncidenceView:
+    """The coset incidence system of G over ``subgroups`` (type i's subgroup
+    as a set of positions of G) as an explicit incidence graph."""
+    return IncidenceView([coset_column(G, H) for H in subgroups])
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -251,10 +303,10 @@ def _connected(adjacency: Sequence[int], mask: int) -> bool:
 class CosetGeometry:
     """Coset incidence system of a group with an indexed family of subgroups.
 
-    The coset column of each type and the incidence view are built lazily,
-    once, and cached; the object is otherwise immutable.  The columns are
-    keyed by subgroup, and a truncation shares its parent's store, so a
-    column built for either serves both.
+    The incidence view is built lazily, once, by ``coset_view`` from the
+    positions of G that each parabolic generates, and cached; the object is
+    otherwise immutable.  Its cosets, flags and chambers are made as
+    ``RightCoset``, ``Flag`` and ``Chamber`` objects only here, on request.
     """
 
     def __init__(self, group: PermGroup, parabolics: Sequence[PermGroup]):
@@ -263,8 +315,8 @@ class CosetGeometry:
                 raise ValueError("parabolic is not a subgroup of the group")
         self.group = group
         self.parabolics = tuple(parabolics)
-        self._columns: dict[PermGroup, tuple[list[int], tuple[RightCoset, ...]]] = {}
         self._view: Optional[IncidenceView] = None
+        self._cosets: dict[int, tuple[RightCoset, ...]] = {}
 
     @property
     def rank(self) -> int:
@@ -274,21 +326,30 @@ class CosetGeometry:
     def type_set(self) -> tuple[int, ...]:
         return tuple(range(self.rank))
 
-    def _column(self, i: int) -> tuple[list[int], tuple[RightCoset, ...]]:
-        """The type-i coset column: (coset number per position, cosets)."""
-        H = self.parabolics[i]
-        if H not in self._columns:
-            self._columns[H] = right_coset_column(self.group, H)
-        return self._columns[H]
+    def _positions(self) -> list[set[int]]:
+        """Each parabolic as the set of positions of G its generators generate."""
+        G = self.group
+        return [generated_indices(G.action(h) for h in H.generators) for H in self.parabolics]
+
+    def view(self) -> IncidenceView:
+        """The geometry as an explicit incidence graph, built once.  The view
+        holds no reference to the geometry: that cycle would keep dead
+        geometries alive until a full collection."""
+        if self._view is None:
+            self._view = coset_view(self.group, self._positions())
+        return self._view
 
     def elements_of_type(self, i: int) -> tuple[RightCoset, ...]:
         """The type-i cosets, ascending by canonical representative."""
-        return self._column(i)[1]
+        if i not in self._cosets:
+            G, H = self.group, self.parabolics[i]
+            self._cosets[i] = tuple(RightCoset(H, G.element(x)) for x in self.view().least[i])
+        return self._cosets[i]
 
     def coset_number(self, i: int, x: Permutation) -> int:
         """The number, in ``elements_of_type(i)``, of the type-i coset
         holding the element x of G."""
-        return self._column(i)[0][self.group.positions[x.images]]
+        return self.view().columns[i][self.group.positions[x.images]]
 
     def shift(self, i: int, c: RightCoset, g: Permutation) -> RightCoset:
         """The type-i coset c g: the image of c under right multiplication by g."""
@@ -297,46 +358,26 @@ class CosetGeometry:
     def incident(self, i: int, c1: RightCoset, j: int, c2: RightCoset) -> bool:
         """Typed incidence: same-type elements are incident iff equal, cosets
         of different types iff they share an element."""
-        return self.view().incident((i, c1), (j, c2))
+        view = self.view()
+        return view.incident(view.vertex(i, self.coset_number(i, c1.representative)),
+                             view.vertex(j, self.coset_number(j, c2.representative)))
 
     def base_chamber(self) -> Chamber:
         """The chamber of the identity cosets; always pairwise incident."""
-        e = self.group.identity
-        return Chamber((i, self.elements_of_type(i)[self.coset_number(i, e)])
-                       for i in self.type_set)
+        return Chamber._trusted(tuple((i, self.elements_of_type(i)[0]) for i in self.type_set))
 
-    def view(self) -> IncidenceView:
-        """The geometry as an explicit incidence graph, built once.
-
-        The cosets of x ∈ G, one per type, pairwise meet, and every meeting
-        pair arises so.  The view holds no reference to the geometry: that
-        cycle would keep dead geometries alive until a full collection.
-        """
-        if self._view is None:
-            vertices: list[TypedElement] = []
-            type_masks: dict[int, int] = {}
-            columns = []  # per type: the vertex of each element's coset
-            for i in self.type_set:
-                column, cosets = self._column(i)
-                offset = len(vertices)
-                type_masks[i] = ((1 << len(cosets)) - 1) << offset
-                vertices.extend((i, c) for c in cosets)
-                columns.append([offset + c for c in column])
-            adjacency = [0] * len(vertices)
-            for a, b in itertools.combinations(columns, 2):
-                for u, w in set(zip(a, b)):
-                    adjacency[u] |= 1 << w
-                    adjacency[w] |= 1 << u
-            self._view = IncidenceView(vertices, adjacency, type_masks)
-        return self._view
+    def _typed(self, flag: tuple[int, ...]) -> tuple[TypedElement, ...]:
+        """A flag of the view as (type, coset) items."""
+        vertices = self.view().vertices
+        return tuple((i, self.elements_of_type(i)[c]) for i, c in map(vertices.__getitem__, flag))
 
     # -- flag and chamber enumeration ------------------------------------
 
     def flags_of_type(self, J: Iterable[int]) -> list[Flag]:
-        return self.view().flags_of_type(J)
+        return [Flag._trusted(self._typed(f)) for f in self.view().flags_of_type(J)]
 
     def chambers(self) -> list[Chamber]:
-        return self.view().chambers()
+        return [Chamber._trusted(self._typed(f)) for f in self.view().chambers()]
 
     # -- geometric property tests ----------------------------------------
 
@@ -370,7 +411,7 @@ class CosetGeometry:
         if verify_flag_transitive and not (self.is_geometry() and self.is_flag_transitive()):
             raise ValueError("group-theoretic test requires a flag-transitive geometry")
         G = self.group
-        maximal = [generated_indices(G.action(g) for g in H.generators) for H in self.parabolics]
+        maximal = self._positions()
 
         def parabolic(J: Sequence[int]) -> set[int]:
             return set(range(G.order)).intersection(*(maximal[j] for j in J))
@@ -399,9 +440,7 @@ class CosetGeometry:
             raise ValueError("truncation to an empty type set")
         if not set(J) <= set(self.type_set):
             raise ValueError("truncation types outside the type set")
-        child = CosetGeometry(self.group, [self.parabolics[j] for j in J])
-        child._columns = self._columns
-        return child
+        return CosetGeometry(self.group, [self.parabolics[j] for j in J])
 
     # -- group actions ----------------------------------------------------
 

@@ -33,9 +33,10 @@ of arrays).  Then:
 
 The decision never builds the coset geometry: (i) counts the chambers
 through the base type-a coset and (iii) keeps the type-k cosets meeting
-every G_j.  ``parabolic`` and ``maximal_parabolic(s)`` close the same
-generators with ``generate_group`` on request; these ``PermGroup``s and the
-geometry (``associated_geometry``) serve the oracle and the tests.
+every G_j.  The oracle builds its incidence graph from the same maximal
+parabolic index sets.  ``parabolic`` and ``maximal_parabolic(s)`` close the
+same generators with ``generate_group`` on request; these ``PermGroup``s
+and the geometry over them (``associated_geometry``) serve the tests.
 """
 
 from __future__ import annotations

@@ -2,34 +2,36 @@
 chambers, direct orbit counting, direct chirality verdict.
 
 This module exists to be obviously correct; it certifies the fast
-group-theoretic decision.  It computes on one incidence graph, the coset
-geometry's ``view``: the cosets of the per-type coset columns, each built
-from permutation products h g over G, numbered, with a neighbour bitmask
-per vertex.  One walk over the view's flags gives the chambers, thinness,
+group-theoretic decision.  It computes on one incidence graph, built by
+``cosetgeo.coset_view`` from G and the system's maximal parabolic index
+sets: the cosets of each type are the orbit of G_i under the generators'
+action arrays, numbered by least position, with a neighbour bitmask per
+vertex.  One walk over the view's flags gives the chambers, thinness,
 residual connectedness and the maximal cliques: vertices of one type are
 never adjacent, so every clique is a flag, and a flag is maximal iff it has
 no common neighbour (no Bron–Kerbosch search).  Cliques are ascending
 vertex tuples.  Each generator g moves vertex (i, c) to the type-i coset
-holding the element at ``G.action(g)[position of c.representative]``, read
-from the type's coset column with no product, and so permutes the cliques
-by number.  What it shares with the fast path:
+holding the position ``G.action(g)[least position of c]``, read from the
+type's coset column with no product, and so permutes the cliques by
+number.  What it shares with the fast path:
 
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
-- the system's maximal parabolics: the oracle builds its coset geometry
-  (``associated_geometry``) over their ``PermGroup`` closures, while the
-  fast path never builds a geometry and reads the cosets of (i) and (iii)
-  from the same parabolics as index sets;
+- the system's maximal parabolics as index sets of G
+  (``CPlusSystem.maximal_indices``), generated from the actions of the
+  α_i⁻¹α_j.  The fast path reads the cosets of (i) and (iii) from the same
+  sets but never builds the geometry;
 - the idea of the inverting-automorphism test, a pair search that is
   group-theoretic in both routes.  The code differs: the oracle multiplies
   permutations, as image tuples (``inverting_automorphism_exists``), the
   fast path looks up indices (``extends_on_indices``).
 
 A kernel bug would therefore reach both verdicts alike;
-``tests/test_kernel_crosscheck.py`` checks the kernel's group, parabolic and
-intersection orders and condition (iv) against sympy, which shares no code
-with it, and ``tests/test_oracle.py`` checks the graph layer against
-networkx.
+``tests/test_kernel_crosscheck.py`` checks the kernel's group order, each
+maximal parabolic index set as a set of elements, the intersection orders
+and condition (iv) against sympy, which shares no code with it, and
+``tests/test_oracle.py`` checks the graph layer against networkx and
+against the geometry built from ``PermGroup`` closures of the parabolics.
 
 The verdict states the definition in full, but at rank >= 3 the thinness
 and geometry checks never decide it: two clique orbits with no ridge
@@ -66,16 +68,15 @@ the corpus.
 
 from __future__ import annotations
 
-from .cosetgeo import CosetGeometry, IncidenceView
+from .cosetgeo import IncidenceView, coset_view
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
     REGULAR,
     ChiralityReport,
     CPlusSystem,
-    associated_geometry,
 )
-from .permcore import inverting_automorphism_exists
+from .permcore import PermGroup, inverting_automorphism_exists
 
 DEFAULT_VERTEX_CAP = 50_000
 
@@ -86,16 +87,21 @@ class VertexCapError(RuntimeError):
     """The incidence graph has more vertices than the configured cap."""
 
 
-def build_incidence_graph(geometry: CosetGeometry,
+def build_incidence_graph(S: CPlusSystem,
                           vertex_cap: int = DEFAULT_VERTEX_CAP) -> IncidenceView:
-    """All elements and all pairwise incidences: the geometry's view.
+    """All elements and all pairwise incidences of the system's coset
+    geometry, built by ``coset_view`` from G and the maximal parabolic
+    index sets.
 
-    Vertices are (type, coset) pairs in deterministic order (type, then
-    canonical coset order); bit b of ``adjacency[a]`` is set iff a and b
-    are incident elements of distinct types."""
-    if sum(len(geometry.elements_of_type(i)) for i in geometry.type_set) > vertex_cap:
+    The cap is checked first, on the vertex count sum_i |G| / |G_i|.
+    Vertices are (type, coset number) pairs in deterministic order (type,
+    then canonical coset order); bit b of ``adjacency[a]`` is set iff a and
+    b are incident elements of distinct types."""
+    G = S.group
+    maximal = [S.maximal_indices(i) for i in S.type_set]
+    if sum(G.order // len(H) for H in maximal) > vertex_cap:
         raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
-    return geometry.view()
+    return coset_view(G, maximal)
 
 
 def chambers_via_maximal_cliques(graph: IncidenceView) -> list[Clique]:
@@ -108,28 +114,19 @@ def chambers_via_maximal_cliques(graph: IncidenceView) -> list[Clique]:
     return graph.maximal_flags()
 
 
-def _vertex_moves(geometry: CosetGeometry, graph: IncidenceView) -> list[list[int]]:
+def _vertex_moves(G: PermGroup, graph: IncidenceView) -> list[list[int]]:
     """Each generator's permutation of the vertices under right multiplication.
 
-    Vertex (i, c) goes to the type-i coset holding ``c.representative * g``:
-    the closure's action of g on the representative's position, then the
-    type's coset column.  The type-i vertices follow the coset order from
-    the first of them on."""
-    G = geometry.group
-    first: dict[int, int] = {}
-    for n, (i, _) in enumerate(graph.vertices):
-        first.setdefault(i, n)
-    columns = {i: geometry._column(i)[0] for i in first}
-    places = [(first[i], columns[i], G.positions[c.representative.images])
-              for i, c in graph.vertices]
-    moves = []
-    for g in G.generators or G.elements:
-        act = G.action(g)
-        moves.append([offset + column[act[x]] for offset, column, x in places])
-    return moves
+    Vertex (i, c) goes to the type-i coset holding ``act[least position of
+    c]``, with ``act`` the closure's action of g: one lookup in the action
+    array, then one in the type's coset column."""
+    places = [(offset, column, x) for offset, column, least
+              in zip(graph.offsets, graph.columns, graph.least) for x in least]
+    return [[offset + column[act[x]] for offset, column, x in places]
+            for act in map(G.action, G.generators or G.elements)]
 
 
-def _clique_orbits(geometry: CosetGeometry, graph: IncidenceView,
+def _clique_orbits(G: PermGroup, graph: IncidenceView,
                    cliques: list[Clique]) -> list[list[Clique]]:
     """Orbits of right multiplication on cliques, ordered by minimal clique.
 
@@ -140,7 +137,7 @@ def _clique_orbits(geometry: CosetGeometry, graph: IncidenceView,
     try:
         # a vertex keeps its type, so the image of an ascending clique is ascending
         perms = [[number[tuple(map(move.__getitem__, c))] for c in cliques]
-                 for move in _vertex_moves(geometry, graph)]
+                 for move in _vertex_moves(G, graph)]
     except KeyError:
         raise RuntimeError("group action does not preserve the clique set") from None
     orbit_of = [-1] * len(cliques)
@@ -179,15 +176,14 @@ def chirality_bruteforce(S: CPlusSystem,
     the same two fused orbits but an inverting automorphism present, the
     system is a regular hypertope.  Anything else is not a hypertope.
     """
-    geometry = associated_geometry(S)
-    graph = build_incidence_graph(geometry, vertex_cap=vertex_cap)
+    graph = build_incidence_graph(S, vertex_cap=vertex_cap)
     cliques = chambers_via_maximal_cliques(graph)
 
     # every chamber is a maximal clique; in a geometry there are no others
     thin_rc_geometry = (len(cliques) == len(graph.chambers()) and graph.is_thin()
                         and graph.is_residually_connected())
 
-    orbits = _clique_orbits(geometry, graph, cliques)
+    orbits = _clique_orbits(S.group, graph, cliques)
     inverting = inverting_automorphism_exists(S.group, S.R)
 
     orbit_sizes = (len(orbits[0]), len(orbits[1])) if len(orbits) == 2 else None

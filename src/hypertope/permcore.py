@@ -24,14 +24,14 @@ integers, with no new permutation product:
 - the homomorphism test is a search over pairs of indices
   (``extends_on_indices``).
 
-Every ``PermGroup`` is such a closure; subgroups that the oracle and the
-tests need as groups (parabolics, ``subgroup_intersection``) are closed
-from their generators too.  Membership and the index of one permutation
+Every ``PermGroup`` is such a closure; subgroups that the coset geometry
+and the tests need as groups (parabolics, ``subgroup_intersection``) are
+closed from their generators too.  Membership and the index of one permutation
 are a sift through the chain, which ends with a comparison on every point.
 The permutation at an index is a product of m transversal elements.  The
 full element list and the image tuple -> index map are built only when
-first read: the oracle, the coset geometry, the corpus and the tests read
-them, the chirality decision does not.  The element-set functions
+first read: the coset geometry, the corpus and the tests read them, the
+chirality decision and the oracle do not.  The element-set functions
 (``subgroup_intersection``, ``product_set``, ``right_coset``,
 ``right_coset_column``, ``double_coset_decomposition``,
 ``extends_to_homomorphism``) compute from permutations, for the same

@@ -15,7 +15,7 @@ from hypertope.corpus import (
 )
 from hypertope.cosetgeo import CosetGeometry, Flag, build
 from hypertope.cplus import associated_geometry, build_cplus
-from hypertope.oracle import _vertex_moves, build_incidence_graph
+from hypertope.oracle import _vertex_moves
 from hypertope.permcore import (
     Permutation,
     generate_group,
@@ -126,9 +126,11 @@ def test_coset_columns_match_permutation_arithmetic(system):
             assert members[geo.coset_number(i, x)] == frozenset(h * x for h in H)
         for c, g in itertools.product(cosets, G):
             assert geo.shift(i, c, g) == cosets[holder[c.representative * g]]
-    graph = build_incidence_graph(geo)
-    for g, move in zip(G.generators or G.elements, _vertex_moves(geo, graph)):
-        assert move == [graph.index[i, geo.shift(i, c, g)] for i, c in graph.vertices]
+    graph = geo.view()
+    numbers = [{c: n for n, c in enumerate(geo.elements_of_type(i))} for i in geo.type_set]
+    for g, move in zip(G.generators or G.elements, _vertex_moves(G, graph)):
+        assert move == [graph.vertex(i, numbers[i][geo.shift(i, geo.elements_of_type(i)[c], g)])
+                        for i, c in graph.vertices]
     # flags built unchecked equal the checked constructor's
     assert all(f == Flag(f.items) for f in geo.chambers())
     assert all(f == Flag(f.items) for f in geo.flags_of_type([0, geo.rank - 1]))

@@ -3,11 +3,12 @@
 Both decision paths sit on ``permcore``, so a kernel bug would pass the
 fast == oracle gate.  These checks rebuild every group from its generators'
 image arrays in ``sympy.combinatorics`` (stabilizer chains, no element
-enumeration by ``permcore``) and compare the orders the decision depends on:
-|G|, the maximal parabolics G_i = ⟨α_i⁻¹α_j : i, j ≠ type⟩, and every
-pairwise intersection G_i ∩ G_j.  The kernel side reads what the decision
-reads: the parabolics as index sets of G (and their ``PermGroup``
-closures), intersected as sets.  The closure's own chain is checked too:
+enumeration by ``permcore``) and compare what the decision and the oracle
+depend on: |G|, the maximal parabolics G_i = ⟨α_a⁻¹α_b : a, b ≠ i⟩ as sets
+of elements, and the order of every pairwise intersection G_i ∩ G_j.  The
+kernel side reads what both paths read: the parabolics as index sets of G,
+each position taken to its element's image tuple, intersected as sets (and
+the orders of their ``PermGroup`` closures).  The closure's own chain is checked too:
 its order, and its base 0, ..., m-1 as the shortest prefix of the points
 whose pointwise stabilizer is trivial.  Condition (iv) is checked against
 an order that sympy computes: r -> r^-1 extends to a homomorphism of G iff
@@ -29,8 +30,9 @@ SymPerm = combinatorics.Permutation
 SymGroup = combinatorics.PermutationGroup
 
 
-def _sympy_orders(degree, R):
-    """|G|, [|G_i|] and {(i, j): |G_i ∩ G_j|}, computed by sympy alone."""
+def _sympy_parabolics(degree, R):
+    """|G|, [G_i as a set of image tuples] and {(i, j): |G_i ∩ G_j|},
+    computed by sympy alone."""
     identity = SymPerm(list(range(degree)))
     alphas = [identity] + [SymPerm(list(r.images)) for r in R]  # alpha_0 = 1
     rank = len(alphas)
@@ -47,20 +49,23 @@ def _sympy_orders(degree, R):
     for i, j in itertools.combinations(range(rank), 2):
         small, large = sorted((maximal[i], maximal[j]), key=lambda H: H.order())
         meets[i, j] = sum(1 for h in small.generate() if large.contains(h))
-    return group(alphas[1:]).order(), [H.order() for H in maximal], meets
+    elements = [{tuple(h.array_form) for h in H.generate()} for H in maximal]
+    return group(alphas[1:]).order(), elements, meets
 
 
-def _kernel_orders(S):
+def _kernel_parabolics(S):
+    G = S.group
     maximal = [S.maximal_indices(i) for i in S.type_set]
     views = S.maximal_parabolics()
     assert [H.order for H in views] == [len(H) for H in maximal]
     meets = {(i, j): len(maximal[i] & maximal[j])
              for i, j in itertools.combinations(S.type_set, 2)}
-    return S.group.order, [len(H) for H in maximal], meets
+    elements = [{G.element(x).images for x in H} for H in maximal]
+    return G.order, elements, meets
 
 
-def _assert_orders_agree(degree, R, S):
-    assert _kernel_orders(S) == _sympy_orders(degree, R)
+def _assert_parabolics_agree(degree, R, S):
+    assert _kernel_parabolics(S) == _sympy_parabolics(degree, R)
 
 
 def test_acceptance_corpus_orders_match_sympy():
@@ -68,7 +73,16 @@ def test_acceptance_corpus_orders_match_sympy():
     assert len(corpus) > 300
     for inst in corpus:
         S = build_cplus(inst.group, inst.R)
-        _assert_orders_agree(inst.group.degree, inst.R, S)
+        _assert_parabolics_agree(inst.group.degree, inst.R, S)
+
+
+def test_rank4_chiral_parabolics_match_sympy(rank4_classes):
+    """The 152 chiral independent rank-4 classes of S5 and PSL(2,7)."""
+    systems = [(G, R) for G, classes in rank4_classes.values()
+               for R, report in classes if report.verdict == CHIRAL]
+    assert len(systems) == 80 + 72
+    for G, R in systems:
+        _assert_parabolics_agree(G.degree, R, build_cplus(G, R))
 
 
 def _ladder_a_generators(p):
@@ -96,7 +110,7 @@ def _ladder_b_generators(rank):
 def test_ladder_orders_match_sympy(degree, R):
     G = generate_group(degree, R)
     S = build_cplus(G, R)
-    _assert_orders_agree(degree, R, S)
+    _assert_parabolics_agree(degree, R, S)
     assert G.order == {101: 404, 197: 788, 5: 60, 6: 360, 7: 2520}[degree]
 
 

@@ -4,10 +4,11 @@ import collections
 import gc
 import itertools
 import random
+import sys
 
 import pytest
 
-from hypertope import cli
+from hypertope import cli, permcore
 from hypertope.catalog import catalog_entry, catalog_names
 from hypertope.corpus import (
     alternating,
@@ -29,6 +30,7 @@ from hypertope.cplus import (
 )
 from hypertope.oracle import (
     _adjacent_pair_in_one_orbit,
+    VertexCapError,
     _clique_orbits,
     build_incidence_graph,
     chambers_via_maximal_cliques,
@@ -76,7 +78,7 @@ def _non_geometry():
 
 
 def test_hexagon_graph_shape():
-    graph = build_incidence_graph(hexagon())
+    graph = hexagon().view()
     assert graph.num_vertices == 6
     assert graph.num_edges == 6
     cliques = chambers_via_maximal_cliques(graph)
@@ -87,17 +89,24 @@ def test_hexagon_graph_shape():
 def test_rank1_graph_is_edgeless():
     G = cyclic(4)
     H = generate_group(4, [Permutation([2, 3, 0, 1])])
-    graph = build_incidence_graph(build(G, [H]))
+    graph = build(G, [H]).view()
     assert graph.num_vertices == 2
     assert graph.num_edges == 0
 
 
+def _vertex(graph, geo, i, c):
+    """The vertex of ``graph`` for the type-i coset c of ``geo``."""
+    return graph.vertex(i, geo.coset_number(i, c.representative))
+
+
 def test_base_chamber_is_a_clique():
     G, (s, t) = torus_rotation_group()
-    geo = associated_geometry(build_cplus(G, (s, s * t)))
-    graph = build_incidence_graph(geo)
+    S = build_cplus(G, (s, s * t))
+    geo = associated_geometry(S)
+    graph = build_incidence_graph(S)
     base = geo.base_chamber()
-    ids = [graph.index[(i, c)] for i, c in base]
+    ids = [_vertex(graph, geo, i, c) for i, c in base]
+    assert ids == [graph.vertex(i, 0) for i in S.type_set]
     for a in ids:
         for b in ids:
             assert a == b or graph.adjacency[a] >> b & 1
@@ -111,15 +120,15 @@ def test_cliques_equal_chambers_for_geometries():
                            Permutation.from_cycles(4, [(1, 2, 3)])))):
         geo = associated_geometry(S)
         assert geo.is_geometry()
-        graph = build_incidence_graph(geo)
-        chambers = [tuple(graph.index[e] for e in ch) for ch in geo.chambers()]
-        assert chambers_via_maximal_cliques(graph) == sorted(chambers)
+        graph = build_incidence_graph(S)
+        chambers = [tuple(_vertex(graph, geo, i, c) for i, c in ch) for ch in geo.chambers()]
+        assert chambers_via_maximal_cliques(graph) == sorted(chambers) == graph.chambers()
 
 
 def test_non_geometry_has_short_maximal_clique():
     """The non-geometry that ``scripts/find_fixtures.py nongeometry`` finds:
     its view fails ``is_geometry`` and ``is_thin`` directly."""
-    view = build_incidence_graph(_non_geometry())
+    view = _non_geometry().view()
     assert view.is_connected()
     assert not view.is_geometry() and not view.is_thin()
     assert sorted({len(c) for c in chambers_via_maximal_cliques(view)}) == [3, 4]
@@ -144,9 +153,9 @@ def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
     thin occur, so the check is not vacuous."""
     seen = collections.Counter()
     for inst in build_corpus():
-        geo = associated_geometry(build_cplus(inst.group, inst.R))
-        view = geo.view()
-        orbits = _clique_orbits(geo, view, chambers_via_maximal_cliques(view))
+        S = build_cplus(inst.group, inst.R)
+        view = build_incidence_graph(S)
+        orbits = _clique_orbits(S.group, view, chambers_via_maximal_cliques(view))
         unmixed = len(orbits) == 2 and not _adjacent_pair_in_one_orbit(orbits)
         thin_geometry = view.is_thin() and view.is_geometry()
         assert thin_geometry or not unmixed, inst.name
@@ -156,9 +165,56 @@ def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
 
 def test_vertex_cap():
     G, (s, t) = torus_rotation_group()
-    geo = associated_geometry(build_cplus(G, (s, s * t)))
-    with pytest.raises(RuntimeError):
-        build_incidence_graph(geo, vertex_cap=3)
+    S = build_cplus(G, (s, s * t))
+    with pytest.raises(VertexCapError):
+        build_incidence_graph(S, vertex_cap=19)
+    assert build_incidence_graph(S, vertex_cap=20).num_vertices == 20  # 20/4 + 20/2 + 20/4
+
+
+def test_oracle_view_matches_the_closure_geometry():
+    """``build_incidence_graph`` reads the maximal parabolic index sets; the
+    geometry of ``associated_geometry`` reads the positions that the
+    ``PermGroup`` closures of the same parabolics generate.  Both go through
+    ``coset_view`` and must give the same graph: on every corpus system,
+    torus p = 197 and the rank-5 simplex."""
+    systems = [build_cplus(inst.group, inst.R) for inst in build_corpus()]
+    systems += [_torus(197), _simplex(5)]
+    assert len(systems) == 335
+    for S in systems:
+        oracle_view = build_incidence_graph(S)
+        closure_view = associated_geometry(S).view()
+        assert oracle_view.type_masks == closure_view.type_masks, S.R
+        assert oracle_view.adjacency == closure_view.adjacency, S.R
+        assert oracle_view.columns == closure_view.columns, S.R
+
+
+def test_oracle_closes_no_group_and_builds_no_coset(monkeypatch):
+    """The oracle works on the system's index sets: no closure by
+    ``generate_group`` (under any name a module holds it by) and no
+    ``RightCoset``."""
+    systems = [build_cplus(inst.group, inst.R) for inst in build_corpus()[::20]]
+    systems += [_torus(101), _simplex(4)]
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    closure = permcore.generate_group
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("hypertope")
+                and getattr(module, "generate_group", None) is closure):
+            monkeypatch.setattr(module, "generate_group", counted("generate_group", closure))
+    monkeypatch.setattr(permcore.RightCoset, "__init__",
+                        counted("RightCoset", permcore.RightCoset.__init__))
+    verdicts = collections.Counter(chirality_bruteforce(S).verdict for S in systems)
+    assert calls == {}, calls
+    assert set(verdicts) == {CHIRAL, REGULAR, NOT_HYPERTOPE}, verdicts
+    # the patches count: the closure geometry closes its parabolics and makes cosets
+    associated_geometry(systems[-1]).chambers()
+    assert calls["generate_group"] == 4 and calls["RightCoset"] > 0, calls
 
 
 def test_cross_orbit_test_groups_chambers_by_ridge():
@@ -332,7 +388,7 @@ def test_graph_layer_matches_networkx():
     nx = pytest.importorskip("networkx")
     seen = collections.Counter()
     for name, geo in _graph_layer_instances():
-        graph = build_incidence_graph(geo)
+        graph = geo.view()
         V = graph.num_vertices
         types = [graph.vertices[v][0] for v in range(V)]
         nx_graph = nx.Graph()
@@ -341,7 +397,7 @@ def test_graph_layer_matches_networkx():
                                 if graph.adjacency[a] >> b & 1)
         assert nx_graph.number_of_edges() == graph.num_edges, name
         if geo.group.order <= 60:
-            members = [frozenset(c.elements()) for _, c in graph.vertices]
+            members = [frozenset(geo.elements_of_type(i)[c].elements()) for i, c in graph.vertices]
             for a, b in itertools.combinations(range(V), 2):
                 direct = types[a] != types[b] and bool(members[a] & members[b])
                 assert bool(graph.adjacency[a] >> b & 1) == direct, (name, a, b)
