@@ -29,8 +29,8 @@ from hypertope.cplus import (
     is_chiral_hypertope,
 )
 from hypertope.oracle import (
-    _adjacent_pair_in_one_orbit,
     VertexCapError,
+    _adjacent_pair_in_one_orbit,
     _clique_orbits,
     build_incidence_graph,
     chambers_via_maximal_cliques,
