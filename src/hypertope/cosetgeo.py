@@ -5,16 +5,17 @@ two cosets are incident iff they intersect.  Flags, truncations and the
 geometric property tests (geometry / thin / connected / residually
 connected / chamber- and flag-transitive) all live here.
 
-One builder, ``coset_view``, makes the incidence graph from G and, per
-type, a subgroup given as a set of positions of G.  The cosets of a type
-are the orbit of the subgroup under right multiplication by the generators
-of G: (H x) g = H (x g), one lookup in g's action array per element.  Each
-coset is numbered by its least position, which is the position of its
-canonical (least) representative, because positions follow the sorted
-order of the elements.  The view keeps, per type, the coset number of each
-position (the coset column) and the least position of each coset, and per
-vertex an integer bitmask of its neighbours, the cosets meeting it, read
-off the columns in O(|G| r^2).  The oracle builds it from the system's
+One builder, ``IncidenceView(G, subgroups)``, makes the incidence graph
+from G and, per type, a subgroup given as a set of positions of G.  The
+cosets of a type are the orbit of the subgroup under right multiplication
+by the generators of G: (H x) g = H (x g), one lookup in g's action array
+per element (``permcore.coset_column``).  Each coset is numbered by its
+least position, which is the position of its canonical (least)
+representative, because positions follow the sorted order of the
+elements.  The view keeps, per type, the coset number of each position
+(the coset column) and the least position of each coset, and per vertex an
+integer bitmask of its neighbours, the cosets meeting it, read off the
+columns in O(|G| r^2).  The oracle builds it from the system's
 maximal parabolic index sets; a ``CosetGeometry`` builds it from the
 positions its ``PermGroup`` parabolics generate, and makes ``RightCoset``,
 ``Flag`` and ``Chamber`` objects only when one of its methods returns them.
@@ -28,6 +29,7 @@ has no common neighbour.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -35,6 +37,7 @@ from .permcore import (
     PermGroup,
     Permutation,
     RightCoset,
+    coset_column,
     generated_indices,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cosetgeo.product_set
 )
@@ -107,29 +110,30 @@ class IncidenceView:
     bitmask edges, made from the coset columns of its types.
 
     ``columns[i][x]`` is the number of the type-i coset holding position x
-    of G, and ``least[i][c]`` the least position in coset c.  Vertex n is
-    ``vertices[n]``, the pair (type i, coset number c); the type-i vertices
-    are numbered consecutively from ``offsets[i]``.  Bit m of
+    of G, and ``least[i][c]`` the least position in coset c.  The type-i
+    vertices are numbered consecutively from ``offsets[i]``: vertex
+    ``offsets[i] + c`` is the pair (type i, coset number c).  Bit m of
     ``adjacency[n]`` is set iff vertices n and m are incident and of
     different types; ``type_masks`` holds the vertices of each type.  A flag
     is a tuple of pairwise adjacent vertices, ascending, which is also type
     order.  A view is immutable, so its flag walk is built once and kept.
     """
 
-    def __init__(self, cosets: Sequence[tuple[list[int], list[int]]]):
-        """``cosets[i]`` is type i's (column, least), as ``coset_column``
-        gives them.  The cosets of x ∈ G, one per type, pairwise meet, and
-        every meeting pair arises so: the edges are the distinct pairs of
-        entries of two columns at one position, O(|G| r^2)."""
+    def __init__(self, G: PermGroup, subgroups: Sequence[Collection[int]]):
+        """The coset system of G over ``subgroups``, type i's subgroup given
+        as a set of positions of G, with its cosets numbered by
+        ``coset_column``.  The cosets of x ∈ G, one per type, pairwise
+        meet, and every meeting pair arises so: the edges are the distinct
+        pairs of entries of two columns at one position, O(|G| r^2)."""
+        cosets = [coset_column(G, H) for H in subgroups]
         self.columns = [column for column, _ in cosets]
         self.least = [least for _, least in cosets]
-        self.offsets = list(itertools.accumulate(map(len, self.least), initial=0))[:-1]
-        self.vertices = [(i, c) for i, least in enumerate(self.least) for c in range(len(least))]
+        *self.offsets, self.num_vertices = itertools.accumulate(map(len, self.least), initial=0)
         self.type_masks = {i: ((1 << len(least)) - 1) << offset
                            for i, (least, offset) in enumerate(zip(self.least, self.offsets))}
         self.types = tuple(range(len(self.least)))
-        self.mask = (1 << len(self.vertices)) - 1
-        self.adjacency = [0] * len(self.vertices)
+        self.mask = (1 << self.num_vertices) - 1
+        self.adjacency = [0] * self.num_vertices
         vertex_columns = [[offset + c for c in column]
                           for offset, column in zip(self.offsets, self.columns)]
         for a, b in itertools.combinations(vertex_columns, 2):
@@ -143,16 +147,17 @@ class IncidenceView:
         return len(self.types)
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self.adjacency) // 2
 
     def vertex(self, i: int, c: int) -> int:
         """The number of the vertex of type i and coset number c."""
         return self.offsets[i] + c
+
+    def type_and_coset(self, n: int) -> tuple[int, int]:
+        """The type and the coset number of vertex n."""
+        i = bisect.bisect_right(self.offsets, n) - 1
+        return i, n - self.offsets[i]
 
     def incident(self, u: int, v: int) -> bool:
         """Are vertices u and v incident: equal, or adjacent?"""
@@ -222,45 +227,6 @@ class IncidenceView:
                    for _, common in self._flag_tuples(J))
 
 
-def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], list[int]]:
-    """The right cosets of a subgroup of G, given as a set of positions of G.
-
-    Returns (column, least): ``column[x]`` is the number of the coset
-    holding position x, and ``least[c]`` the least position in coset c.
-    The cosets are the orbit of the subgroup under right multiplication by
-    the generators of G, each coset mapped through a generator's action
-    array; a coset is new iff its first position is in none found so far.
-    They are then numbered by least position, in one pass over the
-    positions in order.
-    """
-    actions = [G.action(g) for g in G.generators]
-    found = [list(subgroup)]
-    column = [-1] * G.order
-    for x in found[0]:
-        column[x] = 0
-    for coset in found:  # the list grows while it is walked
-        for act in actions:
-            if column[act[coset[0]]] < 0:
-                n = len(found)
-                image = [act[x] for x in coset]
-                for y in image:
-                    column[y] = n
-                found.append(image)
-    number = [-1] * len(found)
-    least: list[int] = []
-    for x, c in enumerate(column):
-        if number[c] < 0:
-            number[c] = len(least)
-            least.append(x)
-    return [number[c] for c in column], least
-
-
-def coset_view(G: PermGroup, subgroups: Sequence[Collection[int]]) -> IncidenceView:
-    """The coset incidence system of G over ``subgroups`` (type i's subgroup
-    as a set of positions of G) as an explicit incidence graph."""
-    return IncidenceView([coset_column(G, H) for H in subgroups])
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, ascending."""
     while mask:
@@ -303,9 +269,9 @@ def _connected(adjacency: Sequence[int], mask: int) -> bool:
 class CosetGeometry:
     """Coset incidence system of a group with an indexed family of subgroups.
 
-    The incidence view is built lazily, once, by ``coset_view`` from the
-    positions of G that each parabolic generates, and cached; the object is
-    otherwise immutable.  Its cosets, flags and chambers are made as
+    The positions of G that each parabolic generates and the incidence view
+    over them are built lazily, once, and cached; the object is otherwise
+    immutable.  Its cosets, flags and chambers are made as
     ``RightCoset``, ``Flag`` and ``Chamber`` objects only here, on request.
     """
 
@@ -315,6 +281,7 @@ class CosetGeometry:
                 raise ValueError("parabolic is not a subgroup of the group")
         self.group = group
         self.parabolics = tuple(parabolics)
+        self._indices: Optional[list[set[int]]] = None
         self._view: Optional[IncidenceView] = None
         self._cosets: dict[int, tuple[RightCoset, ...]] = {}
 
@@ -327,16 +294,20 @@ class CosetGeometry:
         return tuple(range(self.rank))
 
     def _positions(self) -> list[set[int]]:
-        """Each parabolic as the set of positions of G its generators generate."""
-        G = self.group
-        return [generated_indices(G.action(h) for h in H.generators) for H in self.parabolics]
+        """Each parabolic as the set of positions of G its generators
+        generate, computed once."""
+        if self._indices is None:
+            G = self.group
+            self._indices = [generated_indices(G.action(h) for h in H.generators)
+                             for H in self.parabolics]
+        return self._indices
 
     def view(self) -> IncidenceView:
         """The geometry as an explicit incidence graph, built once.  The view
         holds no reference to the geometry: that cycle would keep dead
         geometries alive until a full collection."""
         if self._view is None:
-            self._view = coset_view(self.group, self._positions())
+            self._view = IncidenceView(self.group, self._positions())
         return self._view
 
     def elements_of_type(self, i: int) -> tuple[RightCoset, ...]:
@@ -368,8 +339,8 @@ class CosetGeometry:
 
     def _typed(self, flag: tuple[int, ...]) -> tuple[TypedElement, ...]:
         """A flag of the view as (type, coset) items."""
-        vertices = self.view().vertices
-        return tuple((i, self.elements_of_type(i)[c]) for i, c in map(vertices.__getitem__, flag))
+        return tuple((i, self.elements_of_type(i)[c])
+                     for i, c in map(self.view().type_and_coset, flag))
 
     # -- flag and chamber enumeration ------------------------------------
 

@@ -2,8 +2,8 @@
 chambers, direct orbit counting, direct chirality verdict.
 
 This module exists to be obviously correct; it certifies the fast
-group-theoretic decision.  It computes on one incidence graph, built by
-``cosetgeo.coset_view`` from G and the system's maximal parabolic index
+group-theoretic decision.  It computes on one incidence graph, a
+``cosetgeo.IncidenceView`` of G over the system's maximal parabolic index
 sets: the cosets of each type are the orbit of G_i under the generators'
 action arrays, numbered by least position, with a neighbour bitmask per
 vertex.  One walk over the view's flags gives the chambers, thinness,
@@ -68,7 +68,7 @@ the corpus.
 
 from __future__ import annotations
 
-from .cosetgeo import IncidenceView, coset_view
+from .cosetgeo import IncidenceView
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
@@ -90,8 +90,8 @@ class VertexCapError(RuntimeError):
 def build_incidence_graph(S: CPlusSystem,
                           vertex_cap: int = DEFAULT_VERTEX_CAP) -> IncidenceView:
     """All elements and all pairwise incidences of the system's coset
-    geometry, built by ``coset_view`` from G and the maximal parabolic
-    index sets.
+    geometry, the ``IncidenceView`` of G over the maximal parabolic index
+    sets.
 
     The cap is checked first, on the vertex count sum_i |G| / |G_i|.
     Vertices are (type, coset number) pairs in deterministic order (type,
@@ -101,7 +101,7 @@ def build_incidence_graph(S: CPlusSystem,
     maximal = [S.maximal_indices(i) for i in S.type_set]
     if sum(G.order // len(H) for H in maximal) > vertex_cap:
         raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
-    return coset_view(G, maximal)
+    return IncidenceView(G, maximal)
 
 
 def chambers_via_maximal_cliques(graph: IncidenceView) -> list[Clique]:

@@ -21,6 +21,8 @@ integers, with no new permutation product:
 - the action of g^-1 is the inverse array (``inverse_action``), the action
   of g h the composition of two arrays (``compose_actions``), and
   conjugation is a table read from the actions (``conjugation_table``);
+- the right cosets of an index-set subgroup are its orbit under the
+  generators' actions, numbered by least position (``coset_column``);
 - the homomorphism test is a search over pairs of indices
   (``extends_on_indices``).
 
@@ -33,9 +35,8 @@ full element list and the image tuple -> index map are built only when
 first read: the coset geometry, the corpus and the tests read them, the
 chirality decision and the oracle do not.  The element-set functions
 (``subgroup_intersection``, ``product_set``, ``right_coset``,
-``right_coset_column``, ``double_coset_decomposition``,
-``extends_to_homomorphism``) compute from permutations, for the same
-callers.
+``double_coset_decomposition``, ``extends_to_homomorphism``) compute from
+permutations, for the same callers.
 
 Only the public constructor validates its input.  Products and inverses of
 permutations are permutations, so they are built unchecked.
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from functools import total_ordering
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ELEMENT_CAP = 100_000
 
@@ -614,37 +615,50 @@ def right_coset(H: PermGroup, g: Permutation) -> RightCoset:
     return RightCoset(H, min(h * g for h in H))
 
 
-def right_coset_column(G: PermGroup,
-                       H: PermGroup) -> tuple[list[int], tuple[RightCoset, ...]]:
-    """The right cosets of H in G as a column over ``G.elements``.
+def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], list[int]]:
+    """The right cosets of a subgroup of G, given as a set of positions of G.
 
-    Returns (column, cosets): ``cosets`` ascending by canonical
-    representative, and ``column[n]`` the number in ``cosets`` of the coset
-    holding ``G.elements[n]``.  One pass over the sorted elements of G: the
-    first unplaced member of a coset is its minimum, so each coset gets its
-    canonical representative without a search; its members h g are
-    products of image tuples, placed by ``G.positions``.
+    Returns (column, least): ``column[x]`` is the number of the coset
+    holding position x, and ``least[c]`` the least position in coset c,
+    which is the position of its canonical representative.  The cosets are
+    the orbit of the subgroup under right multiplication by the generators
+    of G, (H x) g = H (x g), each coset mapped through a generator's action
+    array; a coset is new iff its first position is in none found so far.
+    They are then numbered by least position, in one pass over the
+    positions in order.
     """
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
-    positions = G.positions
-    times = [_key_getter(h.images) for h in H.elements]  # g's images -> h g's images
+    actions = [G.action(g) for g in G.generators]
+    found = [list(subgroup)]
     column = [-1] * G.order
-    cosets: list[RightCoset] = []
-    for n, g in enumerate(G.elements):
-        if column[n] < 0:
-            for h_times in times:
-                column[positions[h_times(g.images)]] = len(cosets)
-            cosets.append(RightCoset(H, g))
-    return column, tuple(cosets)
+    for x in found[0]:
+        column[x] = 0
+    for coset in found:  # the list grows while it is walked
+        for act in actions:
+            if column[act[coset[0]]] < 0:
+                n = len(found)
+                image = [act[x] for x in coset]
+                for y in image:
+                    column[y] = n
+                found.append(image)
+    number = [-1] * len(found)
+    least: list[int] = []
+    for x, c in enumerate(column):
+        if number[c] < 0:
+            number[c] = len(least)
+            least.append(x)
+    return [number[c] for c in column], least
 
 
 def right_coset_decomposition(G: PermGroup,
                               H: PermGroup) -> dict[Permutation, RightCoset]:
-    """Every element of G mapped to its right coset of H, read from
-    ``right_coset_column``: the cosets first appear, in the map's values,
-    in ascending order of representative."""
-    column, cosets = right_coset_column(G, H)
+    """Every element of G mapped to its right coset of H, read from the
+    ``coset_column`` of the positions that H's generators generate: the
+    cosets first appear, in the map's values, in ascending order of
+    representative."""
+    if not H.is_subgroup_of(G):
+        raise ValueError("H is not a subgroup of G")
+    column, least = coset_column(G, generated_indices(G.action(h) for h in H.generators))
+    cosets = [RightCoset(H, G.element(x)) for x in least]
     return {x: cosets[c] for x, c in zip(G.elements, column)}
 
 

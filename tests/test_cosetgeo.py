@@ -130,7 +130,7 @@ def test_coset_columns_match_permutation_arithmetic(system):
     numbers = [{c: n for n, c in enumerate(geo.elements_of_type(i))} for i in geo.type_set]
     for g, move in zip(G.generators or G.elements, _vertex_moves(G, graph)):
         assert move == [graph.vertex(i, numbers[i][geo.shift(i, geo.elements_of_type(i)[c], g)])
-                        for i, c in graph.vertices]
+                        for i, c in map(graph.type_and_coset, range(graph.num_vertices))]
     # flags built unchecked equal the checked constructor's
     assert all(f == Flag(f.items) for f in geo.chambers())
     assert all(f == Flag(f.items) for f in geo.flags_of_type([0, geo.rank - 1]))
