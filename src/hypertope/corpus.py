@@ -11,13 +11,14 @@ generation and independence are tested once per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .permcore import (
     PermGroup,
     Permutation,
     action_table,
     conjugation_table,
+    coset_column,
     generate_group,
     generated_indices,
 )
@@ -95,14 +96,20 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     ascending order and extends a prefix P by t only when t is the least of
     its orbit under C(P) = {g : P^g = P}; C(P + t) is then the part of C(P)
     that fixes t.  Generation and independence are searches over one local
-    action table, run on complete tuples only; the search for T[i] in the
-    subgroup generated by the other entries stops once it reaches T[i].
+    action table, run on complete tuples only.  The generation test of
+    T = P + (t,) works on the cosets of ⟨P⟩, built once per prefix P
+    (``_generation_test``); the search for T[i] in the subgroup generated by
+    the other entries stops once it reaches T[i].
     """
     acts = action_table(G)
     conj = conjugation_table(acts)
     count = 0
+    prefix: Optional[tuple[int, ...]] = None
     for T in _class_minimal_tuples(conj, size, (), range(G.order)):
-        if len(generated_indices(acts[t] for t in T)) != G.order:
+        if T[:-1] != prefix:  # the extensions of a prefix come one after another
+            prefix = T[:-1]
+            generates = _generation_test(G, acts, prefix)
+        if not generates(T[-1]):
             continue
         if independent is not None:
             is_indep = not any(_reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
@@ -113,6 +120,33 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
         count += 1
         if limit is not None and count >= limit:
             return
+
+
+def _generation_test(G: PermGroup, acts: Sequence[Sequence[int]],
+                     prefix: tuple[int, ...]) -> Callable[[int], bool]:
+    """The test of ⟨P, t⟩ = G for the prefix P, as a function of t.
+
+    ⟨P, t⟩ contains H = ⟨P⟩, so it is G iff the orbit of the coset H under
+    right multiplication by P and t covers all |G : H| cosets.  H, its
+    ``coset_column`` and the coset maps of P's entries are built once, here;
+    each t then costs a search over the cosets, not over G.
+    """
+    column, least = coset_column(G, generated_indices(acts[p] for p in prefix))
+    moves = [[column[act[x]] for x in least] for act in (acts[p] for p in prefix)]
+
+    def generates(t: int) -> bool:
+        act = acts[t]
+        seen = {0}
+        reached = [0]
+        for c in reached:  # the list grows while it is walked
+            if len(seen) == len(least):
+                break
+            for d in [m[c] for m in moves] + [column[act[least[c]]]]:
+                if d not in seen:
+                    seen.add(d)
+                    reached.append(d)
+        return len(seen) == len(least)
+    return generates
 
 
 def _reaches(actions: Sequence[Sequence[int]], target: int) -> bool:

@@ -25,7 +25,7 @@ of arrays).  Then:
   sets;
 - the cosets G_j h, h ∈ G_a, of (i) and (iii) are the orbit of G_j itself
   under right multiplication by the generators of G_a, each coset mapped
-  through their action arrays;
+  through their action arrays (``_cosets_meeting``);
 - (iv) is the pair search over (x, φ(x)) with both sides indices:
   φ(x α_i) = φ(x) α_i^{-1} is a lookup in the inverse action of α_i;
 - once (ii) holds, the two chamber-orbit classes are the two type-k cosets
@@ -33,10 +33,16 @@ of arrays).  Then:
 
 The decision never builds the coset geometry: (i) counts the chambers
 through the base type-a coset and (iii) keeps the type-k cosets meeting
-every G_j.  The oracle builds its incidence graph from the same maximal
-parabolic index sets.  ``parabolic`` and ``maximal_parabolic(s)`` close the
-same generators with ``generate_group`` on request; these ``PermGroup``s
-and the geometry over them (``associated_geometry``) serve the tests.
+every G_j.  Each part is derived once per system and kept on it (see
+``CPlusSystem``): one index set per parabolic, the type order by |G_j|,
+one B per k and one family of cosets G_j h, h ∈ G_a, per pair (j, a).  So
+(i) and (iii) for every k read the same families: on the rank-r simplex
+with ``check_all_k`` they are 2(r - 1) families, not r(r - 1).
+
+The oracle builds its incidence graph from the same maximal parabolic
+index sets.  ``parabolic`` and ``maximal_parabolic(s)`` close the same
+generators with ``generate_group`` on request; these ``PermGroup``s and
+the geometry over them (``associated_geometry``) serve the tests.
 """
 
 from __future__ import annotations
@@ -63,13 +69,24 @@ NOT_HYPERTOPE = "not-hypertope"
 
 
 class CPlusSystem:
-    """A group with an ordered generating set and its derived parabolics.
+    """A group with an ordered generating set, and each part of the
+    decision derived from it once.
 
-    R must generate the group; ``build_cplus`` checks that.  The arrays and
-    index sets of the decision are derived on first use and kept on the
-    system, not on the group, which other systems may share.  So are IC⁺,
-    each k's result of condition (i) and its type-k cosets of condition
-    (iii); the decomposition of the two chamber orbits reuses the latter.
+    R must generate the group; ``build_cplus`` checks that.  What the
+    decision derives is kept on the system, not on the group, which other
+    systems may share:
+
+    - the inverse actions of the α_i and the actions of the α_{ij};
+    - one index set per parabolic (``parabolic_indices``);
+    - the maximal parabolic index sets G_i (``maximal_indices``) and
+      ``type_order``, the types by ascending |G_i| with ties by type index,
+      both made with the system;
+    - B = ∩_{j != k} G_j per k;
+    - the cosets G_j h, h ∈ G_a, and their bitmasks per pair (j, a), which
+      (i) and (iii) share across every k;
+    - IC⁺, each k's result of (i) and its type-k cosets of (iii); the
+      decomposition of the two chamber orbits reuses the latter.
+
     The parabolics as ``PermGroup`` closures and the associated coset
     geometry are built only on request.
     """
@@ -81,6 +98,12 @@ class CPlusSystem:
         self._inverse_actions: dict[int, tuple[int, ...]] = {}
         self._alpha_actions: dict[tuple[int, int], tuple[int, ...]] = {}
         self._indices: dict[tuple[int, ...], set[int]] = {}
+        self._maximal = [self._index_set(tuple(j for j in self.type_set if j != i))
+                         for i in self.type_set]
+        self.type_order = tuple(sorted(self.type_set, key=lambda i: len(self._maximal[i])))
+        self._stabilizers: dict[int, set[int]] = {}
+        self._families: dict[tuple[int, int], list[list[int]]] = {}
+        self._masks: dict[tuple[int, int], list[int]] = {}
         self._parabolic_cache: dict[tuple[int, ...], PermGroup] = {}
         self._geometry: Optional[CosetGeometry] = None
         self._ic_plus: Optional[bool] = None
@@ -120,7 +143,10 @@ class CPlusSystem:
         For the full type set it is the whole group: alpha_{0j} = alpha_j,
         so the generators include R, which generates the group.
         """
-        key = tuple(sorted(set(J)))
+        return self._index_set(tuple(sorted(set(J))))
+
+    def _index_set(self, key: tuple[int, ...]) -> set[int]:
+        """``parabolic_indices`` of an ascending tuple of distinct types."""
         if key not in self._indices:
             if key == self.type_set:
                 self._indices[key] = set(range(self.group.order))
@@ -130,7 +156,7 @@ class CPlusSystem:
 
     def maximal_indices(self, i: int) -> set[int]:
         """The type-i maximal parabolic G_i as an index set."""
-        return self.parabolic_indices(j for j in self.type_set if j != i)
+        return self._maximal[i]
 
     def parabolic(self, J: Iterable[int]) -> PermGroup:
         """The parabolic of J as a ``PermGroup``, closed once from the
@@ -151,7 +177,8 @@ class CPlusSystem:
 
 
 def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
-    """Build the system and its maximal parabolics as index sets.
+    """Build the system, with its maximal parabolics as index sets and its
+    type order.
 
     R must generate G; rank 2 is accepted for construction but the chirality
     decision requires rank >= 3.
@@ -162,10 +189,7 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
             raise ValueError("generator not in G")
     if len(generated_indices(G.action(r) for r in R)) != G.order:
         raise ValueError("R does not generate G")
-    system = CPlusSystem(G, R)
-    for i in system.type_set:
-        system.maximal_indices(i)
-    return system
+    return CPlusSystem(G, R)
 
 
 def is_independent_generating_set(S: CPlusSystem) -> bool:
@@ -185,13 +209,14 @@ def check_ic_plus(S: CPlusSystem) -> bool:
     Only pairs with neither set inside the other are tested: the parabolic
     of the full type set is G, and parabolic(J) ⊆ parabolic(K) when J ⊆ K.
     Comparing orders suffices because parabolic(J ∩ K) always sits inside
-    the intersection.
+    the intersection.  Each proper subset's index set is looked up once, and
+    the pairs read that table.
     """
     if S._ic_plus is None:
-        subsets = [frozenset(J) for size in range(2, S.rank)
-                   for J in itertools.combinations(S.type_set, size)]
-        P = S.parabolic_indices
-        S._ic_plus = all(len(P(J) & P(K)) == len(P(J & K))
+        P = {frozenset(J): S._index_set(J) for size in range(S.rank)
+             for J in itertools.combinations(S.type_set, size)}
+        subsets = [J for J in P if len(J) >= 2]
+        S._ic_plus = all(len(P[J] & P[K]) == len(P[J & K])
                          for a, J in enumerate(subsets) for K in subsets[a + 1:]
                          if not J <= K)
     return S._ic_plus
@@ -219,10 +244,9 @@ def condition_i(S: CPlusSystem, k: int) -> bool:
         if len(J) <= 2:  # rank <= 2 truncations are chamber-transitive
             S._condition_i[k] = True
         else:
-            a = min(J, key=lambda j: len(S.maximal_indices(j)))
+            a = next(j for j in S.type_order if j != k)
             target = len(S.maximal_indices(a)) // len(_corank_stabilizer(S, k))
-            candidates = sorted(([_mask(c) for c in _cosets_meeting(S, j, a)]
-                                 for j in J if j != a), key=len)
+            candidates = sorted((_family_masks(S, j, a) for j in J if j != a), key=len)
             S._condition_i[k] = _count_meeting_tuples(candidates, target + 1) == target
     return S._condition_i[k]
 
@@ -232,6 +256,20 @@ def _mask(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _family(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
+    """``_cosets_meeting(S, j, a)``, built once per system and kept."""
+    if (j, a) not in S._families:
+        S._families[j, a] = _cosets_meeting(S, j, a)
+    return S._families[j, a]
+
+
+def _family_masks(S: CPlusSystem, j: int, a: int) -> list[int]:
+    """The bitmasks of ``_family(S, j, a)``, built once per system and kept."""
+    if (j, a) not in S._masks:
+        S._masks[j, a] = [_mask(c) for c in _family(S, j, a)]
+    return S._masks[j, a]
 
 
 def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
@@ -270,9 +308,11 @@ def _count_meeting_tuples(candidates: list[list[int]], stop: int,
 
 
 def _corank_stabilizer(S: CPlusSystem, k: int) -> set[int]:
-    """B = ∩_{j != k} G_j as an index set, from the smallest G_j."""
-    meet, *others = sorted((S.maximal_indices(j) for j in S.type_set if j != k), key=len)
-    return meet.intersection(*others)
+    """B = ∩_{j != k} G_j as an index set, from the smallest G_j; kept per k."""
+    if k not in S._stabilizers:
+        meet, *others = (S.maximal_indices(j) for j in S.type_order if j != k)
+        S._stabilizers[k] = meet.intersection(*others)
+    return S._stabilizers[k]
 
 
 def condition_ii(S: CPlusSystem) -> bool:
@@ -287,11 +327,10 @@ def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[list[int], ...]:
     h ∈ G_{j0}, are tested against the other G_j.
     """
     if k not in S._incident_cosets:
-        j0, *rest = sorted((j for j in S.type_set if j != k),
-                           key=lambda j: len(S.maximal_indices(j)))
+        j0, *rest = (j for j in S.type_order if j != k)
         others = [S.maximal_indices(j) for j in rest]
         S._incident_cosets[k] = tuple(
-            c for c in _cosets_meeting(S, k, j0)
+            c for c in _family(S, k, j0)
             if not any(Gj.isdisjoint(c) for Gj in others))
     return S._incident_cosets[k]
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertope import cplus
 from hypertope.catalog import catalog_entry, catalog_names
 from hypertope.cli import spec_from_mapping
 from hypertope.corpus import (
@@ -189,6 +190,7 @@ def test_parabolic_of_singleton_is_trivial():
 def test_maximal_parabolics_of_torus():
     S = torus_cplus()
     assert [S.maximal_parabolic(i).order for i in S.type_set] == [4, 2, 4]
+    assert S.type_order == (1, 0, 2)  # by |G_i|, ties by type index
 
 
 def test_parabolic_index_sets_match_closures(integer_path_systems):
@@ -231,11 +233,33 @@ def test_ic_plus_matches_permutation_sets(integer_path_systems):
     assert outcomes == {True, False}
 
 
-def test_ic_plus_is_computed_once():
+def _count_calls(monkeypatch, name):
+    """Replace ``cplus.<name>`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(cplus, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(cplus, name, counted)
+    return calls
+
+
+def test_ic_plus_is_computed_once(monkeypatch):
     S = torus_cplus()
     assert check_ic_plus(S)
     S.parabolic_indices = None  # a second computation would call it
     assert check_ic_plus(S)
+    # IC⁺ closes each proper subset that the system has not yet closed at
+    # most once (the maximal ones come with the system), and only once per system
+    calls = _count_calls(monkeypatch, "generated_indices")
+    for rank in (4, 5, 6):
+        S = simplex_cplus(rank)
+        del calls[:]
+        assert check_ic_plus(S)
+        assert len(calls) <= 2 ** rank - 1 - rank
+        del calls[:]
+        assert check_ic_plus(S) and not calls
 
 
 # -- the four conditions ----------------------------------------------------
@@ -415,6 +439,54 @@ def test_rank6_simplex_is_regular_for_every_k():
     assert (rep.verdict, rep.failing_condition) == (REGULAR, 4)
     assert rep.cross_k_disagreement is None
     assert rep.per_condition == {2: True, 1: True, 3: True, 4: False}
+
+
+@pytest.mark.parametrize("rank, families", [(4, 6), (5, 8), (6, 10)])
+def test_each_part_is_derived_once(monkeypatch, rank, families):
+    """With all k, (i) and (iii) share one coset family per type pair: on the
+    simplex 2 (rank - 1) families, where building them per k and condition
+    took rank (rank - 1).  Every subset is closed once (2^rank
+    ``generated_indices`` calls with the generation check) and the decision
+    makes no ``parabolic_indices`` call."""
+    built = _count_calls(monkeypatch, "_cosets_meeting")
+    closed = _count_calls(monkeypatch, "generated_indices")
+    S = simplex_cplus(rank)
+    looked_up = []
+    monkeypatch.setattr(S, "parabolic_indices", lambda J: looked_up.append(J))
+    rep = is_chiral_hypertope(S, check_all_k=True)
+    assert (rep.verdict, rep.failing_condition) == (REGULAR, 4)
+    assert check_ic_plus(S)
+    assert len(built) == families
+    assert len({(j, a) for _, j, a in built}) == families
+    assert len(closed) == 2 ** rank
+    assert not looked_up
+
+
+def test_kept_state_matches_fresh_systems(rank4_classes):
+    """One system asked about every k, in either order and with (i) or (iii)
+    first, answers as fresh systems asked about one k each, and its report
+    over all k is that of a fresh system.  On the rank-4 classes that report
+    is the fixture's."""
+    cases = [(build, None) for build in _cross_check_builders() + [lambda: simplex_cplus(6)]]
+    cases += [(lambda G=G, R=R: build_cplus(G, R), report)  # reports of fresh systems
+              for G, classes in rank4_classes.values() for R, report in classes]
+    for build, report in cases:
+        fresh_systems = [build()]
+        types = fresh_systems[0].type_set
+        fresh_systems += [build() for _ in types[1:]]
+        fresh = [(condition_i(F, k), condition_iii(F, k)) for k, F in enumerate(fresh_systems)]
+        report = report or is_chiral_hypertope(build(), check_all_k=True)
+        for order, i_first in ((types, True), (types[::-1], False)):
+            S = build()
+            for k in order:
+                if i_first:
+                    i = condition_i(S, k)
+                    iii = condition_iii(S, k)
+                else:
+                    iii = condition_iii(S, k)
+                    i = condition_i(S, k)
+                assert (i, iii) == fresh[k], (S.group, S.R, k)
+            assert is_chiral_hypertope(S, check_all_k=True) == report, (S.group, S.R)
 
 
 def test_rank_below_3_rejected():
