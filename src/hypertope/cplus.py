@@ -25,7 +25,8 @@ of arrays).  Then:
   sets;
 - the cosets G_j h, h ∈ G_a, of (i) and (iii) are the orbit of G_j itself
   under right multiplication by the generators of G_a, each coset mapped
-  through their action arrays (``_cosets_meeting``);
+  through their action arrays and kept as a bitmask over the positions of
+  G (``_cosets_meeting``);
 - (iv) is the pair search over (x, φ(x)) with both sides indices:
   φ(x α_i) = φ(x) α_i^{-1} is a lookup in the inverse action of α_i;
 - once (ii) holds, the two chamber-orbit classes are the two type-k cosets
@@ -82,8 +83,8 @@ class CPlusSystem:
       ``type_order``, the types by ascending |G_i| with ties by type index,
       both made with the system;
     - B = ∩_{j != k} G_j per k;
-    - the cosets G_j h, h ∈ G_a, and their bitmasks per pair (j, a), which
-      (i) and (iii) share across every k;
+    - the cosets G_j h, h ∈ G_a, as bitmasks per pair (j, a), which (i)
+      and (iii) share across every k (``_cosets_meeting``);
     - IC⁺, each k's result of (i) and its type-k cosets of (iii); the
       decomposition of the two chamber orbits reuses the latter.
 
@@ -98,17 +99,16 @@ class CPlusSystem:
         self._inverse_actions: dict[int, tuple[int, ...]] = {}
         self._alpha_actions: dict[tuple[int, int], tuple[int, ...]] = {}
         self._indices: dict[tuple[int, ...], set[int]] = {}
-        self._maximal = [self._index_set(tuple(j for j in self.type_set if j != i))
+        self._maximal = [self.parabolic_indices(j for j in self.type_set if j != i)
                          for i in self.type_set]
         self.type_order = tuple(sorted(self.type_set, key=lambda i: len(self._maximal[i])))
         self._stabilizers: dict[int, set[int]] = {}
-        self._families: dict[tuple[int, int], list[list[int]]] = {}
-        self._masks: dict[tuple[int, int], list[int]] = {}
+        self._families: dict[tuple[int, int], list[int]] = {}
         self._parabolic_cache: dict[tuple[int, ...], PermGroup] = {}
         self._geometry: Optional[CosetGeometry] = None
         self._ic_plus: Optional[bool] = None
         self._condition_i: dict[int, bool] = {}
-        self._incident_cosets: dict[int, tuple[list[int], ...]] = {}
+        self._incident_cosets: dict[int, tuple[int, ...]] = {}
 
     @property
     def type_set(self) -> tuple[int, ...]:
@@ -143,10 +143,7 @@ class CPlusSystem:
         For the full type set it is the whole group: alpha_{0j} = alpha_j,
         so the generators include R, which generates the group.
         """
-        return self._index_set(tuple(sorted(set(J))))
-
-    def _index_set(self, key: tuple[int, ...]) -> set[int]:
-        """``parabolic_indices`` of an ascending tuple of distinct types."""
+        key = tuple(sorted(set(J)))
         if key not in self._indices:
             if key == self.type_set:
                 self._indices[key] = set(range(self.group.order))
@@ -209,14 +206,19 @@ def check_ic_plus(S: CPlusSystem) -> bool:
     Only pairs with neither set inside the other are tested: the parabolic
     of the full type set is G, and parabolic(J) ⊆ parabolic(K) when J ⊆ K.
     Comparing orders suffices because parabolic(J ∩ K) always sits inside
-    the intersection.  Each proper subset's index set is looked up once, and
-    the pairs read that table.
+    the intersection.  Each subset's index set is looked up once, when a
+    pair first needs it, and kept in a table that the other pairs read.
     """
     if S._ic_plus is None:
-        P = {frozenset(J): S._index_set(J) for size in range(S.rank)
-             for J in itertools.combinations(S.type_set, size)}
-        subsets = [J for J in P if len(J) >= 2]
-        S._ic_plus = all(len(P[J] & P[K]) == len(P[J & K])
+        subsets = [frozenset(J) for size in range(2, S.rank)
+                   for J in itertools.combinations(S.type_set, size)]
+        table: dict[frozenset[int], set[int]] = {}
+
+        def P(J: frozenset[int]) -> set[int]:
+            if J not in table:
+                table[J] = S.parabolic_indices(J)
+            return table[J]
+        S._ic_plus = all(len(P(J) & P(K)) == len(P(J & K))
                          for a, J in enumerate(subsets) for K in subsets[a + 1:]
                          if not J <= K)
     return S._ic_plus
@@ -246,7 +248,7 @@ def condition_i(S: CPlusSystem, k: int) -> bool:
         else:
             a = next(j for j in S.type_order if j != k)
             target = len(S.maximal_indices(a)) // len(_corank_stabilizer(S, k))
-            candidates = sorted((_family_masks(S, j, a) for j in J if j != a), key=len)
+            candidates = sorted((_cosets_meeting(S, j, a) for j in J if j != a), key=len)
             S._condition_i[k] = _count_meeting_tuples(candidates, target + 1) == target
     return S._condition_i[k]
 
@@ -258,38 +260,32 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-def _family(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
-    """``_cosets_meeting(S, j, a)``, built once per system and kept."""
-    if (j, a) not in S._families:
-        S._families[j, a] = _cosets_meeting(S, j, a)
-    return S._families[j, a]
+def _least(mask: int) -> int:
+    """The least position in a nonzero bitmask."""
+    return (mask & -mask).bit_length() - 1
 
 
-def _family_masks(S: CPlusSystem, j: int, a: int) -> list[int]:
-    """The bitmasks of ``_family(S, j, a)``, built once per system and kept."""
-    if (j, a) not in S._masks:
-        S._masks[j, a] = [_mask(c) for c in _family(S, j, a)]
-    return S._masks[j, a]
-
-
-def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[list[int]]:
+def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[int]:
     """The right cosets G_j h with h ∈ G_a, i.e. those meeting G_a, each once
-    and as lists of positions of G, G_j first.
+    and as bitmasks over the positions of G, G_j first; built once per
+    system and kept.
 
     They are the orbit of G_j under right multiplication by the generators
     of G_a: (G_j h) alpha = G_j (h alpha), one array lookup per element.
     A coset is new iff its first element is in no coset found so far.
     """
-    actions = S.parabolic_generators(t for t in S.type_set if t != a)
-    cosets = [list(S.maximal_indices(j))]
-    seen = set(cosets[0])
-    for coset in cosets:  # the list grows while it is walked
-        for act in actions:
-            if act[coset[0]] not in seen:
-                image = [act[x] for x in coset]
-                seen.update(image)
-                cosets.append(image)
-    return cosets
+    if (j, a) not in S._families:
+        actions = S.parabolic_generators(t for t in S.type_set if t != a)
+        cosets = [list(S.maximal_indices(j))]
+        seen = set(cosets[0])
+        for coset in cosets:  # the list grows while it is walked
+            for act in actions:
+                if act[coset[0]] not in seen:
+                    image = [act[x] for x in coset]
+                    seen.update(image)
+                    cosets.append(image)
+        S._families[j, a] = [_mask(c) for c in cosets]
+    return S._families[j, a]
 
 
 def _count_meeting_tuples(candidates: list[list[int]], stop: int,
@@ -320,18 +316,19 @@ def condition_ii(S: CPlusSystem) -> bool:
     return all(len(_corank_stabilizer(S, k)) == 1 for k in S.type_set)
 
 
-def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[list[int], ...]:
-    """The type-k cosets that meet every G_j, j ≠ k, as lists of positions of G.
+def _incident_type_k_cosets(S: CPlusSystem, k: int) -> tuple[int, ...]:
+    """The type-k cosets that meet every G_j, j ≠ k, as bitmasks over the
+    positions of G.
 
     They all meet G_{j0} for the smallest G_{j0}, so only the cosets G_k h,
-    h ∈ G_{j0}, are tested against the other G_j.
+    h ∈ G_{j0}, are tested against the other G_j.  Each G_j is the first
+    coset of its family G_j h, h ∈ G_{j0}, which condition (i) for k reads.
     """
     if k not in S._incident_cosets:
         j0, *rest = (j for j in S.type_order if j != k)
-        others = [S.maximal_indices(j) for j in rest]
+        others = [_cosets_meeting(S, j, j0)[0] for j in rest]
         S._incident_cosets[k] = tuple(
-            c for c in _family(S, k, j0)
-            if not any(Gj.isdisjoint(c) for Gj in others))
+            c for c in _cosets_meeting(S, k, j0) if all(c & Gj for Gj in others))
     return S._incident_cosets[k]
 
 
@@ -375,11 +372,11 @@ def two_orbit_decomposition(S: CPlusSystem, k: int) -> TwoOrbitResult:
         raise ValueError("chamber transitivity of the truncation fails for this k")
     if len(_corank_stabilizer(S, k)) != 1:
         raise ValueError("the corank-1 intersection for this k is not trivial")
-    classes = sorted(_incident_type_k_cosets(S, k), key=min)
+    classes = sorted(_incident_type_k_cosets(S, k), key=_least)
     witness = None
     if len(classes) == 2:
-        witness = S.group.element(min(classes[1]))
-    return TwoOrbitResult(witness, len(classes), tuple(len(c) for c in classes))
+        witness = S.group.element(_least(classes[1]))
+    return TwoOrbitResult(witness, len(classes), tuple(c.bit_count() for c in classes))
 
 
 @dataclass

@@ -246,20 +246,21 @@ def _count_calls(monkeypatch, name):
 
 
 def test_ic_plus_is_computed_once(monkeypatch):
-    S = torus_cplus()
-    assert check_ic_plus(S)
-    S.parabolic_indices = None  # a second computation would call it
-    assert check_ic_plus(S)
-    # IC⁺ closes each proper subset that the system has not yet closed at
-    # most once (the maximal ones come with the system), and only once per system
-    calls = _count_calls(monkeypatch, "generated_indices")
-    for rank in (4, 5, 6):
-        S = simplex_cplus(rank)
-        del calls[:]
+    """IC⁺ looks each subset up at most once, closes only the proper subsets
+    that the system has not closed (the maximal ones come with it), and is
+    computed once per system: a second computation would look a subset up,
+    which raises once the lookup is gone."""
+    closed = _count_calls(monkeypatch, "generated_indices")
+    for S in [torus_cplus()] + [simplex_cplus(rank) for rank in (4, 5, 6)]:
+        del closed[:]
+        looked_up = []
+        lookup = S.parabolic_indices
+        S.parabolic_indices = lambda J: looked_up.append(J) or lookup(J)
         assert check_ic_plus(S)
-        assert len(calls) <= 2 ** rank - 1 - rank
-        del calls[:]
-        assert check_ic_plus(S) and not calls
+        assert len(looked_up) == len(set(looked_up)) <= 2 ** S.rank - 1
+        assert len(closed) <= 2 ** S.rank - 1 - S.rank
+        S.parabolic_indices = None
+        assert check_ic_plus(S)
 
 
 # -- the four conditions ----------------------------------------------------
@@ -313,7 +314,8 @@ def test_condition_iii_matches_product_sets():
             expected = frozenset.intersection(*(product_set(Gk, S.maximal_parabolic(j))
                                                 for j in S.type_set if j != k))
             elements = S.group.elements
-            kept = frozenset(elements[x] for c in _incident_type_k_cosets(S, k) for x in c)
+            kept = frozenset(elements[x] for c in _incident_type_k_cosets(S, k)
+                             for x in range(S.group.order) if c >> x & 1)
             assert kept == expected, (S.group, S.R, k)
             assert condition_iii(S, k) == (len(expected) == 2 * Gk.order)
             outcomes.add(condition_iii(S, k))
@@ -445,31 +447,34 @@ def test_rank6_simplex_is_regular_for_every_k():
 def test_each_part_is_derived_once(monkeypatch, rank, families):
     """With all k, (i) and (iii) share one coset family per type pair: on the
     simplex 2 (rank - 1) families, where building them per k and condition
-    took rank (rank - 1).  Every subset is closed once (2^rank
-    ``generated_indices`` calls with the generation check) and the decision
-    makes no ``parabolic_indices`` call."""
-    built = _count_calls(monkeypatch, "_cosets_meeting")
+    took rank (rank - 1), and each is built once: one bitmask per coset.
+    Every subset is closed once (2^rank ``generated_indices`` calls with the
+    generation check), and the decision looks each proper subset up at most
+    once, for IC⁺."""
+    masks = _count_calls(monkeypatch, "_mask")
     closed = _count_calls(monkeypatch, "generated_indices")
     S = simplex_cplus(rank)
     looked_up = []
-    monkeypatch.setattr(S, "parabolic_indices", lambda J: looked_up.append(J))
+    lookup = S.parabolic_indices
+    S.parabolic_indices = lambda J: looked_up.append(J) or lookup(J)
     rep = is_chiral_hypertope(S, check_all_k=True)
     assert (rep.verdict, rep.failing_condition) == (REGULAR, 4)
     assert check_ic_plus(S)
-    assert len(built) == families
-    assert len({(j, a) for _, j, a in built}) == families
+    assert len(S._families) == families
+    assert len(masks) == sum(map(len, S._families.values()))
     assert len(closed) == 2 ** rank
-    assert not looked_up
+    assert len(looked_up) == len(set(looked_up)) <= 2 ** rank - 1
 
 
 def test_kept_state_matches_fresh_systems(rank4_classes):
     """One system asked about every k, in either order and with (i) or (iii)
     first, answers as fresh systems asked about one k each, and its report
-    over all k is that of a fresh system.  On the rank-4 classes that report
-    is the fixture's."""
+    over all k is that of a fresh system.  On every tenth rank-4 class that
+    report is the fixture's; the sample holds reports whose k disagree."""
     cases = [(build, None) for build in _cross_check_builders() + [lambda: simplex_cplus(6)]]
     cases += [(lambda G=G, R=R: build_cplus(G, R), report)  # reports of fresh systems
-              for G, classes in rank4_classes.values() for R, report in classes]
+              for G, classes in rank4_classes.values() for R, report in classes[::10]]
+    assert any(report and report.cross_k_disagreement for _, report in cases)
     for build, report in cases:
         fresh_systems = [build()]
         types = fresh_systems[0].type_set
