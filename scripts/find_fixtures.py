@@ -6,8 +6,8 @@ Two searches live here:
 * failure-code sweep: scan generating tuples of small groups and report the
   first instance hitting each failure code 1-4 plus a chiral and a regular
   instance.  Code 1 (a corank-1 truncation with several chamber orbits while
-  all corank-1 parabolic intersections stay trivial) is rare; the sweep runs
-  on element indices and the library's action and conjugation tables, so
+  all corank-1 parabolic intersections stay trivial) is rare; the sweep
+  decides (ii) and (i) with the library, one tuple per conjugacy class, so
   S5-sized groups stay tractable.
 
 * non-geometry sweep: rank-4 subgroup quadruples whose coset system is
@@ -34,61 +34,21 @@ from hypertope.corpus import (
     torus_rotation_group,
 )
 from hypertope.cosetgeo import build
-from hypertope.cplus import build_cplus, is_chiral_hypertope
+from hypertope.cplus import build_cplus, condition_i, condition_ii, is_chiral_hypertope
 from hypertope.oracle import chambers_via_maximal_cliques
-from hypertope.permcore import (
-    Permutation,
-    action_table,
-    conjugation_table,
-    generate_group,
-    generated_indices,
-)
+from hypertope.permcore import Permutation, generate_group
 
 
-def scan_rank4_code1(name, G):
-    """Index-driven sweep for rank-4 tuples passing condition (ii) but with an
-    intransitive corank-1 truncation (failure code 1).
-
-    Elements are G's indices; ``acts[b][a]`` is the index of a * b."""
-    acts = action_table(G)
-    n = G.order
-    inv = [G.index_of(x.inverse()) for x in G.elements]
-    conj = conjugation_table(acts)  # conj[g][x] is the index of g^-1 x g
-
-    def closure(gens):
-        return frozenset(generated_indices(acts[g] for g in gens))
-
-    seen_canon = set()
-    for trip in itertools.combinations(range(1, n), 3):
-        key = min(tuple(sorted(c[x] for x in trip)) for c in conj)
-        if key in seen_canon:
-            continue
-        seen_canon.add(key)
-        if len(closure(trip)) != n:
-            continue
-        for a1 in trip:
-            rest = [x for x in trip if x != a1]
-            R = [a1] + rest
-            a1i = inv[R[0]]
-            P = [closure([acts[R[1]][a1i], acts[R[2]][a1i]]),
-                 closure([R[1], R[2]]),
-                 closure([R[0], R[2]]),
-                 closure([R[0], R[1]])]
-            if any(len(P[i] & P[j] & P[k]) != 1
-                   for i, j, k in itertools.combinations(range(4), 3)):
-                continue  # condition (ii) fails: that is code 2, not code 1
-            for k in range(4):
-                J = [j for j in range(4) if j != k]
-                kp, Bp = J[0], P[J[1]] & P[J[2]]
-                inter = ({acts[x][h] for h in P[kp] for x in P[J[1]]}
-                         & {acts[x][h] for h in P[kp] for x in P[J[2]]})
-                rem, orbits = set(inter), 0
-                while rem:
-                    x = next(iter(rem))
-                    rem -= {acts[b][acts[x][h]] for h in P[kp] for b in Bp}
-                    orbits += 1
-                if orbits > 1:
-                    return [G.elements[i] for i in R], k
+def scan_rank4_code1(G):
+    """The first rank-4 tuple of G, one per conjugacy class, that passes
+    condition (ii) but fails condition (i) for some k (failure code 1),
+    with the first such k."""
+    for R in generating_tuples(G, 3, independent=None):
+        S = build_cplus(G, R)
+        if condition_ii(S):
+            for k in S.type_set:
+                if not condition_i(S, k):
+                    return list(R), k
     return None
 
 
@@ -107,7 +67,7 @@ def search_codes(max_order):
     for name, G in [("s4", symmetric(4)), ("s5", symmetric(5))]:
         if G.order > max_order:
             continue
-        found = scan_rank4_code1(name, G)
+        found = scan_rank4_code1(G)
         if found and 1 not in hits:
             R, k = found
             hits[1] = (name, [list(r.images) for r in R], f"k={k}")

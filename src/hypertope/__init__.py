@@ -27,7 +27,7 @@ from .permcore import (
     right_coset_decomposition,
     subgroup_intersection,
 )
-from .cosetgeo import Chamber, CosetGeometry, Flag, IncidenceView, build
+from .cosetgeo import CosetGeometry, IncidenceView, build
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,

@@ -98,8 +98,9 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     that fixes t.  Generation and independence are searches over one local
     action table, run on complete tuples only.  The generation test of
     T = P + (t,) works on the cosets of ⟨P⟩, built once per prefix P
-    (``_generation_test``); the search for T[i] in the subgroup generated by
-    the other entries stops once it reaches T[i].
+    (``_generation_test``).  As T generates G, T[-1] ∈ ⟨P⟩ iff ⟨P⟩ = G,
+    which that test also reports; for i < size - 1 the search for T[i] in
+    the subgroup generated by the other entries stops once it reaches T[i].
     """
     acts = action_table(G)
     conj = conjugation_table(acts)
@@ -108,12 +109,13 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     for T in _class_minimal_tuples(conj, size, (), range(G.order)):
         if T[:-1] != prefix:  # the extensions of a prefix come one after another
             prefix = T[:-1]
-            generates = _generation_test(G, acts, prefix)
+            generates, prefix_generates = _generation_test(G, acts, prefix)
         if not generates(T[-1]):
             continue
         if independent is not None:
-            is_indep = not any(_reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
-                               for i in range(size))
+            is_indep = not (prefix_generates
+                            or any(_reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
+                                   for i in range(size - 1)))
             if is_indep != independent:
                 continue
         yield tuple(G.elements[t] for t in T)
@@ -123,13 +125,15 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
 
 
 def _generation_test(G: PermGroup, acts: Sequence[Sequence[int]],
-                     prefix: tuple[int, ...]) -> Callable[[int], bool]:
-    """The test of ⟨P, t⟩ = G for the prefix P, as a function of t.
+                     prefix: tuple[int, ...]) -> tuple[Callable[[int], bool], bool]:
+    """The test of ⟨P, t⟩ = G for the prefix P, as a function of t, and
+    whether ⟨P⟩ = G already.
 
     ⟨P, t⟩ contains H = ⟨P⟩, so it is G iff the orbit of the coset H under
     right multiplication by P and t covers all |G : H| cosets.  H, its
     ``coset_column`` and the coset maps of P's entries are built once, here;
-    each t then costs a search over the cosets, not over G.
+    each t then costs a search over the cosets, not over G.  ⟨P⟩ = G iff
+    there is one coset.
     """
     column, least = coset_column(G, generated_indices(acts[p] for p in prefix))
     moves = [[column[act[x]] for x in least] for act in (acts[p] for p in prefix)]
@@ -146,7 +150,7 @@ def _generation_test(G: PermGroup, acts: Sequence[Sequence[int]],
                     seen.add(d)
                     reached.append(d)
         return len(seen) == len(least)
-    return generates
+    return generates, len(least) == 1
 
 
 def _reaches(actions: Sequence[Sequence[int]], target: int) -> bool:

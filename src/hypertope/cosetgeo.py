@@ -17,14 +17,18 @@ elements.  The view keeps, per type, the coset number of each position
 integer bitmask of its neighbours, the cosets meeting it, read off the
 columns in O(|G| r^2).  The oracle builds it from the system's
 maximal parabolic index sets; a ``CosetGeometry`` builds it from the
-positions its ``PermGroup`` parabolics generate, and makes ``RightCoset``,
-``Flag`` and ``Chamber`` objects only when one of its methods returns them.
+positions its ``PermGroup`` parabolics generate.  Flags and chambers are
+the view's vertex tuples everywhere.
 
 One walk over the view's flags, made once, records each flag with the mask
 of its common neighbours.  Flags, chambers, thinness, residual
 connectedness and the maximal flags read that walk: vertices of one type
 are never adjacent, so every clique is a flag, and a flag is maximal iff it
-has no common neighbour.
+has no common neighbour.  Each generator of G permutes the vertices
+(``vertex_moves``), and so the flags of one type set; one breadth-first
+search over flag numbers (``flag_orbits``) gives the oracle's clique
+orbits, ``CosetGeometry.flag_orbit`` and the chamber- and
+flag-transitivity tests.
 """
 
 from __future__ import annotations
@@ -42,67 +46,7 @@ from .permcore import (
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cosetgeo.product_set
 )
 
-TypedElement = tuple[int, RightCoset]
 FlagTuple = tuple[tuple[int, ...], int]  # a flag's vertices, ascending, and its common neighbours
-
-
-class Flag:
-    """A set of pairwise incident elements, at most one per type.
-
-    Stored as a type-indexed assignment, which makes the one-element-per-type
-    constraint structural.
-    """
-
-    __slots__ = ("items", "_hash")
-
-    def __init__(self, items: Iterable[TypedElement]):
-        self.items = tuple(sorted(items, key=lambda tc: tc[0]))
-        if len({t for t, _ in self.items}) != len(self.items):
-            raise ValueError("flag assigns more than one element to a type")
-        self._hash: Optional[int] = None
-
-    @classmethod
-    def _trusted(cls, items: tuple[TypedElement, ...]) -> "Flag":
-        """A flag of items already one per type, in type order: no check."""
-        flag = object.__new__(cls)
-        flag.items = items
-        flag._hash = None
-        return flag
-
-    @property
-    def types(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.items)
-
-    @property
-    def rank(self) -> int:
-        return len(self.items)
-
-    def get(self, t: int) -> RightCoset:
-        for tt, c in self.items:
-            if tt == t:
-                return c
-        raise KeyError(t)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Flag) and self.items == other.items
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.items)
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Flag(types={self.types})"
-
-
-class Chamber(Flag):
-    """A flag whose domain is the full type set."""
 
 
 class IncidenceView:
@@ -266,13 +210,58 @@ def _connected(adjacency: Sequence[int], mask: int) -> bool:
     return seen == mask
 
 
+def vertex_moves(G: PermGroup, view: IncidenceView) -> list[list[int]]:
+    """Each generator's permutation of the vertices under right multiplication.
+
+    Vertex (i, c) goes to the type-i coset holding ``act[least position of
+    c]``, with ``act`` the closure's action of g: one lookup in the action
+    array, then one in the type's coset column."""
+    places = [(offset, column, x) for offset, column, least
+              in zip(view.offsets, view.columns, view.least) for x in least]
+    return [[offset + column[act[x]] for offset, column, x in places]
+            for act in map(G.action, G.generators or G.elements)]
+
+
+def flag_orbits(G: PermGroup, view: IncidenceView,
+                flags: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
+    """Orbits of right multiplication on flags of one type set, ordered by
+    minimal flag.
+
+    Each generator moves the vertices through one permutation, so it moves
+    the flags through one permutation of their numbers; the orbits are a
+    breadth-first search over those numbers."""
+    number = {f: n for n, f in enumerate(flags)}
+    try:
+        # a vertex keeps its type, so the image of an ascending flag is ascending
+        perms = [[number[tuple(map(move.__getitem__, f))] for f in flags]
+                 for move in vertex_moves(G, view)]
+    except KeyError:
+        raise RuntimeError("group action does not preserve the flag set") from None
+    orbit_of = [-1] * len(flags)
+    orbits = []
+    for start in range(len(flags)):
+        if orbit_of[start] >= 0:
+            continue
+        orbit_of[start] = len(orbits)
+        orbit = [start]
+        for n in orbit:  # grows while it is read
+            for perm in perms:
+                m = perm[n]
+                if orbit_of[m] < 0:
+                    orbit_of[m] = len(orbits)
+                    orbit.append(m)
+        orbits.append([flags[n] for n in orbit])
+    return orbits
+
+
 class CosetGeometry:
     """Coset incidence system of a group with an indexed family of subgroups.
 
     The positions of G that each parabolic generates and the incidence view
     over them are built lazily, once, and cached; the object is otherwise
-    immutable.  Its cosets, flags and chambers are made as
-    ``RightCoset``, ``Flag`` and ``Chamber`` objects only here, on request.
+    immutable.  Its flags and chambers are the view's vertex tuples; the
+    type-i coset numbered c is ``right_coset(H_i, G.element(x))`` for x =
+    ``view().least[i][c]``.
     """
 
     def __init__(self, group: PermGroup, parabolics: Sequence[PermGroup]):
@@ -283,7 +272,6 @@ class CosetGeometry:
         self.parabolics = tuple(parabolics)
         self._indices: Optional[list[set[int]]] = None
         self._view: Optional[IncidenceView] = None
-        self._cosets: dict[int, tuple[RightCoset, ...]] = {}
 
     @property
     def rank(self) -> int:
@@ -310,21 +298,9 @@ class CosetGeometry:
             self._view = IncidenceView(self.group, self._positions())
         return self._view
 
-    def elements_of_type(self, i: int) -> tuple[RightCoset, ...]:
-        """The type-i cosets, ascending by canonical representative."""
-        if i not in self._cosets:
-            G, H = self.group, self.parabolics[i]
-            self._cosets[i] = tuple(RightCoset(H, G.element(x)) for x in self.view().least[i])
-        return self._cosets[i]
-
     def coset_number(self, i: int, x: Permutation) -> int:
-        """The number, in ``elements_of_type(i)``, of the type-i coset
-        holding the element x of G."""
+        """The number of the type-i coset holding the element x of G."""
         return self.view().columns[i][self.group.positions[x.images]]
-
-    def shift(self, i: int, c: RightCoset, g: Permutation) -> RightCoset:
-        """The type-i coset c g: the image of c under right multiplication by g."""
-        return self.elements_of_type(i)[self.coset_number(i, c.representative * g)]
 
     def incident(self, i: int, c1: RightCoset, j: int, c2: RightCoset) -> bool:
         """Typed incidence: same-type elements are incident iff equal, cosets
@@ -332,23 +308,6 @@ class CosetGeometry:
         view = self.view()
         return view.incident(view.vertex(i, self.coset_number(i, c1.representative)),
                              view.vertex(j, self.coset_number(j, c2.representative)))
-
-    def base_chamber(self) -> Chamber:
-        """The chamber of the identity cosets; always pairwise incident."""
-        return Chamber._trusted(tuple((i, self.elements_of_type(i)[0]) for i in self.type_set))
-
-    def _typed(self, flag: tuple[int, ...]) -> tuple[TypedElement, ...]:
-        """A flag of the view as (type, coset) items."""
-        return tuple((i, self.elements_of_type(i)[c])
-                     for i, c in map(self.view().type_and_coset, flag))
-
-    # -- flag and chamber enumeration ------------------------------------
-
-    def flags_of_type(self, J: Iterable[int]) -> list[Flag]:
-        return [Flag._trusted(self._typed(f)) for f in self.view().flags_of_type(J)]
-
-    def chambers(self) -> list[Chamber]:
-        return [Chamber._trusted(self._typed(f)) for f in self.view().chambers()]
 
     # -- geometric property tests ----------------------------------------
 
@@ -384,16 +343,17 @@ class CosetGeometry:
         G = self.group
         maximal = self._positions()
 
-        def parabolic(J: Sequence[int]) -> set[int]:
+        def meet(J: Sequence[int]) -> set[int]:
+            """The parabolic of J: the intersection of the maximal ones over J."""
             return set(range(G.order)).intersection(*(maximal[j] for j in J))
 
         I = self.type_set
         for k in range(0, self.rank - 1):
             for J in itertools.combinations(I, k):
-                target = len(parabolic(J))
+                target = len(meet(J))
                 actions: list[tuple[int, ...]] = []
                 generated = {0}
-                for x in sorted(set().union(*(parabolic(J + (i,)) for i in I if i not in J))):
+                for x in sorted(set().union(*(meet(J + (i,)) for i in I if i not in J))):
                     if len(generated) == target:
                         break
                     if x not in generated:
@@ -415,29 +375,22 @@ class CosetGeometry:
 
     # -- group actions ----------------------------------------------------
 
-    def flag_orbit(self, start: Flag) -> set[Flag]:
-        gens = self.group.generators or self.group.elements
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for f in frontier:
-                for g in gens:
-                    img = Flag((t, self.shift(t, c, g)) for t, c in f)
-                    if img not in orbit:
-                        orbit.add(img)
-                        new.append(img)
-            frontier = new
-        return orbit
+    def flag_orbit(self, start: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The orbit of the flag ``start``, a vertex tuple of the view, among
+        the flags of its type set, in breadth-first order from the least."""
+        view = self.view()
+        flags = view.flags_of_type(view.type_and_coset(v)[0] for v in start)
+        for orbit in flag_orbits(self.group, view, flags):
+            if start in orbit:
+                return orbit
+        raise ValueError("not a flag of the geometry")
 
     def is_chamber_transitive(self) -> bool:
         """One orbit on chambers.  Rank < 3 is free by the Tits construction."""
         if self.rank <= 2:
             return True
-        chambers = self.chambers()
-        if not chambers:
-            return True
-        return len(self.flag_orbit(chambers[0])) == len(chambers)
+        view = self.view()
+        return len(flag_orbits(self.group, view, view.chambers())) <= 1
 
     def is_flag_transitive(self) -> bool:
         """Transitive on flags of every type.
@@ -450,12 +403,10 @@ class CosetGeometry:
             return True
         if self.is_geometry():
             return self.is_chamber_transitive()
-        for k in range(1, self.rank + 1):
-            for J in itertools.combinations(self.type_set, k):
-                flags = self.flags_of_type(J)
-                if flags and len(self.flag_orbit(flags[0])) != len(flags):
-                    return False
-        return True
+        view = self.view()
+        return all(len(flag_orbits(self.group, view, view.flags_of_type(J))) <= 1
+                   for k in range(1, self.rank + 1)
+                   for J in itertools.combinations(self.type_set, k))
 
     def __repr__(self) -> str:
         orders = ", ".join(str(H.order) for H in self.parabolics)

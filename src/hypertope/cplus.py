@@ -41,9 +41,9 @@ one B per k and one family of cosets G_j h, h ∈ G_a, per pair (j, a).  So
 with ``check_all_k`` they are 2(r - 1) families, not r(r - 1).
 
 The oracle builds its incidence graph from the same maximal parabolic
-index sets.  ``parabolic`` and ``maximal_parabolic(s)`` close the same
-generators with ``generate_group`` on request; these ``PermGroup``s and
-the geometry over them (``associated_geometry``) serve the tests.
+index sets.  Only ``associated_geometry`` closes the maximal parabolics as
+``PermGroup``s, with ``generate_group`` over the same generators; that
+geometry serves the tests.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class CPlusSystem:
     - IC⁺, each k's result of (i) and its type-k cosets of (iii); the
       decomposition of the two chamber orbits reuses the latter.
 
-    The parabolics as ``PermGroup`` closures and the associated coset
-    geometry are built only on request.
+    The associated coset geometry, over ``PermGroup`` closures of the
+    maximal parabolics, is built only on request.
     """
 
     def __init__(self, group: PermGroup, R: Sequence[Permutation]):
@@ -104,7 +104,6 @@ class CPlusSystem:
         self.type_order = tuple(sorted(self.type_set, key=lambda i: len(self._maximal[i])))
         self._stabilizers: dict[int, set[int]] = {}
         self._families: dict[tuple[int, int], list[int]] = {}
-        self._parabolic_cache: dict[tuple[int, ...], PermGroup] = {}
         self._geometry: Optional[CosetGeometry] = None
         self._ic_plus: Optional[bool] = None
         self._condition_i: dict[int, bool] = {}
@@ -154,23 +153,6 @@ class CPlusSystem:
     def maximal_indices(self, i: int) -> set[int]:
         """The type-i maximal parabolic G_i as an index set."""
         return self._maximal[i]
-
-    def parabolic(self, J: Iterable[int]) -> PermGroup:
-        """The parabolic of J as a ``PermGroup``, closed once from the
-        alpha_{mj} of ``parabolic_generators``."""
-        key = tuple(sorted(set(J)))
-        if key not in self._parabolic_cache:
-            G = self.group
-            self._parabolic_cache[key] = G if key == self.type_set else generate_group(
-                G.degree, [G.element(act[0]) for act in self.parabolic_generators(key)])
-        return self._parabolic_cache[key]
-
-    def maximal_parabolic(self, i: int) -> PermGroup:
-        """The type-i subgroup of the associated coset system."""
-        return self.parabolic(j for j in self.type_set if j != i)
-
-    def maximal_parabolics(self) -> list[PermGroup]:
-        return [self.maximal_parabolic(i) for i in self.type_set]
 
 
 def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
@@ -226,9 +208,14 @@ def check_ic_plus(S: CPlusSystem) -> bool:
 
 def associated_geometry(S: CPlusSystem) -> CosetGeometry:
     """The coset incidence system over the maximal parabolics, in type order,
-    built once per system."""
+    built once per system.  Each G_i is closed by ``generate_group`` from
+    the alpha_{mj} of ``parabolic_generators``."""
     if S._geometry is None:
-        S._geometry = CosetGeometry(S.group, S.maximal_parabolics())
+        G = S.group
+        S._geometry = CosetGeometry(G, [
+            generate_group(G.degree, [G.element(act[0]) for act in
+                                      S.parabolic_generators(j for j in S.type_set if j != i)])
+            for i in S.type_set])
     return S._geometry
 
 

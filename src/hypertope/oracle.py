@@ -13,7 +13,9 @@ no common neighbour (no Bron–Kerbosch search).  Cliques are ascending
 vertex tuples.  Each generator g moves vertex (i, c) to the type-i coset
 holding the position ``G.action(g)[least position of c]``, read from the
 type's coset column with no product, and so permutes the cliques by
-number.  What it shares with the fast path:
+number (``cosetgeo.flag_orbits``, the routine that also decides the
+geometry layer's chamber- and flag-transitivity).  What it shares with the
+fast path:
 
 - the kernel: permutations, the element numbering and actions fixed at
   closure, unchecked products;
@@ -68,7 +70,7 @@ the corpus.
 
 from __future__ import annotations
 
-from .cosetgeo import IncidenceView
+from .cosetgeo import IncidenceView, flag_orbits
 from .cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
@@ -76,7 +78,7 @@ from .cplus import (
     ChiralityReport,
     CPlusSystem,
 )
-from .permcore import PermGroup, inverting_automorphism_exists
+from .permcore import inverting_automorphism_exists
 
 DEFAULT_VERTEX_CAP = 50_000
 
@@ -114,49 +116,6 @@ def chambers_via_maximal_cliques(graph: IncidenceView) -> list[Clique]:
     return graph.maximal_flags()
 
 
-def _vertex_moves(G: PermGroup, graph: IncidenceView) -> list[list[int]]:
-    """Each generator's permutation of the vertices under right multiplication.
-
-    Vertex (i, c) goes to the type-i coset holding ``act[least position of
-    c]``, with ``act`` the closure's action of g: one lookup in the action
-    array, then one in the type's coset column."""
-    places = [(offset, column, x) for offset, column, least
-              in zip(graph.offsets, graph.columns, graph.least) for x in least]
-    return [[offset + column[act[x]] for offset, column, x in places]
-            for act in map(G.action, G.generators or G.elements)]
-
-
-def _clique_orbits(G: PermGroup, graph: IncidenceView,
-                   cliques: list[Clique]) -> list[list[Clique]]:
-    """Orbits of right multiplication on cliques, ordered by minimal clique.
-
-    Each generator moves the vertices through one permutation, so it moves
-    the cliques through one permutation of their numbers; the orbits are a
-    breadth-first search over those numbers."""
-    number = {c: n for n, c in enumerate(cliques)}
-    try:
-        # a vertex keeps its type, so the image of an ascending clique is ascending
-        perms = [[number[tuple(map(move.__getitem__, c))] for c in cliques]
-                 for move in _vertex_moves(G, graph)]
-    except KeyError:
-        raise RuntimeError("group action does not preserve the clique set") from None
-    orbit_of = [-1] * len(cliques)
-    orbits = []
-    for start in range(len(cliques)):
-        if orbit_of[start] >= 0:
-            continue
-        orbit_of[start] = len(orbits)
-        orbit = [start]
-        for n in orbit:  # grows while it is read
-            for perm in perms:
-                m = perm[n]
-                if orbit_of[m] < 0:
-                    orbit_of[m] = len(orbits)
-                    orbit.append(m)
-        orbits.append([cliques[n] for n in orbit])
-    return orbits
-
-
 def _adjacent_pair_in_one_orbit(orbits: list[list[Clique]]) -> bool:
     """Do two chambers of one orbit share a ridge (all but one element)?"""
     for orbit in orbits:
@@ -183,7 +142,7 @@ def chirality_bruteforce(S: CPlusSystem,
     thin_rc_geometry = (len(cliques) == len(graph.chambers()) and graph.is_thin()
                         and graph.is_residually_connected())
 
-    orbits = _clique_orbits(S.group, graph, cliques)
+    orbits = flag_orbits(S.group, graph, cliques)
     inverting = inverting_automorphism_exists(S.group, S.R)
 
     orbit_sizes = (len(orbits[0]), len(orbits[1])) if len(orbits) == 2 else None

@@ -13,9 +13,8 @@ from hypertope.corpus import (
     symmetric,
     torus_rotation_group,
 )
-from hypertope.cosetgeo import CosetGeometry, Flag, build
+from hypertope.cosetgeo import CosetGeometry, build, flag_orbits, vertex_moves
 from hypertope.cplus import associated_geometry, build_cplus
-from hypertope.oracle import _vertex_moves
 from hypertope.permcore import (
     Permutation,
     generate_group,
@@ -55,6 +54,26 @@ def s4_rank4():
     return associated_geometry(build_cplus(G, R))
 
 
+def cosets(geo, i):
+    """The type-i cosets of ``geo`` as ``RightCoset``s, in the view's
+    numbering: coset c is H_i g for g the element at ``least[i][c]``."""
+    G = geo.group
+    return [right_coset(geo.parabolics[i], G.element(x)) for x in geo.view().least[i]]
+
+
+def base_chamber(geo):
+    """The chamber of the identity cosets, as a vertex tuple."""
+    return tuple(geo.view().vertex(i, 0) for i in geo.type_set)
+
+
+def translate(geo, flag, g):
+    """The image of a vertex tuple under right multiplication by g, by
+    permutation products: each coset's least element times g."""
+    view = geo.view()
+    return tuple(view.vertex(i, geo.coset_number(i, geo.group.element(view.least[i][c]) * g))
+                 for i, c in map(view.type_and_coset, flag))
+
+
 # -- incidence --------------------------------------------------------------
 
 def test_cosets_intersect_matches_enumeration():
@@ -72,24 +91,24 @@ def test_cosets_intersect_matches_enumeration():
 def test_coset_map_matches_element_sets(make):
     geo = make()
     assert geo.rank == 4
-    members = {i: {c: frozenset(c.elements()) for c in geo.elements_of_type(i)}
-               for i in geo.type_set}
-    for i in geo.type_set:
-        cosets = geo.elements_of_type(i)
+    typed = [cosets(geo, i) for i in geo.type_set]
+    members = [[frozenset(c.elements()) for c in of_type] for of_type in typed]
+    for i, of_type in enumerate(typed):
         # canonical order: ascending minimal member, which is the representative
-        reps = [c.representative for c in cosets]
+        reps = [c.representative for c in of_type]
         assert reps == sorted(reps)
-        assert all(c.representative == min(members[i][c]) for c in cosets)
-        assert len(cosets) * geo.parabolics[i].order == geo.group.order
-        # shift is element translation
-        for c in cosets:
+        assert reps == [geo.group.element(x) for x in geo.view().least[i]]
+        assert len(of_type) * geo.parabolics[i].order == geo.group.order
+        # the coset of a translated representative is the translated coset
+        for n, c in enumerate(of_type):
             for g in geo.group:
-                assert members[i][geo.shift(i, c, g)] == frozenset(x * g for x in members[i][c])
+                image = members[i][geo.coset_number(i, c.representative * g)]
+                assert image == frozenset(x * g for x in members[i][n])
         # incidence is nonempty intersection of the element sets
         for j in geo.type_set:
-            for c1 in cosets:
-                for c2 in geo.elements_of_type(j):
-                    direct = bool(members[i][c1] & members[j][c2])
+            for n1, c1 in enumerate(of_type):
+                for n2, c2 in enumerate(typed[j]):
+                    direct = bool(members[i][n1] & members[j][n2])
                     assert geo.incident(i, c1, j, c2) == direct
 
 
@@ -112,33 +131,29 @@ def _column_system(system: str):
 
 @pytest.mark.parametrize("system", COLUMN_SYSTEMS)
 def test_coset_columns_match_permutation_arithmetic(system):
-    """Cosets, shifts by every element and the oracle's vertex moves, each
-    against sets of permutation products built here."""
+    """Cosets, the coset of every element and each generator's vertex move,
+    each against sets of permutation products built here."""
     geo = associated_geometry(_column_system(system))
     G = geo.group
+    graph = geo.view()
+    holders = []
     for i, H in enumerate(geo.parabolics):
-        cosets = geo.elements_of_type(i)
-        members = [frozenset(h * c.representative for h in H) for c in cosets]
-        assert [c.representative for c in cosets] == sorted(min(m) for m in members)
+        members = [frozenset(h * G.element(x) for h in H) for x in graph.least[i]]
+        assert [G.element(x) for x in graph.least[i]] == sorted(min(m) for m in members)
         holder = {x: n for n, m in enumerate(members) for x in m}
         assert len(holder) == G.order
         for x in G:
             assert members[geo.coset_number(i, x)] == frozenset(h * x for h in H)
-        for c, g in itertools.product(cosets, G):
-            assert geo.shift(i, c, g) == cosets[holder[c.representative * g]]
-    graph = geo.view()
-    numbers = [{c: n for n, c in enumerate(geo.elements_of_type(i))} for i in geo.type_set]
-    for g, move in zip(G.generators or G.elements, _vertex_moves(G, graph)):
-        assert move == [graph.vertex(i, numbers[i][geo.shift(i, geo.elements_of_type(i)[c], g)])
+        holders.append(holder)
+    # the vertex (i, c) moves under g to the type-i coset holding (least of c) * g
+    for g, move in zip(G.generators or G.elements, vertex_moves(G, graph)):
+        assert move == [graph.vertex(i, holders[i][G.element(graph.least[i][c]) * g])
                         for i, c in map(graph.type_and_coset, range(graph.num_vertices))]
-    # flags built unchecked equal the checked constructor's
-    assert all(f == Flag(f.items) for f in geo.chambers())
-    assert all(f == Flag(f.items) for f in geo.flags_of_type([0, geo.rank - 1]))
 
 
 def test_same_type_incidence_is_equality():
     geo = hexagon()
-    a, b = geo.elements_of_type(0)[:2]
+    a, b = cosets(geo, 0)[:2]
     assert geo.incident(0, a, 0, a)
     assert not geo.incident(0, a, 0, b)
 
@@ -147,9 +162,9 @@ def test_same_type_incidence_is_equality():
 
 def test_hexagon_shape():
     geo = hexagon()
-    assert len(geo.elements_of_type(0)) == 3
-    assert len(geo.elements_of_type(1)) == 3
-    assert len(geo.chambers()) == 6
+    assert len(cosets(geo, 0)) == 3
+    assert len(cosets(geo, 1)) == 3
+    assert len(geo.view().chambers()) == 6
     assert geo.is_geometry() and geo.is_thin() and geo.is_connected()
     assert geo.is_residually_connected_graph()
     assert geo.is_flag_transitive()
@@ -157,28 +172,22 @@ def test_hexagon_shape():
 
 def test_base_chamber_is_pairwise_incident():
     geo = torus_system()
-    ch = geo.base_chamber()
-    for (i, c1) in ch:
-        for (j, c2) in ch:
-            assert geo.incident(i, c1, j, c2) or (i, c1) == (j, c2)
+    base = [right_coset(H, geo.group.element(0)) for H in geo.parabolics]
+    for i, c1 in enumerate(base):
+        for j, c2 in enumerate(base):
+            assert geo.incident(i, c1, j, c2)
+    assert [cosets(geo, i)[0] for i in geo.type_set] == base
+    assert base_chamber(geo) in geo.view().chambers()
 
 
 # -- flags ------------------------------------------------------------------
-
-def test_flag_rejects_duplicate_type():
-    geo = hexagon()
-    c = geo.elements_of_type(0)[0]
-    d = geo.elements_of_type(0)[1]
-    with pytest.raises(ValueError):
-        Flag([(0, c), (0, d)])
-
 
 def test_flags_of_type_counts_match_backtracking():
     geo = torus_system()
     view = geo.view()
     # rank-2 flags of type {0, 1} == incident pairs counted directly
-    pairs = [(c1, c2) for c1 in geo.elements_of_type(0)
-             for c2 in geo.elements_of_type(1) if geo.incident(0, c1, 1, c2)]
+    pairs = [(c1, c2) for c1 in cosets(geo, 0)
+             for c2 in cosets(geo, 1) if geo.incident(0, c1, 1, c2)]
     assert len(view.flags_of_type([0, 1])) == len(pairs)
 
 
@@ -209,14 +218,13 @@ def test_non_geometry_requires_rank4():
 def test_thin_geometry_has_unique_adjacent_chamber_per_type():
     geo = torus_system()
     assert geo.is_thin()
-    ch = geo.base_chamber()
-    chambers = geo.chambers()
+    ch = base_chamber(geo)
+    chambers = geo.view().chambers()
     assert ch in chambers
     for i in geo.type_set:
         # chambers agreeing with ch outside type i and differing at i
         adjacent = [d for d in chambers
-                    if [c for t, c in d if t != i] == [c for t, c in ch if t != i]
-                    and d.get(i) != ch.get(i)]
+                    if d[:i] + d[i + 1:] == ch[:i] + ch[i + 1:] and d[i] != ch[i]]
         assert len(adjacent) == 1
 
 
@@ -243,9 +251,9 @@ def test_rank2_truncations_are_chamber_transitive():
 
 def test_torus_system_has_two_chamber_orbits():
     geo = torus_system()
-    chambers = set(geo.chambers())
-    first = geo.flag_orbit(geo.base_chamber())
-    second = geo.flag_orbit(next(iter(chambers - first)))
+    chambers = set(geo.view().chambers())
+    first = set(geo.flag_orbit(base_chamber(geo)))
+    second = set(geo.flag_orbit(min(chambers - first)))
     assert len(first) == len(second) == 20
     assert first | second == chambers
     assert not geo.is_chamber_transitive()
@@ -253,10 +261,35 @@ def test_torus_system_has_two_chamber_orbits():
 
 def test_flag_orbit_is_invariant_set():
     geo = hexagon()
-    orbit = geo.flag_orbit(geo.base_chamber())
+    orbit = geo.flag_orbit(base_chamber(geo))
     for f in orbit:
         for g in geo.group:
-            assert Flag((t, geo.shift(t, c, g)) for t, c in f) in orbit
+            assert translate(geo, f, g) in orbit
+    with pytest.raises(ValueError):
+        geo.flag_orbit((0, 1, 2))
+
+
+def test_flag_transitivity_of_a_non_geometry_sweeps_every_type():
+    """The non-geometry branch of ``is_flag_transitive``: the orbits of G on
+    the flags of every type set, counted from products of ``RightCoset``
+    representatives, against ``flag_orbits``.  The identity cosets give a
+    flag of every type set that extends to a chamber, so a non-geometry has
+    two orbits on the flags of some type set; here only on type {0, 1, 2}."""
+    geo = non_geometry_rank4()
+    assert not geo.is_geometry()
+    G, view = geo.group, geo.view()
+    counts = {}
+    for k in range(1, geo.rank + 1):
+        for J in itertools.combinations(geo.type_set, k):
+            flags = [tuple(cosets(geo, i)[c] for i, c in map(view.type_and_coset, f))
+                     for f in view.flags_of_type(J)]
+            orbits = {frozenset(tuple(right_coset(geo.parabolics[i], c.representative * g)
+                                      for i, c in zip(J, flag)) for g in G)
+                      for flag in flags}
+            counts[J] = len(orbits)
+            assert len(flag_orbits(G, view, view.flags_of_type(J))) == counts[J], J
+    assert {J for J, n in counts.items() if n != 1} == {(0, 1, 2)}
+    assert not geo.is_flag_transitive()
 
 
 def test_residual_connectedness_group_vs_graph():

@@ -178,18 +178,18 @@ def test_parabolic_recipe_matches_single_base_point():
             m = J[0]
             direct = generate_group(S.group.degree,
                                     [_alpha(S, m, j) for j in J if j != m])
-            assert S.parabolic(J) == direct
+            assert direct == _closed_parabolic(S, J)
+            assert S.parabolic_indices(J) == {S.group.index_of(x) for x in direct}
 
 
 def test_parabolic_of_singleton_is_trivial():
     S = torus_cplus()
-    assert S.parabolic([1]).is_trivial()
-    assert S.parabolic([]).is_trivial()
+    assert S.parabolic_indices([1]) == S.parabolic_indices([]) == {0}
 
 
 def test_maximal_parabolics_of_torus():
     S = torus_cplus()
-    assert [S.maximal_parabolic(i).order for i in S.type_set] == [4, 2, 4]
+    assert [H.order for H in associated_geometry(S).parabolics] == [4, 2, 4]
     assert S.type_order == (1, 0, 2)  # by |G_i|, ties by type index
 
 
@@ -200,9 +200,11 @@ def test_parabolic_index_sets_match_closures(integer_path_systems):
             for J in itertools.combinations(S.type_set, size):
                 closed = _closed_parabolic(S, J)
                 assert S.parabolic_indices(J) == {G.index_of(x) for x in closed}, (S.R, J)
-                view = S.parabolic(J)
-                assert view == closed and view.elements == closed.elements
-                assert view.base_images == closed.base_images
+        # the geometry's closures of the maximal parabolics are the same groups
+        for k, view in enumerate(associated_geometry(S).parabolics):
+            closed = _closed_parabolic(S, [j for j in S.type_set if j != k])
+            assert view == closed and view.elements == closed.elements
+            assert view.base_images == closed.base_images
 
 
 # -- independence and IC+ ---------------------------------------------------
@@ -309,9 +311,10 @@ def test_condition_iii_matches_product_sets():
     outcomes = set()
     for build in _cross_check_builders():
         S = build()
+        parabolics = associated_geometry(S).parabolics
         for k in S.type_set:
-            Gk = S.maximal_parabolic(k)
-            expected = frozenset.intersection(*(product_set(Gk, S.maximal_parabolic(j))
+            Gk = parabolics[k]
+            expected = frozenset.intersection(*(product_set(Gk, parabolics[j])
                                                 for j in S.type_set if j != k))
             elements = S.group.elements
             kept = frozenset(elements[x] for c in _incident_type_k_cosets(S, k)
@@ -338,7 +341,7 @@ def test_two_orbit_decomposition_of_torus():
     d = two_orbit_decomposition(S, 0)
     assert d.class_count == 2
     assert sum(d.class_sizes) == 8  # |G_0| + |G_0 w B|
-    Gk = S.maximal_parabolic(0)
+    Gk = associated_geometry(S).parabolics[0]
     assert d.witness is not None and d.witness not in Gk
 
 
@@ -368,8 +371,9 @@ def test_witness_matches_double_cosets(integer_path_systems):
         for k in (S.type_set if S.group.order <= 404 else (0,)):
             if not condition_i(S, k):
                 continue
-            Gk = S.maximal_parabolic(k)
-            others = [S.maximal_parabolic(j) for j in S.type_set if j != k]
+            parabolics = associated_geometry(S).parabolics
+            Gk = parabolics[k]
+            others = [parabolics[j] for j in S.type_set if j != k]
             meet = frozenset.intersection(*(product_set(Gk, Gj) for Gj in others))
             B = others[0]
             for Gj in others[1:]:

@@ -23,7 +23,7 @@ import pytest
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from hypertope.corpus import build_corpus, rank3_group_list, rank4_group_list  # noqa: E402
-from hypertope.cplus import CHIRAL, build_cplus, condition_iv  # noqa: E402
+from hypertope.cplus import CHIRAL, associated_geometry, build_cplus, condition_iv  # noqa: E402
 from hypertope.permcore import Permutation, generate_group  # noqa: E402
 
 SymPerm = combinatorics.Permutation
@@ -56,7 +56,7 @@ def _sympy_parabolics(degree, R):
 def _kernel_parabolics(S):
     G = S.group
     maximal = [S.maximal_indices(i) for i in S.type_set]
-    views = S.maximal_parabolics()
+    views = associated_geometry(S).parabolics
     assert [H.order for H in views] == [len(H) for H in maximal]
     meets = {(i, j): len(maximal[i] & maximal[j])
              for i, j in itertools.combinations(S.type_set, 2)}

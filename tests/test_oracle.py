@@ -17,7 +17,7 @@ from hypertope.corpus import (
     symmetric,
     torus_rotation_group,
 )
-from hypertope.cosetgeo import build
+from hypertope.cosetgeo import build, flag_orbits
 from hypertope.cplus import (
     CHIRAL,
     NOT_HYPERTOPE,
@@ -31,12 +31,17 @@ from hypertope.cplus import (
 from hypertope.oracle import (
     VertexCapError,
     _adjacent_pair_in_one_orbit,
-    _clique_orbits,
     build_incidence_graph,
     chambers_via_maximal_cliques,
     chirality_bruteforce,
 )
-from hypertope.permcore import Permutation, action_table, generate_group, generated_indices
+from hypertope.permcore import (
+    Permutation,
+    action_table,
+    generate_group,
+    generated_indices,
+    right_coset,
+)
 
 
 def hexagon():
@@ -99,13 +104,20 @@ def _vertex(graph, geo, i, c):
     return graph.vertex(i, geo.coset_number(i, c.representative))
 
 
+def _coset(geo, v):
+    """The type and the ``RightCoset`` of vertex v of ``geo``'s view."""
+    view = geo.view()
+    i, c = view.type_and_coset(v)
+    return i, right_coset(geo.parabolics[i], geo.group.element(view.least[i][c]))
+
+
 def test_base_chamber_is_a_clique():
     G, (s, t) = torus_rotation_group()
     S = build_cplus(G, (s, s * t))
     geo = associated_geometry(S)
     graph = build_incidence_graph(S)
-    base = geo.base_chamber()
-    ids = [_vertex(graph, geo, i, c) for i, c in base]
+    base = [right_coset(H, G.element(0)) for H in geo.parabolics]
+    ids = [_vertex(graph, geo, i, c) for i, c in enumerate(base)]
     assert ids == [graph.vertex(i, 0) for i in S.type_set]
     for a in ids:
         for b in ids:
@@ -121,7 +133,8 @@ def test_cliques_equal_chambers_for_geometries():
         geo = associated_geometry(S)
         assert geo.is_geometry()
         graph = build_incidence_graph(S)
-        chambers = [tuple(_vertex(graph, geo, i, c) for i, c in ch) for ch in geo.chambers()]
+        chambers = [tuple(_vertex(graph, geo, *_coset(geo, v)) for v in ch)
+                    for ch in geo.view().chambers()]
         assert chambers_via_maximal_cliques(graph) == sorted(chambers) == graph.chambers()
 
 
@@ -155,7 +168,7 @@ def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
     for inst in build_corpus():
         S = build_cplus(inst.group, inst.R)
         view = build_incidence_graph(S)
-        orbits = _clique_orbits(S.group, view, chambers_via_maximal_cliques(view))
+        orbits = flag_orbits(S.group, view, chambers_via_maximal_cliques(view))
         unmixed = len(orbits) == 2 and not _adjacent_pair_in_one_orbit(orbits)
         thin_geometry = view.is_thin() and view.is_geometry()
         assert thin_geometry or not unmixed, inst.name
@@ -213,8 +226,9 @@ def test_oracle_closes_no_group_and_builds_no_coset(monkeypatch):
     verdicts = collections.Counter(chirality_bruteforce(S).verdict for S in systems)
     assert calls == {}, calls
     assert set(verdicts) == {CHIRAL, REGULAR, NOT_HYPERTOPE}, verdicts
-    # the patches count: the closure geometry closes its parabolics and makes cosets
-    associated_geometry(systems[-1]).chambers()
+    # the patches count: the closure geometry closes its parabolics, and cosets are made
+    geo = associated_geometry(systems[-1])
+    right_coset(geo.parabolics[0], geo.group.element(0))
     assert calls["generate_group"] == 4 and calls["RightCoset"] > 0, calls
 
 
@@ -398,8 +412,7 @@ def test_graph_layer_matches_networkx():
                                 if graph.adjacency[a] >> b & 1)
         assert nx_graph.number_of_edges() == graph.num_edges, name
         if geo.group.order <= 60:
-            members = [frozenset(geo.elements_of_type(i)[c].elements())
-                       for i, c in map(graph.type_and_coset, range(V))]
+            members = [frozenset(_coset(geo, v)[1].elements()) for v in range(V)]
             for a, b in itertools.combinations(range(V), 2):
                 direct = types[a] != types[b] and bool(members[a] & members[b])
                 assert bool(graph.adjacency[a] >> b & 1) == direct, (name, a, b)

