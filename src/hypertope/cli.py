@@ -1,12 +1,14 @@
 """Command-line front end: parse instance documents, run the chirality
 checks, emit JSON or text reports.
 
-Input is a small YAML document (see ``serialize_instance`` for the canonical
-shape); generators may be given as 0-based image arrays or as cycle strings
-like ``"(0 1 2)(3 4)"``.  Exit codes: 0 chiral, 10 regular, 20 not a
-hypertope, 1 input error (bad document, bad option or bad command line),
-2 a size cap exceeded (the group's element cap or the oracle's vertex cap).
-Every error ends with one ``error: ...`` line on stderr.
+Input is a small JSON or YAML document (see ``serialize_instance`` for the
+canonical shape): JSON is read by ``json``, anything else by PyYAML's safe
+loader, imported on first need.  Generators may be given as 0-based image
+arrays or as cycle strings like ``"(0 1 2)(3 4)"``.  Exit codes: 0 chiral,
+10 regular, 20 not a hypertope, 1 input error (bad document, bad option or
+bad command line), 2 a size cap exceeded (the group's element cap or the
+oracle's vertex cap).  Every error ends with one ``error: ...`` line on
+stderr.
 
 A not-a-hypertope report names the first failed check in its failure code:
 2 (ii), 1 (i), 3 (iii), or 5 when (ii), (i) and (iii) hold but the system
@@ -22,8 +24,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import yaml
 
 from .catalog import catalog_entry, catalog_names
 from .cplus import (
@@ -121,8 +121,15 @@ def spec_from_mapping(doc: dict) -> InstanceSpec:
     if type(degree) is not int or degree < 1:
         raise InputError("degree must be a positive integer")
     for key in ("name", "comment"):
-        if key in doc and not isinstance(doc[key], str):
+        if key not in doc:
+            continue
+        if not isinstance(doc[key], str):
             raise InputError(f"{key} must be a string")
+        try:
+            doc[key].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # a lone surrogate, which JSON can escape: no output can print it
+            raise InputError(f"{key} holds a lone surrogate at character {exc.start}") from exc
     if not isinstance(raw_gens, (list, tuple)):
         raise InputError("generators must be a sequence")
     gens = tuple(_parse_generator(g, degree) for g in raw_gens)
@@ -150,21 +157,59 @@ def _check_options(options: dict) -> None:
         raise InputError("option element_cap must be a positive integer")
 
 
-# libyaml's loader where PyYAML was built with it: the same constructor and
-# resolver as yaml.SafeLoader, so the same values; five times faster on long
-# image arrays
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# A valid document nests 3 collections deep (mapping, generators, image
+# array).  libyaml's composer recurses in C and crashes the process on a
+# document some 10⁵ levels deep, so the YAML path refuses one deeper than this
+# before composing it.
+_MAX_DEPTH = 64
+_TOO_DEEP = f"document nests deeper than {_MAX_DEPTH} collections"
+
+
+def _not_json(token: str):
+    """A float, NaN or Infinity: no field takes one, so the document goes to
+    the YAML path, which gives the value and the error it always has."""
+    raise ValueError(token)
 
 
 def parse_instance(text: str) -> InstanceSpec:
+    """Read a JSON document with ``json``, anything else with PyYAML's safe
+    loader, which is imported on first need.  Both give the same values for
+    a JSON document, except that only ``json`` reads escaped non-BMP text."""
     try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise InputError(f"unparseable document: {_yaml_problem(exc)}") from exc
+        doc = json.loads(text, parse_float=_not_json, parse_constant=_not_json)
+    except RecursionError as exc:
+        raise InputError(_TOO_DEEP) from exc
+    except ValueError:
+        doc = _load_yaml(text)
     return spec_from_mapping(doc)
 
 
-def _yaml_problem(exc: yaml.YAMLError) -> str:
+def _load_yaml(text: str, loader=None):
+    """The YAML path of ``parse_instance``.  Its loader is libyaml's
+    ``CSafeLoader`` where PyYAML was built with it (the same constructor and
+    resolver as ``SafeLoader``, so the same values, and five times faster on
+    long image arrays), else ``SafeLoader``."""
+    import yaml
+
+    loader = loader or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        # every nesting level takes one of these characters, so the depth
+        # scan stays off ordinary documents
+        if sum(map(text.count, "[{-:?")) > _MAX_DEPTH:
+            depth = 0
+            for event in yaml.parse(text, Loader=loader):
+                if isinstance(event, yaml.CollectionStartEvent):
+                    depth += 1
+                    if depth > _MAX_DEPTH:
+                        raise InputError(_TOO_DEEP)
+                elif isinstance(event, yaml.CollectionEndEvent):
+                    depth -= 1
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise InputError(f"unparseable document: {_yaml_problem(exc)}") from exc
+
+
+def _yaml_problem(exc: Exception) -> str:
     """The parser's complaint and where it was made, on one line."""
     problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
     if problem is None or mark is None:

@@ -2,6 +2,10 @@
 
 import gc
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -9,6 +13,7 @@ import yaml
 
 from hypertope import cli, oracle
 from hypertope.catalog import catalog_entry, catalog_names
+from hypertope.corpus import build_corpus
 from hypertope.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CHIRAL,
@@ -118,28 +123,159 @@ DOCUMENTS = [MINIMAL, A4, *MISTYPED.values(),
              'degree: 3\ngenerators: [[1, 2, 0]]\noptions: {frob: 1}\n',
              'degree: 5\ngenerators: ["(0 1 2)(3 4)"]\noptions: {k: 1, oracle: true}\n',
              'degree: 5\ngenerators: ["(0 1)", "(0 1)(2 4)", "(0 4 3 1)"]\n',
-             'degree: 3\ngenerators: [[1, 2,']
+             'degree: 3\ngenerators: [[1, 2,',
+             MINIMAL + 'options: {threads: 1}\n', 'degree: 5\ngenerators: ["(0 1 2)(3 4)"]\n',
+             # JSON with a float, NaN or Infinity: read as YAML reads it
+             '{"degree": 3, "generators": [[1, 2, 0]], "options": {"element_cap": 2.5}}',
+             '{"degree": 3, "generators": [[1, 2, 0]], "options": {"k": 1e5}}',
+             '{"degree": 3.0, "generators": [[1, 2, 0]]}',
+             '{"degree": 3, "generators": [[1, 2, 0]], "options": {"k": NaN}}',
+             '{"degree": 3, "generators": [[1, 2, 0]], "options": {"k": -Infinity}}']
 
 
-def test_libyaml_and_python_loaders_give_the_same_spec(monkeypatch):
-    """Every catalog entry, serialized, and every document of this file
-    parses to the same spec, or fails, under both loaders."""
+def _outcome(parse, text):
+    """The spec that ``parse`` reads from ``text``, or its error message."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return "error: " + str(exc)
+
+
+def _yaml_path(text, loader=None):
+    """``parse_instance`` as it reads a document that is not JSON."""
+    return spec_from_mapping(cli._load_yaml(text, loader))
+
+
+def _catalog_texts():
+    """Every catalog entry, written out by ``serialize_instance`` and by
+    ``json.dumps``."""
+    return ([serialize_instance(spec_from_mapping(catalog_entry(name)))
+             for name in catalog_names()]
+            + [json.dumps(catalog_entry(name)) for name in catalog_names()])
+
+
+def test_libyaml_and_python_loaders_give_the_same_spec():
+    """Every catalog entry, serialized and as JSON, and every document of
+    this file parses to the same spec, or fails, on the YAML path under
+    both loaders."""
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
-    texts = DOCUMENTS + [serialize_instance(spec_from_mapping(catalog_entry(name)))
-                         for name in catalog_names()]
+    texts = DOCUMENTS + _catalog_texts()
 
     def parse_all(loader):
-        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
         out = []
         for text in texts:
             try:
-                out.append(parse_instance(text))
+                out.append(_yaml_path(text, loader))
             except InputError:
                 out.append(InputError)
         return out
 
     assert parse_all(yaml.CSafeLoader) == parse_all(yaml.SafeLoader)
+
+
+# JSON's surrogate escapes, which spell a character past U+FFFF as a pair:
+# ``json`` reads them and libyaml refuses them, the one known difference of
+# the two paths
+SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def test_json_and_yaml_paths_give_the_same_spec():
+    """``parse_instance`` reads every document as the YAML path alone does:
+    the same spec (option types included), or an error with the same
+    message.  The documents: every catalog entry, serialized and as JSON;
+    every instance of ``build_corpus()`` as JSON; every document of this
+    file but the deep ones, which run in a subprocess (``REFUSED``).  Only
+    texts with non-BMP (surrogate) escapes are exempt."""
+    corpus = [json.dumps({"name": inst.name, "degree": inst.group.degree,
+                          "generators": [list(g.images) for g in inst.R]})
+              for inst in build_corpus()]
+    texts = DOCUMENTS + _catalog_texts() + corpus
+    assert len(corpus) == 333
+    checked = 0
+    for text in texts:
+        if SURROGATE_ESCAPE.search(text):
+            continue
+        fast, reference = _outcome(parse_instance, text), _outcome(_yaml_path, text)
+        assert fast == reference, text
+        if isinstance(fast, cli.InstanceSpec):
+            assert repr(fast.options) == repr(reference.options), text
+        checked += 1
+    assert checked == len(texts) > 333
+
+
+def _a4_document(name):
+    entry = catalog_entry("a4-rot-tetrahedron")
+    return json.dumps({"name": name, "degree": entry["degree"],
+                       "generators": entry["generators"]})
+
+
+def test_non_bmp_text_is_read_by_json_only():
+    text = _a4_document("torus \U0001F600")
+    assert SURROGATE_ESCAPE.search(text)
+    assert parse_instance(text).name == "torus \U0001F600"
+    with pytest.raises(InputError):
+        _yaml_path(text)
+
+
+def _python(code, *args, stdin=None):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``hypertope``, so that a crash fails one test and not the test run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          capture_output=True, encoding="utf-8", env=env, timeout=60)
+
+
+RUN_CLI = "import sys; from hypertope.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_cli(tmp_path, text, via, *flags):
+    if via == "stdin":
+        return _python(RUN_CLI, "-", *flags, stdin=text)
+    doc = tmp_path / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    return _python(RUN_CLI, str(doc), *flags)
+
+
+TOO_DEEP = "error: document nests deeper than 64 collections\n"
+LONE_SURROGATE = "error: name holds a lone surrogate at character 1\n"
+REFUSED = {
+    # libyaml's composer recursed in C on these and crashed the process;
+    # json reads the first, the YAML path the second
+    "deep-flow": ("[" * 100_000 + "]" * 100_000, (), TOO_DEEP),
+    "deep-block": ("- " * 100_000 + "1", (), TOO_DEEP),
+    # a name that no output can print
+    "lone-surrogate-text": (_a4_document("x\ud800"), ("--format", "text"), LONE_SURROGATE),
+    "lone-surrogate-json": (_a4_document("x\ud800"), ("--format", "json"), LONE_SURROGATE),
+}
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("case", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_document_ends_in_one_error_line(tmp_path, case, via):
+    text, flags, error = case
+    result = _run_cli(tmp_path, text, via, *flags)
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_INPUT_ERROR, "", error)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_bmp_name_is_decided(tmp_path, fmt):
+    result = _run_cli(tmp_path, _a4_document("torus \U0001F600"), "stdin", "--format", fmt)
+    assert (result.returncode, result.stderr) == (EXIT_REGULAR, "")
+    if fmt == "json":
+        assert json.loads(result.stdout)["name"] == "torus \U0001F600"
+    else:
+        assert result.stdout.startswith("instance torus \U0001F600  (degree 4, rank 3)")
+
+
+@pytest.mark.parametrize("text, loads_yaml", [(_a4_document("a4"), False), (A4, True)],
+                         ids=["json", "yaml"])
+def test_yaml_is_imported_only_for_a_document_that_needs_it(text, loads_yaml):
+    result = _python("import sys; from hypertope import cli; "
+                     "cli.parse_instance(sys.argv[1]); print('yaml' in sys.modules)", text)
+    assert (result.returncode, result.stdout) == (0, f"{loads_yaml}\n"), result.stderr
 
 
 def test_threads_option_is_unknown(tmp_path, capsys):
