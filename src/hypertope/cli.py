@@ -101,9 +101,10 @@ def _parse_generator(obj, degree: int) -> Permutation:
             raise InputError(f"image array of length {len(obj)} for degree {degree}")
         if any(type(x) is not int for x in obj):
             raise InputError("image array entries must be integers")
-        if sorted(obj) != list(range(degree)):
-            raise InputError(f"image array {obj} is not a bijection on 0..{degree - 1}")
-        return Permutation(obj)
+        try:
+            return Permutation(obj)  # which checks the bijection
+        except ValueError:
+            raise InputError(f"image array {obj} is not a bijection on 0..{degree - 1}") from None
     raise InputError(f"generator must be an image array or cycle string, got {type(obj).__name__}")
 
 
@@ -144,7 +145,8 @@ def _check_options(options: dict) -> None:
     """Reject unknown options and values of the wrong type.
 
     Types are exact: a YAML boolean is not an integer and a string is not a
-    boolean.
+    boolean.  The error names the value's type, not the value, which YAML
+    aliases can make arbitrarily large.
     """
     unknown = set(options) - set(_OPTION_TYPES)
     if unknown:
@@ -152,7 +154,7 @@ def _check_options(options: dict) -> None:
     for key, value in options.items():
         if type(value) is not _OPTION_TYPES[key]:
             kind = "a boolean" if _OPTION_TYPES[key] is bool else "an integer"
-            raise InputError(f"option {key} must be {kind}, got {value!r}")
+            raise InputError(f"option {key} must be {kind}, got {type(value).__name__}")
     if options.get("element_cap", 1) < 1:
         raise InputError("option element_cap must be a positive integer")
 
@@ -402,7 +404,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=False))
     else:
-        print(format_text(spec, report, one_based=args.one_based), end="")
+        # a name that standard output cannot encode is written escaped
+        text = format_text(spec, report, one_based=args.one_based)
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+        print(text.encode(encoding, "backslashreplace").decode(encoding), end="")
     return exit_code_for(report)
 
 

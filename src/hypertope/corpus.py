@@ -21,6 +21,7 @@ from .permcore import (
     coset_column,
     generate_group,
     generated_indices,
+    reaches,
 )
 
 
@@ -99,8 +100,9 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     action table, run on complete tuples only.  The generation test of
     T = P + (t,) works on the cosets of ⟨P⟩, built once per prefix P
     (``_generation_test``).  As T generates G, T[-1] ∈ ⟨P⟩ iff ⟨P⟩ = G,
-    which that test also reports; for i < size - 1 the search for T[i] in
-    the subgroup generated by the other entries stops once it reaches T[i].
+    which that test also reports; for i < size - 1, T[i] is looked for in
+    the subgroup generated by the other entries with ``permcore.reaches``,
+    the search that ``cplus.is_independent_generating_set`` runs too.
     """
     acts = action_table(G)
     conj = conjugation_table(acts)
@@ -114,7 +116,7 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
             continue
         if independent is not None:
             is_indep = not (prefix_generates
-                            or any(_reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
+                            or any(reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
                                    for i in range(size - 1)))
             if is_indep != independent:
                 continue
@@ -151,23 +153,6 @@ def _generation_test(G: PermGroup, acts: Sequence[Sequence[int]],
                     reached.append(d)
         return len(seen) == len(least)
     return generates, len(least) == 1
-
-
-def _reaches(actions: Sequence[Sequence[int]], target: int) -> bool:
-    """Does the subgroup generated by the elements with these actions hold
-    the index ``target``?  The breadth-first search of ``generated_indices``
-    from the identity, stopped as soon as it reaches ``target``."""
-    seen = {0}
-    reached = [0]
-    for x in reached:  # the list grows while it is walked
-        for act in actions:
-            y = act[x]
-            if y not in seen:
-                if y == target:
-                    return True
-                seen.add(y)
-                reached.append(y)
-    return target in seen
 
 
 def _class_minimal_tuples(conj: Sequence[Sequence[int]], size: int,

@@ -219,7 +219,7 @@ def vertex_moves(G: PermGroup, view: IncidenceView) -> list[list[int]]:
     places = [(offset, column, x) for offset, column, least
               in zip(view.offsets, view.columns, view.least) for x in least]
     return [[offset + column[act[x]] for offset, column, x in places]
-            for act in map(G.action, G.generators or G.elements)]
+            for act in map(G.action, G.generators)]
 
 
 def flag_orbits(G: PermGroup, view: IncidenceView,
@@ -300,7 +300,7 @@ class CosetGeometry:
 
     def coset_number(self, i: int, x: Permutation) -> int:
         """The number of the type-i coset holding the element x of G."""
-        return self.view().columns[i][self.group.positions[x.images]]
+        return self.view().columns[i][self.group.index_of(x)]
 
     def incident(self, i: int, c1: RightCoset, j: int, c2: RightCoset) -> bool:
         """Typed incidence: same-type elements are incident iff equal, cosets

@@ -23,10 +23,11 @@ of arrays).  Then:
   of its α_{ij} (``parabolic_indices``);
 - (ii), the corank-1 stabilizers B and IC⁺ are intersections of index
   sets;
-- the cosets G_j h, h ∈ G_a, of (i) and (iii) are the orbit of G_j itself
-  under right multiplication by the generators of G_a, each coset mapped
-  through their action arrays and kept as a bitmask over the positions of
-  G (``_cosets_meeting``);
+- the cosets G_j h, h ∈ G_a, of (i) and (iii) are the ``coset_orbit`` of
+  G_j under right multiplication by the generators of G_a, each kept as a
+  bitmask over the positions of G (``_cosets_meeting``);
+- independence looks for each α_i in the subgroup generated by the others
+  with ``reaches``, the search the corpus runs on its tuples;
 - (iv) is the pair search over (x, φ(x)) with both sides indices:
   φ(x α_i) = φ(x) α_i^{-1} is a lookup in the inverse action of α_i;
 - once (ii) holds, the two chamber-orbit classes are the two type-k cosets
@@ -57,11 +58,13 @@ from .permcore import (
     PermGroup,
     Permutation,
     compose_actions,
+    coset_orbit,
     extends_on_indices,
     generate_group,
     generated_indices,
     inverse_action,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cplus.product_set
+    reaches,
 )
 
 CHIRAL = "chiral-hypertope"
@@ -172,13 +175,12 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
 
 
 def is_independent_generating_set(S: CPlusSystem) -> bool:
-    """No generator lies in the subgroup generated by the others."""
-    G = S.group
-    for i, r in enumerate(S.R):
-        others = generated_indices(G.action(x) for j, x in enumerate(S.R) if j != i)
-        if G.index_of(r) in others:
-            return False
-    return True
+    """No generator lies in the subgroup generated by the others: each
+    search stops once it reaches the generator's index, its action's entry
+    at the identity."""
+    actions = [S.group.action(r) for r in S.R]
+    return not any(reaches(actions[:i] + actions[i + 1:], act[0])
+                   for i, act in enumerate(actions))
 
 
 def check_ic_plus(S: CPlusSystem) -> bool:
@@ -257,21 +259,13 @@ def _cosets_meeting(S: CPlusSystem, j: int, a: int) -> list[int]:
     and as bitmasks over the positions of G, G_j first; built once per
     system and kept.
 
-    They are the orbit of G_j under right multiplication by the generators
-    of G_a: (G_j h) alpha = G_j (h alpha), one array lookup per element.
-    A coset is new iff its first element is in no coset found so far.
+    They are the ``coset_orbit`` of G_j under right multiplication by the
+    generators of G_a: (G_j h) alpha = G_j (h alpha), one array lookup per
+    element.
     """
     if (j, a) not in S._families:
         actions = S.parabolic_generators(t for t in S.type_set if t != a)
-        cosets = [list(S.maximal_indices(j))]
-        seen = set(cosets[0])
-        for coset in cosets:  # the list grows while it is walked
-            for act in actions:
-                if act[coset[0]] not in seen:
-                    image = [act[x] for x in coset]
-                    seen.update(image)
-                    cosets.append(image)
-        S._families[j, a] = [_mask(c) for c in cosets]
+        S._families[j, a] = [_mask(c) for c in coset_orbit(S.maximal_indices(j), actions)]
     return S._families[j, a]
 
 

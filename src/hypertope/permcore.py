@@ -17,26 +17,29 @@ integers, with no new permutation product:
 
 - the subgroup generated by some elements is the breadth-first search of
   their actions from 0 (``generated_indices``), so subgroups are index sets
-  and their intersections are set intersections;
+  and their intersections are set intersections; whether it holds an index
+  is the same search, stopped there (``reaches``);
 - the action of g^-1 is the inverse array (``inverse_action``), the action
   of g h the composition of two arrays (``compose_actions``), and
   conjugation is a table read from the actions (``conjugation_table``);
-- the right cosets of an index-set subgroup are its orbit under the
-  generators' actions, numbered by least position (``coset_column``);
+- the right cosets of an index-set subgroup are its orbit under right
+  multiplication by some elements (``coset_orbit``), and under the
+  generators of G they are all its cosets, numbered by least position
+  (``coset_column``);
 - the homomorphism test is a search over pairs of indices
   (``extends_on_indices``).
 
 Every ``PermGroup`` is such a closure; subgroups that the coset geometry
 and the tests need as groups (parabolics, ``subgroup_intersection``) are
-closed from their generators too.  Membership and the index of one permutation
-are a sift through the chain, which ends with a comparison on every point.
-The permutation at an index is a product of m transversal elements.  The
-full element list and the image tuple -> index map are built only when
-first read: the coset geometry, the corpus and the tests read them, the
-chirality decision and the oracle do not.  The element-set functions
-(``subgroup_intersection``, ``product_set``, ``right_coset``,
-``double_coset_decomposition``, ``extends_to_homomorphism``) compute from
-permutations, for the same callers.
+closed from their generators too.  Membership and the index of one
+permutation are always a sift through the chain, which ends with a
+comparison on every point; there is no image tuple -> index map.  The
+permutation at an index is always a product of m transversal elements.  The
+full element list is built only when first read: the coset geometry, the
+corpus and the tests read it, the chirality decision and the oracle do not.
+The element-set functions (``subgroup_intersection``, ``product_set``,
+``right_coset``, ``double_coset_decomposition``, ``extends_to_homomorphism``)
+compute from permutations, for the same callers.
 
 Only the public constructor validates its input.  Products and inverses of
 permutations are permutations, so they are built unchecked.
@@ -44,6 +47,7 @@ permutations are permutations, so they are built unchecked.
 
 from __future__ import annotations
 
+import math
 from functools import total_ordering
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Optional, Sequence
@@ -101,15 +105,10 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise ValueError("degree mismatch")
-        if len(a) < 2:  # itemgetter of 0 or 1 points is not a tuple
-            return other
-        return _trusted(itemgetter(*a)(b))
+        return _trusted(_key_getter(a)(b))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return _trusted(tuple(inv))
+        return _trusted(inverse_action(self.images))
 
     def is_identity(self) -> bool:
         return all(x == y for x, y in enumerate(self.images))
@@ -133,10 +132,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        result = 1
-        for cycle in self.cycles():
-            result = result * len(cycle) // _gcd(result, len(cycle))
-        return result
+        return math.lcm(*map(len, self.cycles()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -162,12 +158,6 @@ def _trusted(images: tuple[int, ...]) -> Permutation:
     return p
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class PermGroup:
     """A finite permutation group with its elements numbered in sorted order.
 
@@ -181,13 +171,13 @@ class PermGroup:
 
     The group holds its stabilizer chain on the base 0, ..., m-1 and the
     sorted tuples of base images, one per element: an element is known by
-    where it sends 0, ..., m-1.  Membership and ``index_of`` sift through
-    the chain, ``action`` maps base images, and the full element list
-    ``elements`` and the map ``positions`` (image tuple -> position) are
-    built on first access only.
+    where it sends 0, ..., m-1.  Membership and ``index_of`` always sift
+    through the chain (there is no position map), ``element`` is always a
+    product along it, ``action`` maps base images, and the full element
+    list ``elements`` is built on first access only.
     """
 
-    __slots__ = ("degree", "generators", "_elements", "_positions", "_chain",
+    __slots__ = ("degree", "generators", "_elements", "_chain",
                  "_keys", "_key_index", "_actions", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -198,7 +188,6 @@ class PermGroup:
         self._keys = tuple(keys)
         self._key_index = {key: i for i, key in enumerate(self._keys)}
         self._elements: Optional[tuple[Permutation, ...]] = None
-        self._positions: Optional[dict[tuple[int, ...], int]] = None
         self._actions: dict[Permutation, tuple[int, ...]] = {}
         self._hash: Optional[int] = None
 
@@ -239,34 +228,22 @@ class PermGroup:
             self._elements = tuple(elements)
         return self._elements
 
-    @property
-    def positions(self) -> dict[tuple[int, ...], int]:
-        """Image tuple -> its element's position in ``elements``, built on
-        first access.  A lookup hashes a tuple, not a ``Permutation``."""
-        if self._positions is None:
-            self._positions = {x.images: i for i, x in enumerate(self.elements)}
-        return self._positions
-
     def element(self, i: int) -> Permutation:
-        """The element at position i: read from ``elements`` once they are
-        built, else the product of one transversal element per base point."""
-        if self._elements is not None:
-            return self._elements[i]
+        """The element at position i: the product of one transversal element
+        per base point."""
         return _trusted(_chain_element(self._chain, self._keys[i], self.degree))
 
     def _position(self, p: object) -> Optional[int]:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return None
-        if self._positions is not None:
-            return self._positions.get(p.images)
         if _sift(self._chain, p.images, tuple(range(self.degree))) is not None:
             return None
         return self._key_index[p.images[:len(self._chain)]]
 
     def index_of(self, p: Permutation) -> int:
-        """The position of p; ValueError when p is not in the group.  Before
-        ``positions`` is built this is a sift, which compares the result
-        with the identity on every point, not on the base alone."""
+        """The position of p; ValueError when p is not in the group.  This is
+        a sift, which compares the result with the identity on every point,
+        not on the base alone."""
         i = self._position(p)
         if i is None:
             raise ValueError("element not in the group")
@@ -316,8 +293,9 @@ def _right_action(G: PermGroup, g: Permutation) -> tuple[int, ...]:
     return tuple([number[_key_getter(key)(images)] for key in G._keys])
 
 
-def _key_getter(key: tuple[int, ...]):
-    """images -> the tuple of images of the points of ``key``."""
+def _key_getter(key: Sequence[int]):
+    """images -> the tuple of images of the points of ``key``: an itemgetter,
+    except for 0 or 1 points, where an itemgetter returns no tuple."""
     if len(key) > 1:
         return itemgetter(*key)
     return lambda images: tuple([images[p] for p in key])
@@ -355,6 +333,23 @@ def generated_indices(actions: Iterable[Sequence[int]]) -> set[int]:
     return seen
 
 
+def reaches(actions: Sequence[Sequence[int]], target: int) -> bool:
+    """Does the subgroup generated by the elements with these actions hold
+    the index ``target``?  A breadth-first search from the identity, as in
+    ``generated_indices``, stopped as soon as it reaches ``target``."""
+    seen = {0}
+    reached = [0]
+    for x in reached:  # the list grows while it is walked
+        for act in actions:
+            y = act[x]
+            if y not in seen:
+                if y == target:
+                    return True
+                seen.add(y)
+                reached.append(y)
+    return target in seen
+
+
 def inverse_action(act: Sequence[int]) -> tuple[int, ...]:
     """The action of g^-1 from the action of g: x -> x * g^-1."""
     inv = [0] * len(act)
@@ -365,9 +360,7 @@ def inverse_action(act: Sequence[int]) -> tuple[int, ...]:
 
 def compose_actions(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """The action of g h from the actions a of g and b of h: x -> (x * g) * h."""
-    if len(a) < 2:  # itemgetter of 0 or 1 points is not a tuple
-        return tuple(b)
-    return itemgetter(*a)(b)
+    return _key_getter(a)(b)
 
 
 def generate_group(degree: int, gens: Sequence[Permutation],
@@ -615,31 +608,41 @@ def right_coset(H: PermGroup, g: Permutation) -> RightCoset:
     return RightCoset(H, min(h * g for h in H))
 
 
+def coset_orbit(subgroup: Collection[int],
+                actions: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbit of a subgroup H, given as a set of positions, under right
+    multiplication by the elements with these actions: the right cosets
+    H x reached from H, since (H x) g = H (x g), each as a list of
+    positions, H first.
+
+    Each coset is mapped through an action array, and an image is new iff
+    its first position is in no coset found so far.
+    """
+    cosets = [list(subgroup)]
+    seen = set(cosets[0])
+    for coset in cosets:  # the list grows while it is walked
+        for act in actions:
+            if act[coset[0]] not in seen:
+                image = [act[x] for x in coset]
+                seen.update(image)
+                cosets.append(image)
+    return cosets
+
+
 def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], list[int]]:
     """The right cosets of a subgroup of G, given as a set of positions of G.
 
     Returns (column, least): ``column[x]`` is the number of the coset
     holding position x, and ``least[c]`` the least position in coset c,
     which is the position of its canonical representative.  The cosets are
-    the orbit of the subgroup under right multiplication by the generators
-    of G, (H x) g = H (x g), each coset mapped through a generator's action
-    array; a coset is new iff its first position is in none found so far.
-    They are then numbered by least position, in one pass over the
-    positions in order.
+    the ``coset_orbit`` of the subgroup under the generators of G, then
+    numbered by least position, in one pass over the positions in order.
     """
-    actions = [G.action(g) for g in G.generators]
-    found = [list(subgroup)]
-    column = [-1] * G.order
-    for x in found[0]:
-        column[x] = 0
-    for coset in found:  # the list grows while it is walked
-        for act in actions:
-            if column[act[coset[0]]] < 0:
-                n = len(found)
-                image = [act[x] for x in coset]
-                for y in image:
-                    column[y] = n
-                found.append(image)
+    found = coset_orbit(subgroup, [G.action(g) for g in G.generators])
+    column = [0] * G.order
+    for n, coset in enumerate(found):
+        for x in coset:
+            column[x] = n
     number = [-1] * len(found)
     least: list[int] = []
     for x, c in enumerate(column):

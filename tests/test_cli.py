@@ -218,11 +218,12 @@ def test_non_bmp_text_is_read_by_json_only():
         _yaml_path(text)
 
 
-def _python(code, *args, stdin=None):
+def _python(code, *args, stdin=None, **variables):
     """Run ``code`` in a fresh interpreter that imports this checkout's
-    ``hypertope``, so that a crash fails one test and not the test run."""
+    ``hypertope``, so that a crash fails one test and not the test run.
+    ``variables`` are added to its environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
                           capture_output=True, encoding="utf-8", env=env, timeout=60)
@@ -249,6 +250,11 @@ REFUSED = {
     # a name that no output can print
     "lone-surrogate-text": (_a4_document("x\ud800"), ("--format", "text"), LONE_SURROGATE),
     "lone-surrogate-json": (_a4_document("x\ud800"), ("--format", "json"), LONE_SURROGATE),
+    # three alias levels expand to 729 integers; the error names the type
+    "aliased-option": ('degree: 3\ngenerators: [[1, 2, 0]]\noptions: {k: [&c [&b [&a '
+                       '[0,0,0,0,0,0,0,0,0],*a,*a,*a,*a,*a,*a,*a,*a],*b,*b,*b,*b,*b,*b,*b,*b],'
+                       '*c,*c,*c,*c,*c,*c,*c,*c]}\n', (),
+                       "error: option k must be an integer, got list\n"),
 }
 
 
@@ -258,6 +264,16 @@ def test_refused_document_ends_in_one_error_line(tmp_path, case, via):
     text, flags, error = case
     result = _run_cli(tmp_path, text, via, *flags)
     assert (result.returncode, result.stdout, result.stderr) == (EXIT_INPUT_ERROR, "", error)
+    assert len(result.stderr.encode("utf-8")) < 200
+
+
+def test_text_report_escapes_what_stdout_cannot_encode(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(_a4_document("caf\u00e9"), encoding="utf-8")
+    result = _python(RUN_CLI, str(doc), "--format", "text", PYTHONIOENCODING="ascii")
+    assert result.returncode == EXIT_REGULAR
+    assert "Traceback" not in result.stderr
+    assert result.stdout.startswith("instance caf\\xe9  (degree 4, rank 3)\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -146,7 +146,7 @@ def test_coset_columns_match_permutation_arithmetic(system):
             assert members[geo.coset_number(i, x)] == frozenset(h * x for h in H)
         holders.append(holder)
     # the vertex (i, c) moves under g to the type-i coset holding (least of c) * g
-    for g, move in zip(G.generators or G.elements, vertex_moves(G, graph)):
+    for g, move in zip(G.generators, vertex_moves(G, graph)):
         assert move == [graph.vertex(i, holders[i][G.element(graph.least[i][c]) * g])
                         for i, c in map(graph.type_and_coset, range(graph.num_vertices))]
 

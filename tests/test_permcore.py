@@ -16,6 +16,8 @@ from hypertope.permcore import (
     action_table,
     compose_actions,
     conjugation_table,
+    coset_column,
+    coset_orbit,
     double_coset_decomposition,
     extends_on_indices,
     extends_to_homomorphism,
@@ -24,6 +26,7 @@ from hypertope.permcore import (
     inverse_action,
     inverting_automorphism_exists,
     product_set,
+    reaches,
     right_coset,
     right_coset_decomposition,
     subgroup_intersection,
@@ -240,7 +243,7 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
     assert report.chirality.verdict == "chiral-hypertope"
     assert report.chirality.orbit_sizes == (404, 404)
     (G,) = closed
-    assert G._elements is None and G._positions is None
+    assert G._elements is None
     witness = report.chirality.witness
     assert witness == G.elements[G.index_of(witness)]  # built here, after the decision
 
@@ -249,10 +252,13 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
 
 def test_index_numbers_sorted_elements_from_identity():
     G = _s4()
-    assert [G.index_of(x) for x in G.elements] == list(range(G.order))  # by sifting
+    before = [G.element(i) for i in range(G.order)]
+    assert [G.index_of(x) for x in before] == list(range(G.order))
+    assert G._elements is None  # neither lookup built the element list
+    assert list(G.elements) == before == sorted(before)
+    assert [G.index_of(x) for x in G.elements] == list(range(G.order))  # after it is built
+    assert [G.element(i) for i in range(G.order)] == before
     assert G.index_of(G.identity) == 0
-    assert G.positions == {x.images: i for i, x in enumerate(G.elements)}
-    assert [G.index_of(x) for x in G.elements] == list(range(G.order))  # from positions
 
 
 def test_action_is_right_multiplication_on_indices():
@@ -270,7 +276,7 @@ def test_closure_actions_equal_recomputed_actions():
         G = generate_group(4, gens)
         recorded = [G.action(g) for g in G.generators]
         fresh = generate_group(4, list(G.elements))  # other generators, same group
-        assert fresh == G and fresh.positions == G.positions
+        assert fresh == G and fresh.elements == G.elements
         assert recorded == [fresh.action(g) for g in G.generators]
         assert recorded == [tuple(G.index_of(x * g) for x in G.elements)
                             for g in G.generators]
@@ -291,6 +297,19 @@ def test_generated_indices_match_closure():
         H = generate_group(4, [a, b])
         assert generated_indices([G.action(a), G.action(b)]) == {G.index_of(h) for h in H}
     assert generated_indices([]) == {0}
+
+
+def test_reaches_is_membership_in_the_generated_subgroup():
+    """On every rank-3 catalog group, for the subsets of its generators and
+    of its least generating pair, and for every index t."""
+    for name, G in rank3_group_list():
+        elements = list(G.generators) + list(next(generating_tuples(G, 2, limit=1)))
+        for size in range(len(elements) + 1):
+            for subset in itertools.combinations(elements, size):
+                actions = [G.action(g) for g in subset]
+                generated = generated_indices(actions)
+                assert [reaches(actions, t) for t in range(G.order)] == [
+                    t in generated for t in range(G.order)], (name, subset)
 
 
 def test_inverse_and_composed_actions_match_products():
@@ -345,6 +364,32 @@ def test_right_coset_decomposition_partitions():
         assert right_coset(H, c.representative) == c
     assert [c.representative for c in cosets] == sorted(c.representative for c in cosets)
     assert all(coset_of[x] == c for c in cosets for x in c.elements())
+
+
+def test_coset_orbit_is_the_right_cosets_of_every_s4_subgroup():
+    """Every subgroup of S4 is generated by two of its elements.  Under the
+    generators of G the orbit of H is a partition of G into the right cosets
+    of H, H first, and ``coset_column`` numbers the same partition; under
+    the generators of a subgroup K it is the cosets H x with x in K."""
+    G = _s4()
+    actions = [G.action(g) for g in G.generators]
+    subgroups = {generate_group(4, pair) for pair in itertools.combinations(G.elements, 2)}
+    assert len(subgroups) == 30 - 1  # all but the trivial one
+    for H in subgroups:
+        indices = {G.index_of(h) for h in H}
+        found = coset_orbit(indices, actions)
+        assert set(found[0]) == indices
+        assert sorted(x for c in found for x in c) == list(range(G.order))
+        for c in found:
+            coset = right_coset(H, G.element(c[0]))
+            assert {G.index_of(x) for x in coset.elements()} == set(c)
+        column, least = coset_column(G, indices)
+        assert {frozenset(c) for c in found} == {
+            frozenset(x for x in range(G.order) if column[x] == n) for n in range(len(least))}
+        for K in subgroups:
+            meeting = coset_orbit(indices, [G.action(k) for k in K.generators])
+            assert {frozenset(c) for c in meeting} == {
+                frozenset(G.index_of(h * k) for h in H) for k in K}
 
 
 def test_coset_shift_matches_element_translation():
