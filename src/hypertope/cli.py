@@ -375,7 +375,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(name)
             return 0
         if args.catalog:
-            spec = spec_from_mapping(catalog_entry(args.catalog))
+            try:
+                entry = catalog_entry(args.catalog)
+            except KeyError as exc:  # str() of a KeyError quotes its message
+                raise InputError(exc.args[0]) from None
+            spec = spec_from_mapping(entry)
         elif args.input == "-":
             spec = parse_instance(sys.stdin.read())
         elif args.input:
@@ -394,7 +398,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             spec.options["element_cap"] = args.element_cap
         _check_options(spec.options)
         report = run(spec)
-    except (InputError, KeyError, OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (GroupTooLargeError, VertexCapError) as exc:

@@ -15,9 +15,9 @@ not first, so that their codes stay those of the reference semantics.
 After the one closure of G the decision is index arithmetic: an element is
 its position in the sorted order (``G.index_of``), no permutation is
 multiplied, and the witness is the one element it builds (``G.element``).
-From the actions of R recorded at closure (``G.action``) a system derives
-the inverse actions of the α_i and the actions of the α_{ij} (compositions
-of arrays).  Then:
+From the actions of R (``G.action``, each built once on request) a system
+derives the actions of the α_{ij}: α_{i0} = α_i^{-1} is an inverse array,
+and α_{ij} = α_{i0} α_j a composition of arrays.  Then:
 
 - every parabolic is an index set, the subgroup generated by the actions
   of its α_{ij} (``parabolic_indices``);
@@ -29,7 +29,7 @@ of arrays).  Then:
 - independence looks for each α_i in the subgroup generated by the others
   with ``reaches``, the search the corpus runs on its tuples;
 - (iv) is the pair search over (x, φ(x)) with both sides indices:
-  φ(x α_i) = φ(x) α_i^{-1} is a lookup in the inverse action of α_i;
+  φ(x α_i) = φ(x) α_i^{-1} is a lookup in the action of α_{i0};
 - once (ii) holds, the two chamber-orbit classes are the two type-k cosets
   kept by (iii), and the witness is the least element of the second.
 
@@ -80,7 +80,8 @@ class CPlusSystem:
     decision derives is kept on the system, not on the group, which other
     systems may share:
 
-    - the inverse actions of the α_i and the actions of the α_{ij};
+    - the actions of the α_{ij}, i ≠ j (``alpha_action``), which hold
+      those of the α_i^{-1} = α_{i0};
     - one index set per parabolic (``parabolic_indices``);
     - the maximal parabolic index sets G_i (``maximal_indices``) and
       ``type_order``, the types by ascending |G_i| with ties by type index,
@@ -99,7 +100,6 @@ class CPlusSystem:
         self.group = group
         self.R = tuple(R)
         self.rank = len(self.R) + 1
-        self._inverse_actions: dict[int, tuple[int, ...]] = {}
         self._alpha_actions: dict[tuple[int, int], tuple[int, ...]] = {}
         self._indices: dict[tuple[int, ...], set[int]] = {}
         self._maximal = [self.parabolic_indices(j for j in self.type_set if j != i)
@@ -116,19 +116,18 @@ class CPlusSystem:
     def type_set(self) -> tuple[int, ...]:
         return tuple(range(self.rank))
 
-    def alpha_inverse_action(self, i: int) -> tuple[int, ...]:
-        """The action of alpha_i^-1 on the positions of G, for 1 <= i < rank."""
-        if i not in self._inverse_actions:
-            self._inverse_actions[i] = inverse_action(self.group.action(self.R[i - 1]))
-        return self._inverse_actions[i]
-
     def alpha_action(self, i: int, j: int) -> tuple[int, ...]:
-        """The action of alpha_{ij} on the positions of G, for i < j: x -> x alpha_i^-1
-        alpha_j.  Its entry at 0 is the index of alpha_{ij}."""
+        """The action of alpha_{ij} on the positions of G, for i != j: x -> x alpha_i^-1
+        alpha_j.  Since alpha_0 = 1, alpha_{0j} = alpha_j and alpha_{i0} = alpha_i^-1.
+        Its entry at 0 is the index of alpha_{ij}."""
         if (i, j) not in self._alpha_actions:
-            act = self.group.action(self.R[j - 1])
-            self._alpha_actions[i, j] = (act if i == 0
-                                         else compose_actions(self.alpha_inverse_action(i), act))
+            if i == 0:
+                act = self.group.action(self.R[j - 1])
+            elif j == 0:
+                act = inverse_action(self.group.action(self.R[i - 1]))
+            else:
+                act = compose_actions(self.alpha_action(i, 0), self.group.action(self.R[j - 1]))
+            self._alpha_actions[i, j] = act
         return self._alpha_actions[i, j]
 
     def parabolic_generators(self, J: Iterable[int]) -> list[tuple[int, ...]]:
@@ -329,7 +328,7 @@ def condition_iv(S: CPlusSystem) -> bool:
     and hence generates G, so the extension is an automorphism.
     """
     actions = [S.group.action(r) for r in S.R]
-    inverses = [S.alpha_inverse_action(i) for i in range(1, S.rank)]
+    inverses = [S.alpha_action(i, 0) for i in range(1, S.rank)]
     return not extends_on_indices(actions, inverses)
 
 
@@ -441,11 +440,10 @@ def is_chiral_hypertope(S: CPlusSystem, k: int = 0,
         return ChiralityReport(NOT_HYPERTOPE, 5, per, k,
                                cross_k_disagreement=disagreement)
 
+    # (iii) held for k, so there are two classes; the chamber stabilizers are
+    # trivial, so each orbit is in bijection with the group
     decomposition = two_orbit_decomposition(S, k)
-    orbit_sizes = None
-    if decomposition.class_count == 2:
-        # trivial chamber stabilizers: each orbit is in bijection with the group
-        orbit_sizes = (S.group.order, S.group.order)
+    orbit_sizes = (S.group.order, S.group.order)
 
     if not evaluate(4):
         return ChiralityReport(REGULAR, 4, per, k, witness=decomposition.witness,

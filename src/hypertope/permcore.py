@@ -9,11 +9,13 @@ A closure (``generate_group``) is a deterministic Schreier–Sims on the base
 stabilizer is trivial.  Its stabilizer chain keeps one transversal per
 base point, as image tuples, and an element is known by its m base images:
 two elements first differ at a point below m, so sorting the m-tuples
-sorts the elements.  The group numbers its elements once, in that order
-(the identity is always 0), and one breadth-first search over the m-tuples
-records each generator's action, the index array of x -> x * g
-(``G.action(g)``).  After that, group computations are computations over
-integers, with no new permutation product:
+sorts the elements.  The chain factors every element uniquely as one
+transversal element per level, so the closure lists the base images as
+those products and numbers the elements once, in sorted order (the
+identity is always 0).  The action of an element g is the index array of
+x -> x * g (``G.action(g)``), built from the base images on first request.
+After that, group computations are computations over integers, with no new
+permutation product:
 
 - the subgroup generated by some elements is the breadth-first search of
   their actions from 0 (``generated_indices``), so subgroups are index sets
@@ -34,9 +36,10 @@ and the tests need as groups (parabolics, ``subgroup_intersection``) are
 closed from their generators too.  Membership and the index of one
 permutation are always a sift through the chain, which ends with a
 comparison on every point; there is no image tuple -> index map.  The
-permutation at an index is always a product of m transversal elements.  The
-full element list is built only when first read: the coset geometry, the
-corpus and the tests read it, the chirality decision and the oracle do not.
+permutation at an index is always a product of m transversal elements, and
+the full element list is the same products on every point, built only when
+first read: the coset geometry, the corpus and the tests read it, the
+chirality decision and the oracle do not.
 The element-set functions (``subgroup_intersection``, ``product_set``,
 ``right_coset``, ``double_coset_decomposition``, ``extends_to_homomorphism``)
 compute from permutations, for the same callers.
@@ -164,17 +167,18 @@ class PermGroup:
     Every group is a closure, built by ``generate_group``.  ``generators``
     generate the group.  ``index_of(p)`` is the position of p in the sorted
     element list (the identity is 0), ``element(i)`` the element at
-    position i.  ``action(g)`` is the index array of x -> x * g; the closure
-    records it for each generator, any other element's array is built on
-    first request and kept.  A group never holds more arrays than were
-    asked for.
+    position i.  ``action(g)`` is the index array of x -> x * g, built on
+    first request and kept, for generators as for any other element: a
+    group never holds more arrays than were asked for.
 
     The group holds its stabilizer chain on the base 0, ..., m-1 and the
     sorted tuples of base images, one per element: an element is known by
-    where it sends 0, ..., m-1.  Membership and ``index_of`` always sift
-    through the chain (there is no position map), ``element`` is always a
-    product along it, ``action`` maps base images, and the full element
-    list ``elements`` is built on first access only.
+    where it sends 0, ..., m-1.  The chain is the only thing the group
+    enumerates from: the base images and ``elements`` (built on first
+    access only) are the products of one transversal element per level.
+    Membership and ``index_of`` always sift through the chain (there is no
+    position map), ``element`` is always a product along it, and
+    ``action`` maps base images.
     """
 
     __slots__ = ("degree", "generators", "_elements", "_chain",
@@ -212,20 +216,10 @@ class PermGroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted, built here once along the generators'
-        actions: one product per element."""
+        """Every element, sorted, built here once from the transversals: one
+        product of transversal elements per element."""
         if self._elements is None:
-            elements: list[Optional[Permutation]] = [None] * self.order
-            elements[0] = self.identity
-            edges = [(g, self.action(g)) for g in self.generators]
-            reached = [0]
-            for x in reached:  # the list grows while it is walked
-                for g, act in edges:
-                    y = act[x]
-                    if elements[y] is None:
-                        elements[y] = elements[x] * g
-                        reached.append(y)
-            self._elements = tuple(elements)
+            self._elements = tuple(map(_trusted, sorted(_images(self._chain, range(self.degree)))))
         return self._elements
 
     def element(self, i: int) -> Permutation:
@@ -371,12 +365,12 @@ def generate_group(degree: int, gens: Sequence[Permutation],
     on the base 0, 1, ..., m-1, the shortest prefix of the points whose
     pointwise stabilizer is trivial.  |G| is the product of the orbit
     lengths, which bounds it from below at every stage: GroupTooLargeError
-    is raised as soon as it exceeds ``cap``.  Then one breadth-first search
-    over the m-tuples of base images, from (0, ..., m-1), records each
-    generator's action: x * g sends the base to g of x's base images, O(m)
+    is raised as soon as it exceeds ``cap``.  Then the base images of every
+    element are the products of one transversal element per level, O(m)
     per element.  Two elements differ first at a point below m, so the
     sorted m-tuples number the elements as the sorted image tuples would;
-    the result is independent of generator order.
+    the result is independent of generator order.  No action array is
+    built here.
     """
     gens = tuple(dict.fromkeys(gens))  # dedupe, keep first occurrence
     for g in gens:
@@ -386,29 +380,7 @@ def generate_group(degree: int, gens: Sequence[Permutation],
     for g in gens:
         builder.sift_into(g.images, builder.identity, 0)
     chain = builder.chain
-    m = len(chain)
-    start = tuple(range(m))
-    found = [start]  # in order of discovery
-    number = {start: 0}
-    edges: list[list[int]] = [[] for _ in gens]  # edges[i][n]: number of found[n] * gens[i]
-    images = [g.images for g in gens]
-    for key in found:  # the list grows while it is walked
-        get = _key_getter(key)
-        for g, row in zip(images, edges):
-            y = get(g)
-            n = number.get(y)
-            if n is None:
-                n = number[y] = len(found)
-                found.append(y)
-            row.append(n)
-    G = PermGroup(degree, gens, chain, sorted(found))
-    to_index = [G._key_index[key] for key in found]
-    for g, row in zip(gens, edges):
-        act = [0] * len(found)
-        for n, y in enumerate(row):
-            act[to_index[n]] = to_index[y]
-        G._actions[g] = tuple(act)
-    return G
+    return PermGroup(degree, gens, chain, sorted(_images(chain, range(len(chain)))))
 
 
 # -- the stabilizer chain ------------------------------------------------------
@@ -492,6 +464,19 @@ class _SchreierSims:
                         grown = True
                     elif parent.get(c) != (b, k) and not b == c == level:
                         self.sift_into(itemgetter(*transversal[b])(s), transversal[c], level + 1)
+
+
+def _images(chain: list[dict[int, tuple[int, ...]]],
+            points: Iterable[int]) -> list[tuple[int, ...]]:
+    """The images of ``points`` under every element of the group, unsorted:
+    the products u_{m-1} ... u_1 u_0, one transversal element per level,
+    taken from the deepest level up.  The chain factors every element
+    uniquely, so each appears exactly once."""
+    found = [tuple(points)]
+    for transversal in reversed(chain):
+        us = tuple(transversal.values())
+        found = [get(u) for get in map(_key_getter, found) for u in us]
+    return found
 
 
 def _sift(chain: list[dict[int, tuple[int, ...]]], a: tuple[int, ...],

@@ -377,6 +377,14 @@ def test_unknown_catalog_name_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_unknown_catalog_name_error_line_is_the_message(capsys):
+    assert main(["--catalog", "nosuch"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: unknown catalog instance 'nosuch'; known: ")
+
+
 def test_element_cap_exit_code(capsys):
     assert main(["--catalog", "torus-4-4-1-2", "--element-cap", "5"]) == EXIT_CAP_EXCEEDED
     capsys.readouterr()

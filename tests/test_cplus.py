@@ -170,6 +170,13 @@ def test_alpha_telescoping(data):
         assert S.alpha_action(i, j) == S.group.action(_alpha(S, i, j))
 
 
+def test_alpha_action_covers_every_ordered_pair():
+    # alpha_0 = 1, so alpha_{i0} = alpha_i^-1 is one of the system's arrays too
+    S = s5_rank4_cplus()
+    for i, j in itertools.permutations(S.type_set, 2):
+        assert S.alpha_action(i, j) == S.group.action(_alpha(S, i, j))
+
+
 def test_parabolic_recipe_matches_single_base_point():
     # <alpha_ij : i,j in J> = <alpha_mj : j in J> for m = min(J)
     S = s5_rank4_cplus()

@@ -190,6 +190,7 @@ def test_base_images_are_prefixes_of_the_plain_closure():
         # m is the shortest such prefix: one point fewer confuses two elements
         assert m == 0 or len({x[:m - 1] for x in full}) < len(full)
         assert [x.images for x in G.elements] == full
+        assert G._actions == {}  # neither the closure nor the element list built an array
         position = {x: i for i, x in enumerate(full)}
         for g in G.generators:
             assert G.action(g) == tuple(position[tuple(g.images[p] for p in x)] for x in full)
@@ -233,8 +234,9 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
     closed = []
 
     def closure(*args, **kwargs):
-        closed.append(generate_group(*args, **kwargs))
-        return closed[-1]
+        G = generate_group(*args, **kwargs)
+        closed.append((G, dict(G._actions)))
+        return G
 
     monkeypatch.setattr(cli, "generate_group", closure)
     gens = _torus_generators(101)
@@ -242,7 +244,9 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
                                             "generators": [list(g.images) for g in gens]}))
     assert report.chirality.verdict == "chiral-hypertope"
     assert report.chirality.orbit_sizes == (404, 404)
-    (G,) = closed
+    ((G, at_closure),) = closed
+    assert at_closure == {}  # the closure builds no action array
+    assert G._actions.keys() == set(gens)  # the decision asked for those of R only
     assert G._elements is None
     witness = report.chirality.witness
     assert witness == G.elements[G.index_of(witness)]  # built here, after the decision
