@@ -78,8 +78,8 @@ def catalog_names() -> list[str]:
 def catalog_entry(name: str) -> dict:
     entries = _entries()
     if name not in entries:
-        raise KeyError(f"unknown catalog instance {name!r}; "
-                       f"known: {', '.join(sorted(entries))}")
+        raise ValueError(f"unknown catalog instance {name!r}; "
+                         f"known: {', '.join(sorted(entries))}")
     entry = dict(entries[name])
     entry["name"] = name
     return entry

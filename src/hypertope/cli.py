@@ -375,11 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(name)
             return 0
         if args.catalog:
-            try:
-                entry = catalog_entry(args.catalog)
-            except KeyError as exc:  # str() of a KeyError quotes its message
-                raise InputError(exc.args[0]) from None
-            spec = spec_from_mapping(entry)
+            spec = spec_from_mapping(catalog_entry(args.catalog))
         elif args.input == "-":
             spec = parse_instance(sys.stdin.read())
         elif args.input:

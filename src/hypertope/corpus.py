@@ -75,7 +75,7 @@ def torus_rotation_group() -> tuple[PermGroup, tuple[Permutation, Permutation]]:
 def regular_representation(G: PermGroup,
                            gens: Sequence[Permutation]) -> tuple[int, list[Permutation]]:
     """Degree-|G| right-regular images of the given elements of G."""
-    return G.order, [Permutation(G.action(g)) for g in gens]
+    return G.order, [Permutation(act) for act in G.actions(gens)]
 
 
 # -- generating tuple enumeration ------------------------------------------

@@ -286,7 +286,7 @@ class CosetGeometry:
         generate, computed once."""
         if self._indices is None:
             G = self.group
-            self._indices = [generated_indices(G.action(h) for h in H.generators)
+            self._indices = [generated_indices(G.actions(H.generators))
                              for H in self.parabolics]
         return self._indices
 

@@ -15,7 +15,7 @@ not first, so that their codes stay those of the reference semantics.
 After the one closure of G the decision is index arithmetic: an element is
 its position in the sorted order (``G.index_of``), no permutation is
 multiplied, and the witness is the one element it builds (``G.element``).
-From the actions of R (``G.action``, each built once on request) a system
+From the actions of R (``G.actions``, built together on request) a system
 derives the actions of the α_{ij}: α_{i0} = α_i^{-1} is an inverse array,
 and α_{ij} = α_{i0} α_j a composition of arrays.  Then:
 
@@ -168,7 +168,7 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
     for r in R:
         if r not in G:
             raise ValueError("generator not in G")
-    if len(generated_indices(G.action(r) for r in R)) != G.order:
+    if len(generated_indices(G.actions(R))) != G.order:
         raise ValueError("R does not generate G")
     return CPlusSystem(G, R)
 
@@ -177,7 +177,7 @@ def is_independent_generating_set(S: CPlusSystem) -> bool:
     """No generator lies in the subgroup generated by the others: each
     search stops once it reaches the generator's index, its action's entry
     at the identity."""
-    actions = [S.group.action(r) for r in S.R]
+    actions = S.group.actions(S.R)
     return not any(reaches(actions[:i] + actions[i + 1:], act[0])
                    for i, act in enumerate(actions))
 
@@ -327,7 +327,7 @@ def condition_iv(S: CPlusSystem) -> bool:
     When r -> r^-1 extends to a homomorphism, its image contains every r^-1
     and hence generates G, so the extension is an automorphism.
     """
-    actions = [S.group.action(r) for r in S.R]
+    actions = S.group.actions(S.R)
     inverses = [S.alpha_action(i, 0) for i in range(1, S.rank)]
     return not extends_on_indices(actions, inverses)
 

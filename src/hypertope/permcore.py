@@ -37,8 +37,8 @@ closed from their generators too.  Membership and the index of one
 permutation are always a sift through the chain, which ends with a
 comparison on every point; there is no image tuple -> index map.  The
 permutation at an index is always a product of m transversal elements, and
-the full element list is the same products on every point, built only when
-first read: the coset geometry, the corpus and the tests read it, the
+the full element list is the same products as permutations, built only
+when first read: the coset geometry, the corpus and the tests read it, the
 chirality decision and the oracle do not.
 The element-set functions (``subgroup_intersection``, ``product_set``,
 ``right_coset``, ``double_coset_decomposition``, ``extends_to_homomorphism``)
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_ELEMENT_CAP = 100_000
@@ -168,8 +168,9 @@ class PermGroup:
     generate the group.  ``index_of(p)`` is the position of p in the sorted
     element list (the identity is 0), ``element(i)`` the element at
     position i.  ``action(g)`` is the index array of x -> x * g, built on
-    first request and kept, for generators as for any other element: a
-    group never holds more arrays than were asked for.
+    first request and kept, for generators as for any other element, and
+    ``actions(gs)`` the arrays of several elements, those not yet held built
+    together: a group never holds more arrays than were asked for.
 
     The group holds its stabilizer chain on the base 0, ..., m-1 and the
     sorted tuples of base images, one per element: an element is known by
@@ -216,10 +217,15 @@ class PermGroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
-        """Every element, sorted, built here once from the transversals: one
-        product of transversal elements per element."""
+        """Every element, sorted, built here once: the products of one
+        transversal element per level, as in ``_base_images``."""
         if self._elements is None:
-            self._elements = tuple(map(_trusted, sorted(_images(self._chain, range(self.degree)))))
+            found = [self.identity]
+            for transversal in reversed(self._chain):
+                us = [_trusted(u) for u in transversal.values()]
+                found = [x * u for x in found for u in us]
+            found.sort(key=attrgetter("images"))
+            self._elements = tuple(found)
         return self._elements
 
     def element(self, i: int) -> Permutation:
@@ -245,11 +251,17 @@ class PermGroup:
 
     def action(self, g: Permutation) -> tuple[int, ...]:
         """x -> x * g on positions: ``action(g)[index_of(x)] == index_of(x * g)``."""
-        act = self._actions.get(g)
-        if act is None:
+        return self._actions.get(g) or self.actions((g,))[0]
+
+    def actions(self, gs: Sequence[Permutation]) -> list[tuple[int, ...]]:
+        """``action`` of each of ``gs``; the arrays not yet held are built
+        together, from one column of base images per base point."""
+        new = [g for g in dict.fromkeys(gs) if g not in self._actions]
+        for g in new:
             self.index_of(g)
-            act = self._actions[g] = _right_action(self, g)
-        return act
+        if new:
+            self._actions.update(zip(new, _right_actions(self, new)))
+        return [self._actions[g] for g in gs]
 
     def __contains__(self, p: object) -> bool:
         return self._position(p) is not None
@@ -282,9 +294,14 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _right_action(G: PermGroup, g: Permutation) -> tuple[int, ...]:
-    number, images = G._key_index, g.images
-    return tuple([number[_key_getter(key)(images)] for key in G._keys])
+def _right_actions(G: PermGroup, gs: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """The arrays x -> x * g of ``gs``.  The base images of x * g are g of
+    those of x, so g maps each base point's column of images at once."""
+    if G.order == 1:  # no base point, so no column
+        return [(0,)] * len(gs)
+    number, columns = G._key_index, list(zip(*G._keys))
+    return [tuple([number[y] for y in zip(*[itemgetter(*c)(g.images) for c in columns])])
+            for g in gs]
 
 
 def _key_getter(key: Sequence[int]):
@@ -298,7 +315,7 @@ def _key_getter(key: Sequence[int]):
 def action_table(G: PermGroup) -> list[tuple[int, ...]]:
     """``G.action`` of every element, in index order: a |G| x |G| table that
     the caller holds and drops; nothing is kept on G."""
-    return [_right_action(G, g) for g in G.elements]
+    return _right_actions(G, G.elements)
 
 
 def conjugation_table(actions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -380,7 +397,7 @@ def generate_group(degree: int, gens: Sequence[Permutation],
     for g in gens:
         builder.sift_into(g.images, builder.identity, 0)
     chain = builder.chain
-    return PermGroup(degree, gens, chain, sorted(_images(chain, range(len(chain)))))
+    return PermGroup(degree, gens, chain, sorted(_base_images(chain)))
 
 
 # -- the stabilizer chain ------------------------------------------------------
@@ -466,13 +483,12 @@ class _SchreierSims:
                         self.sift_into(itemgetter(*transversal[b])(s), transversal[c], level + 1)
 
 
-def _images(chain: list[dict[int, tuple[int, ...]]],
-            points: Iterable[int]) -> list[tuple[int, ...]]:
-    """The images of ``points`` under every element of the group, unsorted:
-    the products u_{m-1} ... u_1 u_0, one transversal element per level,
-    taken from the deepest level up.  The chain factors every element
+def _base_images(chain: list[dict[int, tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The images of the base 0, ..., m-1 under every element of the group,
+    unsorted: the products u_{m-1} * ... * u_0, one transversal element per
+    level, taken from the deepest level up.  The chain factors every element
     uniquely, so each appears exactly once."""
-    found = [tuple(points)]
+    found = [tuple(range(len(chain)))]
     for transversal in reversed(chain):
         us = tuple(transversal.values())
         found = [get(u) for get in map(_key_getter, found) for u in us]
@@ -540,7 +556,7 @@ def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
     for n, x in enumerate(small.elements):
         if n not in generated and x in large:
             gens.append(x)
-            generated = generated_indices(small.action(g) for g in gens)
+            generated = generated_indices(small.actions(gens))
     return generate_group(H.degree, gens)
 
 
@@ -623,7 +639,7 @@ def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], li
     the ``coset_orbit`` of the subgroup under the generators of G, then
     numbered by least position, in one pass over the positions in order.
     """
-    found = coset_orbit(subgroup, [G.action(g) for g in G.generators])
+    found = coset_orbit(subgroup, G.actions(G.generators))
     column = [0] * G.order
     for n, coset in enumerate(found):
         for x in coset:
@@ -645,7 +661,7 @@ def right_coset_decomposition(G: PermGroup,
     representative."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    column, least = coset_column(G, generated_indices(G.action(h) for h in H.generators))
+    column, least = coset_column(G, generated_indices(G.actions(H.generators)))
     cosets = [RightCoset(H, G.element(x)) for x in least]
     return {x: cosets[c] for x, c in zip(G.elements, column)}
 

@@ -287,10 +287,27 @@ def test_closure_actions_equal_recomputed_actions():
         assert action_table(G) == [tuple(G.index_of(x * g) for x in G.elements) for g in G]
 
 
+def test_actions_builds_the_arrays_not_yet_held_together():
+    G = _s4()
+    a, b = G.generators
+    x = G.element(5)
+    expected = {g: tuple(G.index_of(y * g) for y in G.elements) for g in (a, b, x)}
+    held = G.action(a)
+    assert G.actions([b, a, x, b]) == [expected[b], expected[a], expected[x], expected[b]]
+    assert G.actions([a])[0] is held  # kept, not built again
+    assert G._actions.keys() == {a, b, x}
+    assert G.actions([]) == []
+    trivial = generate_group(3, [])
+    assert trivial.actions([trivial.identity]) == [(0,)]
+
+
 def test_action_rejects_non_members():
     G = generate_group(4, [Permutation([1, 0, 2, 3])])
     with pytest.raises(ValueError):
         G.action(Permutation([1, 2, 3, 0]))
+    with pytest.raises(ValueError):
+        G.actions([G.identity, Permutation([1, 2, 3, 0])])
+    assert G._actions == {}  # nothing is built when one of them is no member
     with pytest.raises(ValueError):
         generate_group(3, []).action(Permutation([1, 0, 2]))
 
