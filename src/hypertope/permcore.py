@@ -6,14 +6,18 @@ lexicographic total order.  Sets of elements that are not subgroups
 
 A closure (``generate_group``) is a deterministic Schreier–Sims on the base
 0, 1, ..., m-1, the shortest prefix of the points whose pointwise
-stabilizer is trivial.  Its stabilizer chain keeps one transversal per
-base point, as image tuples, and an element is known by its m base images:
-two elements first differ at a point below m, so sorting the m-tuples
-sorts the elements.  The chain factors every element uniquely as one
-transversal element per level, so the closure lists the base images as
-those products and numbers the elements once, in sorted order (the
-identity is always 0).  The action of an element g is the index array of
-x -> x * g (``G.action(g)``), built from the base images on first request.
+stabilizer is trivial.  It sifts the Schreier generators that are not tree
+edges, except one on each cycle of a strong generator s whose length L is
+the order of s: along that cycle the Schreier generators multiply to
+u s^L u^-1 = 1, so any one of them is generated by the others.  Its
+stabilizer chain keeps one transversal per base point, as image tuples,
+and an element is known by its m base images: two elements first differ
+at a point below m, so sorting the m-tuples sorts the elements.  The
+chain factors every element uniquely as one transversal element per
+level, so the closure lists the base images as those products and numbers
+the elements once, in sorted order (the identity is always 0).  The
+action of an element g is the index array of x -> x * g
+(``G.action(g)``), built from the base images on first request.
 After that, group computations are computations over integers, with no new
 permutation product:
 
@@ -380,7 +384,10 @@ def generate_group(degree: int, gens: Sequence[Permutation],
 
     A deterministic Schreier–Sims builds the stabilizer chain of the group
     on the base 0, 1, ..., m-1, the shortest prefix of the points whose
-    pointwise stabilizer is trivial.  |G| is the product of the orbit
+    pointwise stabilizer is trivial.  It sifts every Schreier generator that
+    is not a tree edge but one on each cycle of a strong generator s as long
+    as the order of s, which the others on that cycle generate (their
+    product is u_b s^L u_b^-1 = 1).  |G| is the product of the orbit
     lengths, which bounds it from below at every stage: GroupTooLargeError
     is raised as soon as it exceeds ``cap``.  Then the base images of every
     element are the products of one transversal element per level, O(m)
@@ -412,14 +419,22 @@ class _SchreierSims:
     """The state of a deterministic Schreier–Sims; ``chain`` is the result.
 
     Each level keeps its strong generators S_l, which fix 0, ..., l-1, and
-    grows its orbit and transversal from the root along them.  Every
-    Schreier generator u_b s u_{b s}^-1 that is not a tree edge is sifted
-    through the levels below, to the identity on every point.  One that
-    does not sift is a new strong generator of the levels from l+1 down to
-    the first point it moves, which are then completed from the bottom up;
-    a base that runs out gains levels, so it stays a prefix.  A generator
-    that fixes a level's point is a strong generator of the next level, so
-    the root's Schreier generator for it is not sifted.
+    grows its orbit and transversal from the root along them.  A Schreier
+    generator u_b s u_{b s}^-1 that is not a tree edge is sifted through
+    the levels below, to the identity on every point.  One that does not
+    sift is a new strong generator of the levels from l+1 down to the first
+    point it moves, which are then completed from the bottom up; a base
+    that runs out gains levels, so it stays a prefix.  Two kinds of
+    non-tree edge are not sifted:
+
+    - the root's, for a generator that fixes the level's point: it is the
+      generator itself, a strong generator of the next level;
+    - the first one met on a cycle b -> b s -> ... -> b s^L = b of s whose
+      length L is the order of s.  The Schreier generators along the cycle
+      multiply to u_b s^L u_b^-1 = 1 and those of its tree edges are 1, so
+      the others on the cycle, all sifted, generate it.  The first such
+      edge marks the cycle's points; s^L is computed once per generator
+      and length.
     """
 
     def __init__(self, degree: int, cap: int):
@@ -431,6 +446,11 @@ class _SchreierSims:
         self.tree: list[dict[int, tuple[int, int]]] = []  # point -> (point, generator) it came from
         self.strong: list[list[tuple[int, ...]]] = []
         self.checked: list[list[int]] = []  # checked[l][k]: orbit points met by strong[l][k]
+        # marks[l][k]: the points of the strong[l][k]-cycles a non-tree edge has met
+        self.marks: list[list[bytearray]] = []
+        # powers[l][k]: L -> whether s^L is the identity, for s = strong[l][k];
+        # one dict per generator, shared by its levels
+        self.powers: list[list[dict[int, bool]]] = []
         self.order = 1  # the product of the orbit lengths
 
     def sift_into(self, a: tuple[int, ...], b: tuple[int, ...], first: int) -> None:
@@ -453,9 +473,14 @@ class _SchreierSims:
             self.tree.append({})
             self.strong.append([])
             self.checked.append([])
+            self.marks.append([])
+            self.powers.append([])
+        powers: dict[int, bool] = {}
         for l in range(first, level + 1):
             self.strong[l].append(h)
             self.checked[l].append(0)
+            self.marks[l].append(bytearray(self.degree))
+            self.powers[l].append(powers)
         for l in range(level, first - 1, -1):
             self.complete(l)
 
@@ -463,6 +488,7 @@ class _SchreierSims:
         """Meet every orbit point with every strong generator of the level."""
         transversal, orbit, parent = self.chain[level], self.orbits[level], self.tree[level]
         S, done = self.strong[level], self.checked[level]
+        marks, powers = self.marks[level], self.powers[level]
         grown = True
         while grown:
             grown = False
@@ -479,8 +505,38 @@ class _SchreierSims:
                         parent[c] = (b, k)
                         orbit.append(c)
                         grown = True
-                    elif parent.get(c) != (b, k) and not b == c == level:
+                    elif parent.get(c) != (b, k) and not b == c == level \
+                            and (marks[k][b] or not self.spared(marks[k], powers[k], s, b)):
                         self.sift_into(itemgetter(*transversal[b])(s), transversal[c], level + 1)
+
+    def spared(self, marks: bytearray, powers: dict[int, bool], s: tuple[int, ...],
+               b: int) -> bool:
+        """Whether the non-tree edge from b along s, the first one met on
+        b's cycle of s, need not be sifted: s^L is the identity for the
+        cycle's length L.  Marks the cycle's points in ``marks``; ``powers``
+        keeps s^L == 1 by L."""
+        marks[b] = 1
+        length, x = 1, s[b]
+        while x != b:
+            marks[x] = 1
+            x = s[x]
+            length += 1
+        spared = powers.get(length)
+        if spared is None:
+            spared = powers[length] = _power(s, length) == self.identity
+        return spared
+
+
+def _power(s: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The images of s^e, e >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if e & 1:
+            result = s if result is None else itemgetter(*result)(s)
+        e >>= 1
+        if not e:
+            return result
+        s = itemgetter(*s)(s)
 
 
 def _base_images(chain: list[dict[int, tuple[int, ...]]]) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """The group-theoretic chirality decision and its supporting machinery."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -503,6 +504,46 @@ def test_kept_state_matches_fresh_systems(rank4_classes):
                     i = condition_i(S, k)
                 assert (i, iii) == fresh[k], (S.group, S.R, k)
             assert is_chiral_hypertope(S, check_all_k=True) == report, (S.group, S.R)
+
+
+def _relabelled(R, pi):
+    """R conjugated by the point map pi: the image of pi[x] is pi[r(x)]."""
+    out = []
+    for r in R:
+        images = [0] * len(pi)
+        for x, y in enumerate(r.images):
+            images[pi[x]] = pi[y]
+        out.append(Permutation(images))
+    return out
+
+
+def _type_reordered(R, order):
+    """R' = (alpha_{m0 m1}, ..., alpha_{m0 m_{r-1}}) for the type order
+    m = ``order``; the alpha_{ij} of R' are the alpha_{m_i m_j} of R."""
+    alphas = [Permutation.identity(R[0].degree)] + list(R)
+    first = alphas[order[0]].inverse()
+    return [first * alphas[m] for m in order[1:]]
+
+
+def test_verdicts_survive_relabelled_points_and_reordered_types(rank4_classes):
+    """Relabelling the points, or reordering the types, gives the same
+    system on another base and cycle layout of the closure: with all k, the
+    verdict, the code and the orbit sizes are the fixture's on every rank-4
+    class of S5 and of PSL(2,7).  The witness changes with the labels."""
+    rng = random.Random(20261020)
+    outcomes = set()
+    for G, classes in rank4_classes.values():
+        pi = rng.sample(range(G.degree), G.degree)
+        for R, report in classes:
+            order = rng.sample(range(len(R) + 1), len(R) + 1)
+            expected = (report.verdict, report.failing_condition, report.orbit_sizes)
+            for moved in (_relabelled(R, pi), _type_reordered(R, order)):
+                got = is_chiral_hypertope(build_cplus(generate_group(G.degree, moved), moved),
+                                          check_all_k=True)
+                assert (got.verdict, got.failing_condition, got.orbit_sizes) == expected, (R, moved)
+            outcomes.add(expected[:2])
+    assert {(CHIRAL, None), (NOT_HYPERTOPE, 1), (NOT_HYPERTOPE, 2), (NOT_HYPERTOPE, 3),
+            (NOT_HYPERTOPE, 5)} <= outcomes
 
 
 def test_rank_below_3_rejected():

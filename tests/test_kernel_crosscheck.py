@@ -140,6 +140,16 @@ def _chain_cases():
               for p in (101, 401, 797, 2477)]
     cases += [pytest.param(rank + 1, list(_ladder_b_generators(rank)), id=f"simplex-rank{rank}")
               for rank in (4, 5, 6, 7)]
+    # cycles on which the closure spares a Schreier generator, or must not:
+    # no cycle as long as the order, involutions with fixed points, and
+    # cycles through the root as long as their generator's order
+    cases += [pytest.param(n, [Permutation.from_cycles(n, c) for c in gens], id=name)
+              for name, n, gens in (
+                  ("short-cycles", 7, [[(0, 1), (2, 3, 4)], [(1, 5, 6)]]),
+                  ("involutions", 9, [[(0, 1), (2, 3)], [(1, 2), (5, 6)], [(3, 4), (6, 7)]]),
+                  ("full-cycle-at-root", 8, [[tuple(range(8))], [(1, 7), (2, 6), (3, 5)]]),
+                  ("mixed-cycles-at-root", 10, [[(0, 1, 2, 3, 4, 5), (6, 7, 8)], [(0, 3), (6, 9)]]),
+              )]
     return cases
 
 

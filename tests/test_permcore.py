@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertope import cli
+from hypertope import cli, permcore
 from hypertope.corpus import generating_tuples, rank3_group_list, rank4_group_list
 from hypertope.cosetgeo import CosetGeometry
 from hypertope.permcore import (
@@ -165,6 +165,20 @@ def _torus_generators(p):
     return [s, s * t]
 
 
+# Generators whose cycles the closure may spare one Schreier generator on, or
+# not: (0 1)(2 3 4) has no cycle as long as its order; involutions with fixed
+# points have 1-cycles and 2-cycles; a cycle through the root as long as its
+# generator's order, alone and beside shorter cycles of the same generator.
+_SPARING_CASES = [
+    (5, [[(0, 1), (2, 3, 4)]]),
+    (6, [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)]]),
+    (7, [[(1, 2), (4, 5)], [(0, 3)], [(2, 6)]]),
+    (5, [[(0, 1, 2, 3, 4)]]),
+    (7, [[(0, 1, 2, 3)], [(0, 4), (5, 6)]]),
+    (8, [[(0, 1, 2, 3), (4, 5)], [(3, 6, 7)]]),
+]
+
+
 def _closure_cases():
     cases = [(G.degree, list(G.generators)) for _, G in rank3_group_list()]
     cases.append((101, _torus_generators(101)))
@@ -173,6 +187,7 @@ def _closure_cases():
     cases.append((7, [Permutation.from_cycles(7, [(4, 6)]), Permutation.from_cycles(7, [(3, 5)])]))
     cases.append((9, [Permutation.from_cycles(9, [(6, 7, 8)]), Permutation.from_cycles(9, [(0, 1)])]))
     cases += [(0, []), (1, []), (3, [Permutation.identity(3)])]
+    cases += [(n, [Permutation.from_cycles(n, c) for c in gens]) for n, gens in _SPARING_CASES]
     rng = random.Random(20261018)
     for _ in range(30):
         n = rng.randint(2, 7)
@@ -194,6 +209,43 @@ def test_base_images_are_prefixes_of_the_plain_closure():
         position = {x: i for i, x in enumerate(full)}
         for g in G.generators:
             assert G.action(g) == tuple(position[tuple(g.images[p] for p in x)] for x in full)
+
+
+def _count_sifts(monkeypatch):
+    """Replace ``permcore._sift`` by a wrapper that records each call."""
+    calls = []
+    original = permcore._sift
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(permcore, "_sift", counted)
+    return calls
+
+
+@pytest.mark.parametrize("degree, cycles, sifts", [
+    # the generator, then u_4 s u_0^-1 = s^5 = 1 is spared
+    (5, [[(0, 1, 2, 3, 4)]], 1),
+    # the generator s, then u_1 s u_0^-1 = s^2 != 1 (its 2-cycle is shorter
+    # than its order 6), whose 3-cycle on level 2 is spared
+    (5, [[(0, 1), (2, 3, 4)]], 2),
+])
+def test_closure_sifts_no_schreier_generator_a_cycle_makes_redundant(monkeypatch, degree, cycles,
+                                                                   sifts):
+    calls = _count_sifts(monkeypatch)
+    G = generate_group(degree, [Permutation.from_cycles(degree, c) for c in cycles])
+    assert G.order == len(_plain_closure(degree, G.generators))
+    assert len(calls) == sifts
+
+
+def test_torus_closure_spares_most_schreier_generators(monkeypatch):
+    """Sifting every non-tree edge closes the torus p = 101 in 104 sifts,
+    p + 1 of them on level 0.  Sparing the first non-tree edge on each cycle
+    as long as its generator's order leaves at most 30."""
+    calls = _count_sifts(monkeypatch)
+    G = generate_group(101, _torus_generators(101))
+    assert G.order == 404
+    assert len(calls) <= 30
 
 
 @pytest.mark.parametrize("degree, gens, i", [
