@@ -12,7 +12,6 @@ from .permcore import (
     PermGroup,
     Permutation,
     RightCoset,
-    action_table,
     compose_actions,
     conjugation_table,
     double_coset_decomposition,

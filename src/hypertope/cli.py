@@ -7,8 +7,10 @@ loader, imported on first need.  Generators may be given as 0-based image
 arrays or as cycle strings like ``"(0 1 2)(3 4)"``.  Exit codes: 0 chiral,
 10 regular, 20 not a hypertope, 1 input error (bad document, bad option or
 bad command line), 2 a size cap exceeded (the group's element cap or the
-oracle's vertex cap).  Every error ends with one ``error: ...`` line on
-stderr.
+oracle's vertex cap).  A degree above the element cap in effect is refused
+with exit 2 before any generator is read, so a short document cannot ask
+for a gigabyte of image array.  Every error ends with one ``error: ...``
+line on stderr.
 
 A not-a-hypertope report names the first failed check in its failure code:
 2 (ii), 1 (i), 3 (iii), or 5 when (ii), (i) and (iii) hold but the system
@@ -55,6 +57,10 @@ _OPTION_TYPES = {"k": int, "check_all_k": bool, "oracle": bool, "element_cap": i
 
 class InputError(ValueError):
     """Malformed instance document."""
+
+
+class DegreeCapError(RuntimeError):
+    """The document's degree is above the element cap in effect."""
 
 
 @dataclass
@@ -133,11 +139,14 @@ def spec_from_mapping(doc: dict) -> InstanceSpec:
             raise InputError(f"{key} holds a lone surrogate at character {exc.start}") from exc
     if not isinstance(raw_gens, (list, tuple)):
         raise InputError("generators must be a sequence")
-    gens = tuple(_parse_generator(g, degree) for g in raw_gens)
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise InputError("options must be a mapping")
     _check_options(options)
+    cap = options.get("element_cap", DEFAULT_ELEMENT_CAP)
+    if degree > cap:
+        raise DegreeCapError(f"degree {degree} exceeds the element cap {cap}")
+    gens = tuple(_parse_generator(g, degree) for g in raw_gens)
     return InstanceSpec(doc.get("name", "unnamed"), degree, gens, dict(options))
 
 
@@ -174,20 +183,24 @@ def _not_json(token: str):
 
 
 def parse_instance(text: str) -> InstanceSpec:
+    """The instance of a document (``load_document``)."""
+    return spec_from_mapping(load_document(text))
+
+
+def load_document(text: str):
     """Read a JSON document with ``json``, anything else with PyYAML's safe
     loader, which is imported on first need.  Both give the same values for
     a JSON document, except that only ``json`` reads escaped non-BMP text."""
     try:
-        doc = json.loads(text, parse_float=_not_json, parse_constant=_not_json)
+        return json.loads(text, parse_float=_not_json, parse_constant=_not_json)
     except RecursionError as exc:
         raise InputError(_TOO_DEEP) from exc
     except ValueError:
-        doc = _load_yaml(text)
-    return spec_from_mapping(doc)
+        return _load_yaml(text)
 
 
 def _load_yaml(text: str, loader=None):
-    """The YAML path of ``parse_instance``.  Its loader is libyaml's
+    """The YAML path of ``load_document``.  Its loader is libyaml's
     ``CSafeLoader`` where PyYAML was built with it (the same constructor and
     resolver as ``SafeLoader``, so the same values, and five times faster on
     long image arrays), else ``SafeLoader``."""
@@ -367,6 +380,26 @@ def _build_parser():
     return ap
 
 
+def _with_flags(doc, args):
+    """The document with the command line's options in place of its own, so
+    that it is read with the element cap in effect.  A document whose
+    options are no mapping is returned as it is, for ``spec_from_mapping``
+    to refuse."""
+    flags: dict = {}
+    if args.k is not None:
+        flags["k"] = args.k
+    if args.all_k:
+        flags["check_all_k"] = True
+    if args.oracle:
+        flags["oracle"] = True
+    if args.element_cap is not None:
+        flags["element_cap"] = args.element_cap
+    options = (doc.get("options") or {}) if isinstance(doc, dict) else None
+    if not flags or not isinstance(options, dict):
+        return doc
+    return {**doc, "options": {**options, **flags}}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -375,29 +408,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(name)
             return 0
         if args.catalog:
-            spec = spec_from_mapping(catalog_entry(args.catalog))
+            doc = catalog_entry(args.catalog)
         elif args.input == "-":
-            spec = parse_instance(sys.stdin.read())
+            doc = load_document(sys.stdin.read())
         elif args.input:
             with open(args.input, encoding="utf-8") as document:
-                spec = parse_instance(document.read())
+                doc = load_document(document.read())
         else:
             print("error: need an input document or --catalog NAME", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        if args.k is not None:
-            spec.options["k"] = args.k
-        if args.all_k:
-            spec.options["check_all_k"] = True
-        if args.oracle:
-            spec.options["oracle"] = True
-        if args.element_cap is not None:
-            spec.options["element_cap"] = args.element_cap
-        _check_options(spec.options)
+        spec = spec_from_mapping(_with_flags(doc, args))
         report = run(spec)
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (GroupTooLargeError, VertexCapError) as exc:
+    except (GroupTooLargeError, VertexCapError, DegreeCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
 

@@ -16,7 +16,6 @@ from typing import Callable, Iterator, Optional, Sequence
 from .permcore import (
     PermGroup,
     Permutation,
-    action_table,
     conjugation_table,
     coset_column,
     generate_group,
@@ -97,21 +96,23 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     ascending order and extends a prefix P by t only when t is the least of
     its orbit under C(P) = {g : P^g = P}; C(P + t) is then the part of C(P)
     that fixes t.  Generation and independence are searches over one local
-    action table, run on complete tuples only.  The generation test of
-    T = P + (t,) works on the cosets of ⟨P⟩, built once per prefix P
-    (``_generation_test``).  As T generates G, T[-1] ∈ ⟨P⟩ iff ⟨P⟩ = G,
-    which that test also reports; for i < size - 1, T[i] is looked for in
-    the subgroup generated by the other entries with ``permcore.reaches``,
-    the search that ``cplus.is_independent_generating_set`` runs too.
+    action table, ``G.actions(G.elements)``, run on complete tuples only.
+    The generation test of T = P + (t,) works on the cosets of ⟨P⟩, built
+    once per prefix P (``_generation_test``).  As T generates G,
+    T[-1] ∈ ⟨P⟩ iff ⟨P⟩ = G, which that test also reports; for
+    i < size - 1, T[i] is looked for in the subgroup generated by the other
+    entries with ``permcore.reaches``, the search that
+    ``cplus.is_independent_generating_set`` runs too.
     """
-    acts = action_table(G)
+    acts = G.actions(G.elements)
+    generator_actions = [acts[G.index_of(g)] for g in G.generators]
     conj = conjugation_table(acts)
     count = 0
     prefix: Optional[tuple[int, ...]] = None
     for T in _class_minimal_tuples(conj, size, (), range(G.order)):
         if T[:-1] != prefix:  # the extensions of a prefix come one after another
             prefix = T[:-1]
-            generates, prefix_generates = _generation_test(G, acts, prefix)
+            generates, prefix_generates = _generation_test(acts, generator_actions, prefix)
         if not generates(T[-1]):
             continue
         if independent is not None:
@@ -126,10 +127,11 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
             return
 
 
-def _generation_test(G: PermGroup, acts: Sequence[Sequence[int]],
+def _generation_test(acts: Sequence[Sequence[int]], generator_actions: Sequence[Sequence[int]],
                      prefix: tuple[int, ...]) -> tuple[Callable[[int], bool], bool]:
     """The test of ⟨P, t⟩ = G for the prefix P, as a function of t, and
-    whether ⟨P⟩ = G already.
+    whether ⟨P⟩ = G already; ``acts`` is the action table of G, in index
+    order, and ``generator_actions`` are the rows of G's generators.
 
     ⟨P, t⟩ contains H = ⟨P⟩, so it is G iff the orbit of the coset H under
     right multiplication by P and t covers all |G : H| cosets.  H, its
@@ -137,7 +139,8 @@ def _generation_test(G: PermGroup, acts: Sequence[Sequence[int]],
     each t then costs a search over the cosets, not over G.  ⟨P⟩ = G iff
     there is one coset.
     """
-    column, least = coset_column(G, generated_indices(acts[p] for p in prefix))
+    column, least = coset_column(generated_indices(acts[p] for p in prefix),
+                                 generator_actions, len(acts))
     moves = [[column[act[x]] for x in least] for act in (acts[p] for p in prefix)]
 
     def generates(t: int) -> bool:

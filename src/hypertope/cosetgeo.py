@@ -7,6 +7,7 @@ connected / chamber- and flag-transitive) all live here.
 
 One builder, ``IncidenceView(G, subgroups)``, makes the incidence graph
 from G and, per type, a subgroup given as a set of positions of G.  The
+view builds the action arrays of G's generators once and keeps them.  The
 cosets of a type are the orbit of the subgroup under right multiplication
 by the generators of G: (H x) g = H (x g), one lookup in g's action array
 per element (``permcore.coset_column``).  Each coset is numbered by its
@@ -58,7 +59,9 @@ class IncidenceView:
     vertices are numbered consecutively from ``offsets[i]``: vertex
     ``offsets[i] + c`` is the pair (type i, coset number c).  Bit m of
     ``adjacency[n]`` is set iff vertices n and m are incident and of
-    different types; ``type_masks`` holds the vertices of each type.  A flag
+    different types; ``type_masks`` holds the vertices of each type.
+    ``generator_actions`` are the action arrays of G's generators, built
+    with the view and read by ``vertex_moves``.  A flag
     is a tuple of pairwise adjacent vertices, ascending, which is also type
     order.  A view is immutable, so its flag walk is built once and kept.
     """
@@ -69,7 +72,8 @@ class IncidenceView:
         ``coset_column``.  The cosets of x ∈ G, one per type, pairwise
         meet, and every meeting pair arises so: the edges are the distinct
         pairs of entries of two columns at one position, O(|G| r^2)."""
-        cosets = [coset_column(G, H) for H in subgroups]
+        self.generator_actions = G.actions(G.generators)
+        cosets = [coset_column(H, self.generator_actions, G.order) for H in subgroups]
         self.columns = [column for column, _ in cosets]
         self.least = [least for _, least in cosets]
         *self.offsets, self.num_vertices = itertools.accumulate(map(len, self.least), initial=0)
@@ -210,19 +214,19 @@ def _connected(adjacency: Sequence[int], mask: int) -> bool:
     return seen == mask
 
 
-def vertex_moves(G: PermGroup, view: IncidenceView) -> list[list[int]]:
+def vertex_moves(view: IncidenceView) -> list[list[int]]:
     """Each generator's permutation of the vertices under right multiplication.
 
     Vertex (i, c) goes to the type-i coset holding ``act[least position of
-    c]``, with ``act`` the closure's action of g: one lookup in the action
-    array, then one in the type's coset column."""
+    c]``, with ``act`` the view's action array of the generator g: one
+    lookup in the action array, then one in the type's coset column."""
     places = [(offset, column, x) for offset, column, least
               in zip(view.offsets, view.columns, view.least) for x in least]
     return [[offset + column[act[x]] for offset, column, x in places]
-            for act in map(G.action, G.generators)]
+            for act in view.generator_actions]
 
 
-def flag_orbits(G: PermGroup, view: IncidenceView,
+def flag_orbits(view: IncidenceView,
                 flags: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
     """Orbits of right multiplication on flags of one type set, ordered by
     minimal flag.
@@ -234,7 +238,7 @@ def flag_orbits(G: PermGroup, view: IncidenceView,
     try:
         # a vertex keeps its type, so the image of an ascending flag is ascending
         perms = [[number[tuple(map(move.__getitem__, f))] for f in flags]
-                 for move in vertex_moves(G, view)]
+                 for move in vertex_moves(view)]
     except KeyError:
         raise RuntimeError("group action does not preserve the flag set") from None
     orbit_of = [-1] * len(flags)
@@ -357,7 +361,7 @@ class CosetGeometry:
                     if len(generated) == target:
                         break
                     if x not in generated:
-                        actions.append(G.action(G.element(x)))
+                        actions += G.actions([G.element(x)])
                         generated = generated_indices(actions)
                 if len(generated) != target:
                     return False
@@ -380,7 +384,7 @@ class CosetGeometry:
         the flags of its type set, in breadth-first order from the least."""
         view = self.view()
         flags = view.flags_of_type(view.type_and_coset(v)[0] for v in start)
-        for orbit in flag_orbits(self.group, view, flags):
+        for orbit in flag_orbits(view, flags):
             if start in orbit:
                 return orbit
         raise ValueError("not a flag of the geometry")
@@ -390,7 +394,7 @@ class CosetGeometry:
         if self.rank <= 2:
             return True
         view = self.view()
-        return len(flag_orbits(self.group, view, view.chambers())) <= 1
+        return len(flag_orbits(view, view.chambers())) <= 1
 
     def is_flag_transitive(self) -> bool:
         """Transitive on flags of every type.
@@ -404,7 +408,7 @@ class CosetGeometry:
         if self.is_geometry():
             return self.is_chamber_transitive()
         view = self.view()
-        return all(len(flag_orbits(self.group, view, view.flags_of_type(J))) <= 1
+        return all(len(flag_orbits(view, view.flags_of_type(J))) <= 1
                    for k in range(1, self.rank + 1)
                    for J in itertools.combinations(self.type_set, k))
 

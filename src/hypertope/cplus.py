@@ -15,9 +15,10 @@ not first, so that their codes stay those of the reference semantics.
 After the one closure of G the decision is index arithmetic: an element is
 its position in the sorted order (``G.index_of``), no permutation is
 multiplied, and the witness is the one element it builds (``G.element``).
-From the actions of R (``G.actions``, built together on request) a system
-derives the actions of the α_{ij}: α_{i0} = α_i^{-1} is an inverse array,
-and α_{ij} = α_{i0} α_j a composition of arrays.  Then:
+The actions of R are built once per system, by ``build_cplus`` for its
+generation check, and the system holds them (``CPlusSystem.actions``).  From
+them it derives the actions of the α_{ij}: α_{i0} = α_i^{-1} is an inverse
+array, and α_{ij} = α_{i0} α_j a composition of arrays.  Then:
 
 - every parabolic is an index set, the subgroup generated by the actions
   of its α_{ij} (``parabolic_indices``);
@@ -76,12 +77,14 @@ class CPlusSystem:
     """A group with an ordered generating set, and each part of the
     decision derived from it once.
 
-    R must generate the group; ``build_cplus`` checks that.  What the
-    decision derives is kept on the system, not on the group, which other
-    systems may share:
+    R must generate the group; ``build_cplus`` checks that, with the
+    actions of R that it hands to the system (``actions``, in the order of
+    R).  What the decision derives is kept on the system, not on the group,
+    which other systems may share:
 
-    - the actions of the α_{ij}, i ≠ j (``alpha_action``), which hold
-      those of the α_i^{-1} = α_{i0};
+    - the actions of the α_{ij}, 0 < i ≠ j (``alpha_action``), which hold
+      those of the α_i^{-1} = α_{i0}; those of the α_{0j} = α_j are
+      ``actions``;
     - one index set per parabolic (``parabolic_indices``);
     - the maximal parabolic index sets G_i (``maximal_indices``) and
       ``type_order``, the types by ascending |G_i| with ties by type index,
@@ -96,9 +99,11 @@ class CPlusSystem:
     maximal parabolics, is built only on request.
     """
 
-    def __init__(self, group: PermGroup, R: Sequence[Permutation]):
+    def __init__(self, group: PermGroup, R: Sequence[Permutation],
+                 actions: Sequence[tuple[int, ...]]):
         self.group = group
         self.R = tuple(R)
+        self.actions = tuple(actions)
         self.rank = len(self.R) + 1
         self._alpha_actions: dict[tuple[int, int], tuple[int, ...]] = {}
         self._indices: dict[tuple[int, ...], set[int]] = {}
@@ -120,13 +125,13 @@ class CPlusSystem:
         """The action of alpha_{ij} on the positions of G, for i != j: x -> x alpha_i^-1
         alpha_j.  Since alpha_0 = 1, alpha_{0j} = alpha_j and alpha_{i0} = alpha_i^-1.
         Its entry at 0 is the index of alpha_{ij}."""
+        if i == 0:
+            return self.actions[j - 1]
         if (i, j) not in self._alpha_actions:
-            if i == 0:
-                act = self.group.action(self.R[j - 1])
-            elif j == 0:
-                act = inverse_action(self.group.action(self.R[i - 1]))
+            if j == 0:
+                act = inverse_action(self.actions[i - 1])
             else:
-                act = compose_actions(self.alpha_action(i, 0), self.group.action(self.R[j - 1]))
+                act = compose_actions(self.alpha_action(i, 0), self.actions[j - 1])
             self._alpha_actions[i, j] = act
         return self._alpha_actions[i, j]
 
@@ -158,26 +163,24 @@ class CPlusSystem:
 
 
 def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
-    """Build the system, with its maximal parabolics as index sets and its
-    type order.
+    """Build the system, with the actions of R, its maximal parabolics as
+    index sets and its type order.
 
-    R must generate G; rank 2 is accepted for construction but the chirality
-    decision requires rank >= 3.
+    R must generate G: the actions of R, built here once, are checked to
+    reach every position and handed to the system.  Rank 2 is accepted for
+    construction but the chirality decision requires rank >= 3.
     """
-    R = tuple(R)
-    for r in R:
-        if r not in G:
-            raise ValueError("generator not in G")
-    if len(generated_indices(G.actions(R))) != G.order:
+    actions = G.actions(R)  # ValueError for an element outside G
+    if len(generated_indices(actions)) != G.order:
         raise ValueError("R does not generate G")
-    return CPlusSystem(G, R)
+    return CPlusSystem(G, R, actions)
 
 
 def is_independent_generating_set(S: CPlusSystem) -> bool:
     """No generator lies in the subgroup generated by the others: each
     search stops once it reaches the generator's index, its action's entry
     at the identity."""
-    actions = S.group.actions(S.R)
+    actions = S.actions
     return not any(reaches(actions[:i] + actions[i + 1:], act[0])
                    for i, act in enumerate(actions))
 
@@ -327,9 +330,8 @@ def condition_iv(S: CPlusSystem) -> bool:
     When r -> r^-1 extends to a homomorphism, its image contains every r^-1
     and hence generates G, so the extension is an automorphism.
     """
-    actions = S.group.actions(S.R)
     inverses = [S.alpha_action(i, 0) for i in range(1, S.rank)]
-    return not extends_on_indices(actions, inverses)
+    return not extends_on_indices(S.actions, inverses)
 
 
 @dataclass

@@ -11,14 +11,15 @@ residual connectedness and the maximal cliques: vertices of one type are
 never adjacent, so every clique is a flag, and a flag is maximal iff it has
 no common neighbour (no Bron–Kerbosch search).  Cliques are ascending
 vertex tuples.  Each generator g moves vertex (i, c) to the type-i coset
-holding the position ``G.action(g)[least position of c]``, read from the
-type's coset column with no product, and so permutes the cliques by
+holding the position ``act[least position of c]``, with ``act`` g's action
+array, which the view builds once for G's generators; it is read from the
+type's coset column with no product, and so g permutes the cliques by
 number (``cosetgeo.flag_orbits``, the routine that also decides the
 geometry layer's chamber- and flag-transitivity).  What it shares with the
 fast path:
 
-- the kernel: permutations, the element numbering and actions fixed at
-  closure, unchecked products;
+- the kernel: permutations, the element numbering fixed at closure and
+  the action arrays built from it, unchecked products;
 - the system's maximal parabolics as index sets of G
   (``CPlusSystem.maximal_indices``), generated from the actions of the
   α_i⁻¹α_j.  The fast path reads the cosets of (i) and (iii) from the same
@@ -142,7 +143,7 @@ def chirality_bruteforce(S: CPlusSystem,
     thin_rc_geometry = (len(cliques) == len(graph.chambers()) and graph.is_thin()
                         and graph.is_residually_connected())
 
-    orbits = flag_orbits(S.group, graph, cliques)
+    orbits = flag_orbits(graph, cliques)
     inverting = inverting_automorphism_exists(S.group, S.R)
 
     orbit_sizes = (len(orbits[0]), len(orbits[1])) if len(orbits) == 2 else None

@@ -17,9 +17,9 @@ chain factors every element uniquely as one transversal element per
 level, so the closure lists the base images as those products and numbers
 the elements once, in sorted order (the identity is always 0).  The
 action of an element g is the index array of x -> x * g
-(``G.action(g)``), built from the base images on first request.
-After that, group computations are computations over integers, with no new
-permutation product:
+(``G.actions([g])``), built from the base images when asked for and held
+by the caller, not by the group.  After that, group computations are
+computations over integers, with no new permutation product:
 
 - the subgroup generated by some elements is the breadth-first search of
   their actions from 0 (``generated_indices``), so subgroups are index sets
@@ -171,10 +171,9 @@ class PermGroup:
     Every group is a closure, built by ``generate_group``.  ``generators``
     generate the group.  ``index_of(p)`` is the position of p in the sorted
     element list (the identity is 0), ``element(i)`` the element at
-    position i.  ``action(g)`` is the index array of x -> x * g, built on
-    first request and kept, for generators as for any other element, and
-    ``actions(gs)`` the arrays of several elements, those not yet held built
-    together: a group never holds more arrays than were asked for.
+    position i.  ``actions(gs)`` builds the index arrays of x -> x * g for
+    the elements g of ``gs`` together and hands them to the caller: a group
+    holds no action array.
 
     The group holds its stabilizer chain on the base 0, ..., m-1 and the
     sorted tuples of base images, one per element: an element is known by
@@ -183,11 +182,11 @@ class PermGroup:
     access only) are the products of one transversal element per level.
     Membership and ``index_of`` always sift through the chain (there is no
     position map), ``element`` is always a product along it, and
-    ``action`` maps base images.
+    ``actions`` maps base images.
     """
 
     __slots__ = ("degree", "generators", "_elements", "_chain",
-                 "_keys", "_key_index", "_actions", "_hash")
+                 "_keys", "_key_index", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  chain: list[dict[int, tuple[int, ...]]], keys: Sequence[tuple[int, ...]]):
@@ -197,7 +196,6 @@ class PermGroup:
         self._keys = tuple(keys)
         self._key_index = {key: i for i, key in enumerate(self._keys)}
         self._elements: Optional[tuple[Permutation, ...]] = None
-        self._actions: dict[Permutation, tuple[int, ...]] = {}
         self._hash: Optional[int] = None
 
     @property
@@ -253,19 +251,19 @@ class PermGroup:
             raise ValueError("element not in the group")
         return i
 
-    def action(self, g: Permutation) -> tuple[int, ...]:
-        """x -> x * g on positions: ``action(g)[index_of(x)] == index_of(x * g)``."""
-        return self._actions.get(g) or self.actions((g,))[0]
-
     def actions(self, gs: Sequence[Permutation]) -> list[tuple[int, ...]]:
-        """``action`` of each of ``gs``; the arrays not yet held are built
-        together, from one column of base images per base point."""
-        new = [g for g in dict.fromkeys(gs) if g not in self._actions]
-        for g in new:
+        """The index array of x -> x * g for each g of ``gs``:
+        ``actions([g])[0][index_of(x)] == index_of(x * g)``.  Each g is sifted
+        (ValueError when it is not in the group), then the base images of
+        x * g are g of those of x, so g maps each base point's column of
+        images at once.  The group keeps none of the arrays."""
+        for g in gs:
             self.index_of(g)
-        if new:
-            self._actions.update(zip(new, _right_actions(self, new)))
-        return [self._actions[g] for g in gs]
+        if self.order == 1:  # no base point, so no column
+            return [(0,)] * len(gs)
+        number, columns = self._key_index, list(zip(*self._keys))
+        return [tuple([number[y] for y in zip(*[itemgetter(*c)(g.images) for c in columns])])
+                for g in gs]
 
     def __contains__(self, p: object) -> bool:
         return self._position(p) is not None
@@ -298,16 +296,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def _right_actions(G: PermGroup, gs: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """The arrays x -> x * g of ``gs``.  The base images of x * g are g of
-    those of x, so g maps each base point's column of images at once."""
-    if G.order == 1:  # no base point, so no column
-        return [(0,)] * len(gs)
-    number, columns = G._key_index, list(zip(*G._keys))
-    return [tuple([number[y] for y in zip(*[itemgetter(*c)(g.images) for c in columns])])
-            for g in gs]
-
-
 def _key_getter(key: Sequence[int]):
     """images -> the tuple of images of the points of ``key``: an itemgetter,
     except for 0 or 1 points, where an itemgetter returns no tuple."""
@@ -316,15 +304,10 @@ def _key_getter(key: Sequence[int]):
     return lambda images: tuple([images[p] for p in key])
 
 
-def action_table(G: PermGroup) -> list[tuple[int, ...]]:
-    """``G.action`` of every element, in index order: a |G| x |G| table that
-    the caller holds and drops; nothing is kept on G."""
-    return _right_actions(G, G.elements)
-
-
 def conjugation_table(actions: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """From a group's ``action_table``, the table whose row g maps the index
-    of t to the index of g^-1 t g, with no permutation product."""
+    """From the actions of every element of a group, in index order
+    (``G.actions(G.elements)``), the table whose row g maps the index of t
+    to the index of g^-1 t g, with no permutation product."""
     table = []
     for ag in actions:
         g_inv = ag.index(0)  # x * g is the identity iff x = g^-1
@@ -434,7 +417,9 @@ class _SchreierSims:
       multiply to u_b s^L u_b^-1 = 1 and those of its tree edges are 1, so
       the others on the cycle, all sifted, generate it.  The first such
       edge marks the cycle's points; s^L is computed once per generator
-      and length.
+      and length.  The marks of a level and generator are allocated at its
+      first non-tree edge, so a generator that fixes many levels' points
+      costs no marks there.
     """
 
     def __init__(self, degree: int, cap: int):
@@ -446,8 +431,10 @@ class _SchreierSims:
         self.tree: list[dict[int, tuple[int, int]]] = []  # point -> (point, generator) it came from
         self.strong: list[list[tuple[int, ...]]] = []
         self.checked: list[list[int]] = []  # checked[l][k]: orbit points met by strong[l][k]
-        # marks[l][k]: the points of the strong[l][k]-cycles a non-tree edge has met
-        self.marks: list[list[bytearray]] = []
+        # marks[l][k]: the points of the strong[l][k]-cycles a non-tree edge has
+        # met; until the first one, the shared read-only ``unmarked``
+        self.unmarked = bytes(degree)
+        self.marks: list[list[bytes]] = []
         # powers[l][k]: L -> whether s^L is the identity, for s = strong[l][k];
         # one dict per generator, shared by its levels
         self.powers: list[list[dict[int, bool]]] = []
@@ -479,7 +466,7 @@ class _SchreierSims:
         for l in range(first, level + 1):
             self.strong[l].append(h)
             self.checked[l].append(0)
-            self.marks[l].append(bytearray(self.degree))
+            self.marks[l].append(self.unmarked)
             self.powers[l].append(powers)
         for l in range(level, first - 1, -1):
             self.complete(l)
@@ -506,19 +493,23 @@ class _SchreierSims:
                         orbit.append(c)
                         grown = True
                     elif parent.get(c) != (b, k) and not b == c == level \
-                            and (marks[k][b] or not self.spared(marks[k], powers[k], s, b)):
+                            and (marks[k][b] or not self.spared(marks, k, powers[k], s, b)):
                         self.sift_into(itemgetter(*transversal[b])(s), transversal[c], level + 1)
 
-    def spared(self, marks: bytearray, powers: dict[int, bool], s: tuple[int, ...],
-               b: int) -> bool:
-        """Whether the non-tree edge from b along s, the first one met on
-        b's cycle of s, need not be sifted: s^L is the identity for the
-        cycle's length L.  Marks the cycle's points in ``marks``; ``powers``
-        keeps s^L == 1 by L."""
-        marks[b] = 1
+    def spared(self, marks: list[bytes], k: int, powers: dict[int, bool],
+               s: tuple[int, ...], b: int) -> bool:
+        """Whether the non-tree edge from b along s = strong[l][k], the first
+        one met on b's cycle of s, need not be sifted: s^L is the identity
+        for the cycle's length L.  Marks the cycle's points in ``marks[k]``,
+        the level's marks of s, allocated here on its first non-tree edge;
+        ``powers`` keeps s^L == 1 by L."""
+        if marks[k] is self.unmarked:
+            marks[k] = bytearray(self.degree)
+        met = marks[k]
+        met[b] = 1
         length, x = 1, s[b]
         while x != b:
-            marks[x] = 1
+            met[x] = 1
             x = s[x]
             length += 1
         spared = powers.get(length)
@@ -608,11 +599,13 @@ def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
         raise ValueError("degree mismatch")
     small, large = (H, K) if H.order <= K.order else (K, H)
     gens: list[Permutation] = []
+    actions: list[tuple[int, ...]] = []
     generated = {0}
     for n, x in enumerate(small.elements):
         if n not in generated and x in large:
             gens.append(x)
-            generated = generated_indices(small.actions(gens))
+            actions += small.actions([x])
+            generated = generated_indices(actions)
     return generate_group(H.degree, gens)
 
 
@@ -686,8 +679,11 @@ def coset_orbit(subgroup: Collection[int],
     return cosets
 
 
-def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], list[int]]:
-    """The right cosets of a subgroup of G, given as a set of positions of G.
+def coset_column(subgroup: Collection[int], actions: Sequence[Sequence[int]],
+                 order: int) -> tuple[list[int], list[int]]:
+    """The right cosets of a subgroup of a group G of the given order, the
+    subgroup given as a set of positions of G and ``actions`` the arrays of
+    G's generators, which the caller builds once.
 
     Returns (column, least): ``column[x]`` is the number of the coset
     holding position x, and ``least[c]`` the least position in coset c,
@@ -695,8 +691,8 @@ def coset_column(G: PermGroup, subgroup: Collection[int]) -> tuple[list[int], li
     the ``coset_orbit`` of the subgroup under the generators of G, then
     numbered by least position, in one pass over the positions in order.
     """
-    found = coset_orbit(subgroup, G.actions(G.generators))
-    column = [0] * G.order
+    found = coset_orbit(subgroup, actions)
+    column = [0] * order
     for n, coset in enumerate(found):
         for x in coset:
             column[x] = n
@@ -717,7 +713,8 @@ def right_coset_decomposition(G: PermGroup,
     representative."""
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    column, least = coset_column(G, generated_indices(G.actions(H.generators)))
+    column, least = coset_column(generated_indices(G.actions(H.generators)),
+                                 G.actions(G.generators), G.order)
     cosets = [RightCoset(H, G.element(x)) for x in least]
     return {x: cosets[c] for x, c in zip(G.elements, column)}
 
@@ -750,7 +747,7 @@ def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
 
     Breadth-first search over the pairs (x, phi(x)), from phi(1) = 1 along
     phi(x * gens[i]) = phi(x) * images[i]: x moves on indices by
-    ``G.action``, phi(x) by products of image tuples.  The pairs reached
+    ``G.actions``, phi(x) by products of image tuples.  The pairs reached
     are the subgroup D of the direct product generated by the (gens[i],
     images[i]), so the map is well defined iff every edge agrees with the
     value phi already has, i.e. iff |D| == |G|.  Raises ValueError when
@@ -760,10 +757,7 @@ def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
         raise ValueError("generator/image length mismatch")
     if images and len({q.degree for q in images}) != 1:
         raise ValueError("images do not share a common degree")
-    for g in gens:
-        if g not in G:
-            raise ValueError("generator not in G")
-    edges = [(G.action(g), q.images) for g, q in zip(gens, images)]
+    edges = [(act, q.images) for act, q in zip(G.actions(gens), images)]
     phi = {0: tuple(range(images[0].degree)) if images else ()}
     stack = [0]
     consistent = True
@@ -788,7 +782,7 @@ def extends_on_indices(actions: Sequence[Sequence[int]],
     """Does gens[i] -> images[i] extend to a homomorphism from G to G?
 
     The elements gens[i] and images[i] of G are given by their right
-    actions on the indices of G (``G.action``).  This is the pair search of
+    actions on the indices of G (``G.actions``).  This is the pair search of
     ``extends_to_homomorphism`` with phi(x) an index too:
     phi(x * gens[i]) = phi(x) * images[i] is ``images[i][phi[x]]``, so no
     permutation is multiplied.  Raises ValueError when gens do not generate

@@ -1,11 +1,13 @@
 """CLI front end: parsing, serialization, exit codes, report stability."""
 
 import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -390,6 +392,43 @@ def test_element_cap_exit_code(capsys):
     capsys.readouterr()
     assert main(["--catalog", "torus-4-4-1-2", "--element-cap", "-5"]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+
+
+DEGREE_11 = {"degree": 11, "generators": ["(0 1)", "(0 1 2 3 4 5 6 7 8 9 10)"]}
+
+
+@pytest.mark.parametrize("options, argv, code, error", [
+    ({"element_cap": 10}, [], EXIT_CAP_EXCEEDED, "degree 11 exceeds the element cap 10"),
+    ({}, ["--element-cap", "10"], EXIT_CAP_EXCEEDED, "degree 11 exceeds the element cap 10"),
+    ({"element_cap": 10}, ["--oracle"], EXIT_CAP_EXCEEDED, "degree 11 exceeds the element cap 10"),
+    # the command line's cap is the one in effect: S11 then exceeds it in the closure
+    ({"element_cap": 10}, ["--element-cap", "11"], EXIT_CAP_EXCEEDED, "closure exceeds"),
+    ({"element_cap": 10}, ["--element-cap", "-1"], EXIT_INPUT_ERROR, "positive integer"),
+])
+def test_degree_above_the_element_cap_in_effect_is_refused(tmp_path, capsys, options, argv,
+                                                           code, error):
+    doc = tmp_path / "s11.json"
+    doc.write_text(json.dumps(dict(DEGREE_11, options=options)))
+    assert main([str(doc), *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and error in captured.err
+
+
+def test_huge_degree_is_refused_before_any_allocation(capsys):
+    """A 75-byte document asking for 10^9 points: refused on its degree, not
+    after a list of 10^9 images."""
+    text = '{"degree": 1000000000, "generators": ["(0 1)", "(1 2)"]}'
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    start = time.perf_counter()
+    try:
+        assert main(["-"]) == EXIT_CAP_EXCEEDED
+    finally:
+        sys.stdin = stdin
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: degree 1000000000 exceeds the element cap 100000\n")
 
 
 def test_usage_error_is_input_error(capsys):

@@ -146,7 +146,7 @@ def test_coset_columns_match_permutation_arithmetic(system):
             assert members[geo.coset_number(i, x)] == frozenset(h * x for h in H)
         holders.append(holder)
     # the vertex (i, c) moves under g to the type-i coset holding (least of c) * g
-    for g, move in zip(G.generators, vertex_moves(G, graph)):
+    for g, move in zip(G.generators, vertex_moves(graph)):
         assert move == [graph.vertex(i, holders[i][G.element(graph.least[i][c]) * g])
                         for i, c in map(graph.type_and_coset, range(graph.num_vertices))]
 
@@ -287,7 +287,7 @@ def test_flag_transitivity_of_a_non_geometry_sweeps_every_type():
                                       for i, c in zip(J, flag)) for g in G)
                       for flag in flags}
             counts[J] = len(orbits)
-            assert len(flag_orbits(G, view, view.flags_of_type(J))) == counts[J], J
+            assert len(flag_orbits(view, view.flags_of_type(J))) == counts[J], J
     assert {J for J, n in counts.items() if n != 1} == {(0, 1, 2)}
     assert not geo.is_flag_transitive()
 

@@ -32,6 +32,7 @@ from hypertope.cplus import (
     is_independent_generating_set,
     two_orbit_decomposition,
 )
+from hypertope.oracle import chirality_bruteforce
 from hypertope.permcore import (
     Permutation,
     double_coset_decomposition,
@@ -168,14 +169,14 @@ def test_alpha_telescoping(data):
     assert _alpha(S, i, j) * _alpha(S, j, k) == _alpha(S, i, k)
     assert _alpha(S, j, i) == _alpha(S, i, j).inverse()
     if i < j:  # the system's array of alpha_{ij} is the reference's action
-        assert S.alpha_action(i, j) == S.group.action(_alpha(S, i, j))
+        assert S.alpha_action(i, j) == S.group.actions([_alpha(S, i, j)])[0]
 
 
 def test_alpha_action_covers_every_ordered_pair():
     # alpha_0 = 1, so alpha_{i0} = alpha_i^-1 is one of the system's arrays too
     S = s5_rank4_cplus()
     for i, j in itertools.permutations(S.type_set, 2):
-        assert S.alpha_action(i, j) == S.group.action(_alpha(S, i, j))
+        assert S.alpha_action(i, j) == S.group.actions([_alpha(S, i, j)])[0]
 
 
 def test_parabolic_recipe_matches_single_base_point():
@@ -544,6 +545,57 @@ def test_verdicts_survive_relabelled_points_and_reordered_types(rank4_classes):
             outcomes.add(expected[:2])
     assert {(CHIRAL, None), (NOT_HYPERTOPE, 1), (NOT_HYPERTOPE, 2), (NOT_HYPERTOPE, 3),
             (NOT_HYPERTOPE, 5)} <= outcomes
+
+
+def torus_map(b, c):
+    """The rotation group of the map {4,4}_(b,c) and its R = (σ1, σ1σ2).
+
+    The points are Z²/Λ, Λ spanned by (b, c) and (−c, b), so there are
+    n = b² + c² of them.  The point of (x, y) is known by the key
+    ((xb + yc) mod n, (yb − xc) mod n), which is 0 exactly on Λ, and the
+    points are numbered in the order a walk by (1, 0) and (0, 1) from the
+    origin meets them.  σ1 is the quarter turn (x, y) ↦ (1 − y, x) about a
+    face centre, σ2 the quarter turn (x, y) ↦ (−y, x) about the vertex 0;
+    σ1 acts first in σ1σ2, as in the kernel's right action."""
+    n = b * b + c * c
+
+    def key(x, y):
+        return (x * b + y * c) % n, (y * b - x * c) % n
+    number, points = {key(0, 0): 0}, [(0, 0)]
+    for x, y in points:  # grows while it is walked
+        for step in ((x + 1, y), (x, y + 1)):
+            if key(*step) not in number:
+                number[key(*step)] = len(points)
+                points.append(step)
+    s1 = Permutation([number[key(1 - y, x)] for x, y in points])
+    s2 = Permutation([number[key(-y, x)] for x, y in points])
+    R = (s1, s1 * s2)
+    return generate_group(n, R), R
+
+
+def test_torus_maps_follow_the_regularity_criterion():
+    """McMullen and Schulte (Abstract Regular Polytopes, 2002): for b ≥ c ≥ 0
+    and b² + c² ≥ 4, {4,4}_(b,c) is regular iff bc(b − c) = 0, and chiral
+    otherwise.  Every such map with b² + c² ≤ 200 is decided with all k, and
+    by the oracle too where |G| ≤ 400.  |G| = 4n, except for (2, 0), whose
+    4 points carry a group of order 8."""
+    maps = oracle_checked = 0
+    for b in range(15):
+        for c in range(b + 1):
+            if not 4 <= b * b + c * c <= 200:
+                continue
+            G, R = torus_map(b, c)
+            assert G.order == (8 if (b, c) == (2, 0) else 4 * (b * b + c * c)), (b, c)
+            S = build_cplus(G, R)
+            expected = CHIRAL if b * c * (b - c) else REGULAR
+            report = is_chiral_hypertope(S, check_all_k=True)
+            assert report.verdict == expected, (b, c)
+            assert report.cross_k_disagreement is None
+            if G.order <= 400:
+                assert chirality_bruteforce(S).verdict == expected, (b, c)
+                oracle_checked += 1
+            maps += 1
+    assert (maps, oracle_checked) == (89, 46)
 
 
 def test_rank_below_3_rejected():

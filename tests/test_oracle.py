@@ -37,7 +37,6 @@ from hypertope.oracle import (
 )
 from hypertope.permcore import (
     Permutation,
-    action_table,
     generate_group,
     generated_indices,
     right_coset,
@@ -168,7 +167,7 @@ def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
     for inst in build_corpus():
         S = build_cplus(inst.group, inst.R)
         view = build_incidence_graph(S)
-        orbits = flag_orbits(S.group, view, chambers_via_maximal_cliques(view))
+        orbits = flag_orbits(view, chambers_via_maximal_cliques(view))
         unmixed = len(orbits) == 2 and not _adjacent_pair_in_one_orbit(orbits)
         thin_geometry = view.is_thin() and view.is_geometry()
         assert thin_geometry or not unmixed, inst.name
@@ -260,7 +259,7 @@ def test_oracle_verdicts_match_known_instances():
 def _sample_rank4(G, rng, count):
     """``count`` seeded random triples of G that generate G, are independent
     and pass (ii), as systems."""
-    acts = action_table(G)
+    acts = G.actions(G.elements)
     out = []
     while len(out) < count:
         T = rng.sample(range(1, G.order), 3)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from hypertope import cli, permcore
 from hypertope.corpus import generating_tuples, rank3_group_list, rank4_group_list
 from hypertope.cosetgeo import CosetGeometry
+from hypertope.cplus import build_cplus, is_chiral_hypertope
 from hypertope.permcore import (
     GroupTooLargeError,
     Permutation,
-    action_table,
     compose_actions,
     conjugation_table,
     coset_column,
@@ -205,10 +206,9 @@ def test_base_images_are_prefixes_of_the_plain_closure():
         # m is the shortest such prefix: one point fewer confuses two elements
         assert m == 0 or len({x[:m - 1] for x in full}) < len(full)
         assert [x.images for x in G.elements] == full
-        assert G._actions == {}  # neither the closure nor the element list built an array
         position = {x: i for i, x in enumerate(full)}
-        for g in G.generators:
-            assert G.action(g) == tuple(position[tuple(g.images[p] for p in x)] for x in full)
+        assert G.actions(G.generators) == [
+            tuple(position[tuple(g.images[p] for p in x)] for x in full) for g in G.generators]
 
 
 def _count_sifts(monkeypatch):
@@ -248,6 +248,22 @@ def test_torus_closure_spares_most_schreier_generators(monkeypatch):
     assert len(calls) <= 30
 
 
+def test_closure_allocates_no_marks_on_the_levels_a_generator_fixes():
+    """<(n-2 n-1)> has the base 0, ..., n-2, and its generator is a strong
+    generator of every level but meets a non-tree edge on none of the n-2
+    levels whose point it fixes.  Marks allocated with the generator on each
+    level would take (n-1) n bytes, 9 MB at n = 3000."""
+    n = 3000
+    tracemalloc.start()
+    try:
+        G = generate_group(n, [Permutation.from_cycles(n, [(n - 2, n - 1)])])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 2 and G.base_length == n - 1
+    assert peak < 5_000_000
+
+
 @pytest.mark.parametrize("degree, gens, i", [
     (101, _torus_generators(101), 5),
     (5, [Permutation([1, 2, 3, 4, 0])], 1),
@@ -256,7 +272,7 @@ def test_non_member_agreeing_on_the_base_is_rejected(degree, gens, i):
     G = generate_group(degree, gens)
     x = G.element(i)
     assert x.images == _plain_closure(degree, gens)[i]
-    assert x in G and G.index_of(x) == i and G.action(x)[0] == i
+    assert x in G and G.index_of(x) == i and G.actions([x])[0][0] == i
     m = G.base_length
     images = list(x.images)
     images[m], images[m + 1] = images[m + 1], images[m]
@@ -266,7 +282,7 @@ def test_non_member_agreeing_on_the_base_is_rejected(degree, gens, i):
     with pytest.raises(ValueError):
         G.index_of(y)
     with pytest.raises(ValueError):
-        G.action(y)
+        G.actions([y])
 
 
 def test_cap_raises_from_the_orbit_lengths_of_s12():
@@ -283,25 +299,64 @@ def test_cap_raises_from_the_orbit_lengths_of_s12():
 
 
 def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
-    closed = []
+    """A decision with every k, as the CLI runs it without the oracle, asks
+    the group for action arrays once, for those of R, which the system then
+    holds, and never builds the element list."""
+    closed, asked = [], []
 
     def closure(*args, **kwargs):
         G = generate_group(*args, **kwargs)
-        closed.append((G, dict(G._actions)))
+        closed.append(G)
         return G
 
+    def actions(G, gs):
+        asked.append(list(gs))
+        return built(G, gs)
+
+    built = permcore.PermGroup.actions
     monkeypatch.setattr(cli, "generate_group", closure)
+    monkeypatch.setattr(permcore.PermGroup, "actions", actions)
     gens = _torus_generators(101)
     report = cli.run(cli.spec_from_mapping({"degree": 101,
-                                            "generators": [list(g.images) for g in gens]}))
+                                            "generators": [list(g.images) for g in gens],
+                                            "options": {"check_all_k": True}}))
     assert report.chirality.verdict == "chiral-hypertope"
     assert report.chirality.orbit_sizes == (404, 404)
-    ((G, at_closure),) = closed
-    assert at_closure == {}  # the closure builds no action array
-    assert G._actions.keys() == set(gens)  # the decision asked for those of R only
+    assert asked == [gens]  # once, for R: the closure builds no action array
+    (G,) = closed
     assert G._elements is None
     witness = report.chirality.witness
     assert witness == G.elements[G.index_of(witness)]  # built here, after the decision
+
+
+def test_deciding_systems_one_after_another_leaves_no_arrays_behind():
+    """The arrays of R belong to the system: deciding 20 systems on one
+    torus group (p = 401, |G| = 1604), one after another, leaves the traced
+    memory where the first decision left it.  The systems are chosen by
+    closing each pair, which builds no array on G."""
+    G = generate_group(401, _torus_generators(401))
+    rng = random.Random(401)
+    systems = []
+    while len(systems) < 20:
+        R = [G.element(rng.randrange(1, G.order)) for _ in range(2)]
+        if generate_group(G.degree, R).order == G.order:
+            systems.append(R)
+    verdicts = []
+
+    def decide(R):
+        verdicts.append(is_chiral_hypertope(build_cplus(G, R), check_all_k=True).verdict)
+
+    tracemalloc.start()
+    try:
+        decide(systems[0])
+        after_first = tracemalloc.get_traced_memory()[0]
+        for R in systems[1:]:
+            decide(R)
+        growth = tracemalloc.get_traced_memory()[0] - after_first
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == 20
+    assert growth < 32_000  # a group keeping them grows by some 480 KB here
 
 
 # -- element numbering and actions --------------------------------------------
@@ -319,8 +374,7 @@ def test_index_numbers_sorted_elements_from_identity():
 
 def test_action_is_right_multiplication_on_indices():
     G = _s4()
-    for g in G:
-        act = G.action(g)
+    for g, act in zip(G, G.actions(G.elements)):
         for x in G:
             assert G.index_of(x * g) == act[G.index_of(x)]
 
@@ -330,24 +384,25 @@ def test_closure_actions_equal_recomputed_actions():
                  [Permutation([1, 2, 3, 0]), Permutation([1, 0, 2, 3]),
                   Permutation([0, 1, 3, 2])]):
         G = generate_group(4, gens)
-        recorded = [G.action(g) for g in G.generators]
+        recorded = G.actions(G.generators)
         fresh = generate_group(4, list(G.elements))  # other generators, same group
         assert fresh == G and fresh.elements == G.elements
-        assert recorded == [fresh.action(g) for g in G.generators]
+        assert recorded == fresh.actions(G.generators)
         assert recorded == [tuple(G.index_of(x * g) for x in G.elements)
                             for g in G.generators]
-        assert action_table(G) == [tuple(G.index_of(x * g) for x in G.elements) for g in G]
+        assert G.actions(G.elements) == [tuple(G.index_of(x * g) for x in G.elements)
+                                         for g in G]
 
 
-def test_actions_builds_the_arrays_not_yet_held_together():
+def test_actions_are_built_for_the_caller_and_kept_by_none():
     G = _s4()
     a, b = G.generators
     x = G.element(5)
     expected = {g: tuple(G.index_of(y * g) for y in G.elements) for g in (a, b, x)}
-    held = G.action(a)
     assert G.actions([b, a, x, b]) == [expected[b], expected[a], expected[x], expected[b]]
-    assert G.actions([a])[0] is held  # kept, not built again
-    assert G._actions.keys() == {a, b, x}
+    first, again = G.actions([a]), G.actions([a])
+    assert first == again and first[0] is not again[0]  # built anew: the group holds none
+    assert not hasattr(G, "_actions")
     assert G.actions([]) == []
     trivial = generate_group(3, [])
     assert trivial.actions([trivial.identity]) == [(0,)]
@@ -356,19 +411,20 @@ def test_actions_builds_the_arrays_not_yet_held_together():
 def test_action_rejects_non_members():
     G = generate_group(4, [Permutation([1, 0, 2, 3])])
     with pytest.raises(ValueError):
-        G.action(Permutation([1, 2, 3, 0]))
+        G.actions([Permutation([1, 2, 3, 0])])
     with pytest.raises(ValueError):
         G.actions([G.identity, Permutation([1, 2, 3, 0])])
-    assert G._actions == {}  # nothing is built when one of them is no member
     with pytest.raises(ValueError):
-        generate_group(3, []).action(Permutation([1, 0, 2]))
+        generate_group(3, []).actions([Permutation([1, 0, 2])])
+    with pytest.raises(ValueError):
+        extends_to_homomorphism(G, [Permutation([1, 2, 3, 0])], [G.identity])
 
 
 def test_generated_indices_match_closure():
     G = _s4()
     for a, b in itertools.combinations(G.elements, 2):
         H = generate_group(4, [a, b])
-        assert generated_indices([G.action(a), G.action(b)]) == {G.index_of(h) for h in H}
+        assert generated_indices(G.actions([a, b])) == {G.index_of(h) for h in H}
     assert generated_indices([]) == {0}
 
 
@@ -379,7 +435,7 @@ def test_reaches_is_membership_in_the_generated_subgroup():
         elements = list(G.generators) + list(next(generating_tuples(G, 2, limit=1)))
         for size in range(len(elements) + 1):
             for subset in itertools.combinations(elements, size):
-                actions = [G.action(g) for g in subset]
+                actions = G.actions(subset)
                 generated = generated_indices(actions)
                 assert [reaches(actions, t) for t in range(G.order)] == [
                     t in generated for t in range(G.order)], (name, subset)
@@ -387,14 +443,14 @@ def test_reaches_is_membership_in_the_generated_subgroup():
 
 def test_inverse_and_composed_actions_match_products():
     G = _s4()
-    acts = action_table(G)
+    acts = G.actions(G.elements)
     for g in G:
         assert inverse_action(acts[G.index_of(g)]) == acts[G.index_of(g.inverse())]
         for h in G:
             assert (compose_actions(acts[G.index_of(g)], acts[G.index_of(h)])
                     == acts[G.index_of(g * h)])
     trivial = generate_group(2, [])
-    assert compose_actions(trivial.action(trivial.identity), (0,)) == (0,)
+    assert compose_actions(trivial.actions([trivial.identity])[0], (0,)) == (0,)
 
 
 def _conjugates_by_products(G):
@@ -404,7 +460,7 @@ def _conjugates_by_products(G):
 
 def test_conjugation_table_matches_products():
     for G in (_s4(), dict(rank3_group_list())["f20"]):
-        table = conjugation_table(action_table(G))
+        table = conjugation_table(G.actions(G.elements))
         assert [list(row) for row in table] == _conjugates_by_products(G)
 
 
@@ -445,7 +501,7 @@ def test_coset_orbit_is_the_right_cosets_of_every_s4_subgroup():
     of H, H first, and ``coset_column`` numbers the same partition; under
     the generators of a subgroup K it is the cosets H x with x in K."""
     G = _s4()
-    actions = [G.action(g) for g in G.generators]
+    actions = G.actions(G.generators)
     subgroups = {generate_group(4, pair) for pair in itertools.combinations(G.elements, 2)}
     assert len(subgroups) == 30 - 1  # all but the trivial one
     for H in subgroups:
@@ -456,11 +512,11 @@ def test_coset_orbit_is_the_right_cosets_of_every_s4_subgroup():
         for c in found:
             coset = right_coset(H, G.element(c[0]))
             assert {G.index_of(x) for x in coset.elements()} == set(c)
-        column, least = coset_column(G, indices)
+        column, least = coset_column(indices, actions, G.order)
         assert {frozenset(c) for c in found} == {
             frozenset(x for x in range(G.order) if column[x] == n) for n in range(len(least))}
         for K in subgroups:
-            meeting = coset_orbit(indices, [G.action(k) for k in K.generators])
+            meeting = coset_orbit(indices, G.actions(K.generators))
             assert {frozenset(c) for c in meeting} == {
                 frozenset(G.index_of(h * k) for h in H) for k in K}
 
@@ -556,7 +612,7 @@ def test_extension_matches_word_propagation_on_corpus_tuples(name):
 @pytest.mark.parametrize("name", ["s4", "a5", "f20"])
 def test_extension_on_indices_matches_permutation_search(name):
     G = dict(rank3_group_list())[name]
-    acts = action_table(G)
+    acts = G.actions(G.elements)
 
     def act(g):
         return acts[G.index_of(g)]
@@ -614,7 +670,7 @@ def _reference_tuples(G, size, independent, conj):
     """Brute force: every ordered tuple, the filters, then the tuples T with
     T = min over g of T^g (``conj`` from ``_conjugates_by_products``)."""
     n = G.order
-    acts = action_table(G)
+    acts = G.actions(G.elements)
     out = []
     for T in itertools.product(range(1, n), repeat=size):
         if len(set(T)) != size or len(generated_indices(acts[t] for t in T)) != n:
