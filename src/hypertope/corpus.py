@@ -101,8 +101,7 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     once per prefix P (``_generation_test``).  As T generates G,
     T[-1] ∈ ⟨P⟩ iff ⟨P⟩ = G, which that test also reports; for
     i < size - 1, T[i] is looked for in the subgroup generated by the other
-    entries with ``permcore.reaches``, the search that
-    ``cplus.is_independent_generating_set`` runs too.
+    entries with ``permcore.reaches``.
     """
     acts = G.actions(G.elements)
     generator_actions = [acts[G.index_of(g)] for g in G.generators]

@@ -5,21 +5,22 @@ two cosets are incident iff they intersect.  Flags, truncations and the
 geometric property tests (geometry / thin / connected / residually
 connected / chamber- and flag-transitive) all live here.
 
-One builder, ``IncidenceView(G, subgroups)``, makes the incidence graph
-from G and, per type, a subgroup given as a set of positions of G.  The
-view builds the action arrays of G's generators once and keeps them.  The
-cosets of a type are the orbit of the subgroup under right multiplication
-by the generators of G: (H x) g = H (x g), one lookup in g's action array
-per element (``permcore.coset_column``).  Each coset is numbered by its
-least position, which is the position of its canonical (least)
-representative, because positions follow the sorted order of the
+One builder, ``IncidenceView(G, subgroups, actions)``, makes the incidence
+graph from G, per type a subgroup given as a set of positions of G, and the
+action arrays of a generating set of G, which its caller builds and the
+view keeps.  The cosets of a type are the orbit of the subgroup under right
+multiplication by those generators: (H x) g = H (x g), one lookup in g's
+action array per element (``permcore.coset_column``).  Each coset is
+numbered by its least position, which is the position of its canonical
+(least) representative, because positions follow the sorted order of the
 elements.  The view keeps, per type, the coset number of each position
 (the coset column) and the least position of each coset, and per vertex an
 integer bitmask of its neighbours, the cosets meeting it, read off the
 columns in O(|G| r^2).  The oracle builds it from the system's
-maximal parabolic index sets; a ``CosetGeometry`` builds it from the
-positions its ``PermGroup`` parabolics generate.  Flags and chambers are
-the view's vertex tuples everywhere.
+maximal parabolic index sets and the arrays of R; a ``CosetGeometry``
+builds it from the positions its ``PermGroup`` parabolics generate and the
+arrays of G's generators.  Flags and chambers are the view's vertex tuples
+everywhere.
 
 One walk over the view's flags, made once, records each flag with the mask
 of its common neighbours.  Flags, chambers, thinness, residual
@@ -60,19 +61,21 @@ class IncidenceView:
     ``offsets[i] + c`` is the pair (type i, coset number c).  Bit m of
     ``adjacency[n]`` is set iff vertices n and m are incident and of
     different types; ``type_masks`` holds the vertices of each type.
-    ``generator_actions`` are the action arrays of G's generators, built
-    with the view and read by ``vertex_moves``.  A flag
+    ``generator_actions`` are the action arrays of a generating set of G,
+    handed to the view and read by ``vertex_moves``.  A flag
     is a tuple of pairwise adjacent vertices, ascending, which is also type
     order.  A view is immutable, so its flag walk is built once and kept.
     """
 
-    def __init__(self, G: PermGroup, subgroups: Sequence[Collection[int]]):
+    def __init__(self, G: PermGroup, subgroups: Sequence[Collection[int]],
+                 actions: Sequence[Sequence[int]]):
         """The coset system of G over ``subgroups``, type i's subgroup given
         as a set of positions of G, with its cosets numbered by
-        ``coset_column``.  The cosets of x ∈ G, one per type, pairwise
-        meet, and every meeting pair arises so: the edges are the distinct
-        pairs of entries of two columns at one position, O(|G| r^2)."""
-        self.generator_actions = G.actions(G.generators)
+        ``coset_column`` under ``actions``, the arrays of elements that
+        generate G.  The cosets of x ∈ G, one per type, pairwise meet, and
+        every meeting pair arises so: the edges are the distinct pairs of
+        entries of two columns at one position, O(|G| r^2)."""
+        self.generator_actions = tuple(actions)
         cosets = [coset_column(H, self.generator_actions, G.order) for H in subgroups]
         self.columns = [column for column, _ in cosets]
         self.least = [least for _, least in cosets]
@@ -299,7 +302,8 @@ class CosetGeometry:
         holds no reference to the geometry: that cycle would keep dead
         geometries alive until a full collection."""
         if self._view is None:
-            self._view = IncidenceView(self.group, self._positions())
+            self._view = IncidenceView(self.group, self._positions(),
+                                       self.group.actions(self.group.generators))
         return self._view
 
     def coset_number(self, i: int, x: Permutation) -> int:

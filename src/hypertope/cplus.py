@@ -15,22 +15,27 @@ not first, so that their codes stay those of the reference semantics.
 After the one closure of G the decision is index arithmetic: an element is
 its position in the sorted order (``G.index_of``), no permutation is
 multiplied, and the witness is the one element it builds (``G.element``).
-The actions of R are built once per system, by ``build_cplus`` for its
-generation check, and the system holds them (``CPlusSystem.actions``).  From
-them it derives the actions of the α_{ij}: α_{i0} = α_i^{-1} is an inverse
-array, and α_{ij} = α_{i0} α_j a composition of arrays.  Then:
+The actions of R are built once per system, by ``build_cplus``, and the
+system holds them (``CPlusSystem.actions``).  From them it derives the
+actions of the α_{ij}: α_{i0} = α_i^{-1} is an inverse array, and
+α_{ij} = α_{i0} α_j a composition of arrays.  Nothing is searched for that
+the closure or the maximal parabolics already prove:
 
+- R generates G without a search when G was closed from R, as in the CLI:
+  G's generators are then among R;
 - every parabolic is an index set, the subgroup generated by the actions
   of its α_{ij} (``parabolic_indices``);
 - (ii), the corank-1 stabilizers B and IC⁺ are intersections of index
-  sets;
+  sets, IC⁺ only against the maximal parabolics (``check_ic_plus``);
 - the cosets G_j h, h ∈ G_a, of (i) and (iii) are the ``coset_orbit`` of
   G_j under right multiplication by the generators of G_a, each kept as a
   bitmask over the positions of G (``_cosets_meeting``);
-- independence looks for each α_i in the subgroup generated by the others
-  with ``reaches``, the search the corpus runs on its tuples;
-- (iv) is the pair search over (x, φ(x)) with both sides indices:
-  φ(x α_i) = φ(x) α_i^{-1} is a lookup in the action of α_{i0};
+- independence is one membership test per α_i: the subgroup generated by
+  the others is the maximal parabolic G_i;
+- (iv) fails at once when every α_i is an involution, since the identity
+  then inverts R.  Otherwise it is the pair search over (x, φ(x)) with both
+  sides indices: φ(x α_i) = φ(x) α_i^{-1} is a lookup in the action of
+  α_{i0};
 - once (ii) holds, the two chamber-orbit classes are the two type-k cosets
   kept by (iii), and the witness is the least element of the second.
 
@@ -43,9 +48,9 @@ one B per k and one family of cosets G_j h, h ∈ G_a, per pair (j, a).  So
 with ``check_all_k`` they are 2(r - 1) families, not r(r - 1).
 
 The oracle builds its incidence graph from the same maximal parabolic
-index sets.  Only ``associated_geometry`` closes the maximal parabolics as
-``PermGroup``s, with ``generate_group`` over the same generators; that
-geometry serves the tests.
+index sets and the same arrays of R.  Only ``associated_geometry`` closes
+the maximal parabolics as ``PermGroup``s, with ``generate_group`` over the
+same generators; that geometry serves the tests.
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ from .permcore import (
     generated_indices,
     inverse_action,
     product_set,  # noqa: F401 -- perfbench/test_perfbench.py reaches it as cplus.product_set
-    reaches,
 )
 
 CHIRAL = "chiral-hypertope"
@@ -77,10 +81,10 @@ class CPlusSystem:
     """A group with an ordered generating set, and each part of the
     decision derived from it once.
 
-    R must generate the group; ``build_cplus`` checks that, with the
-    actions of R that it hands to the system (``actions``, in the order of
-    R).  What the decision derives is kept on the system, not on the group,
-    which other systems may share:
+    R must generate the group; ``build_cplus`` checks that and hands the
+    system the actions of R (``actions``, in the order of R).  What the
+    decision derives is kept on the system, not on the group, which other
+    systems may share:
 
     - the actions of the α_{ij}, 0 < i ≠ j (``alpha_action``), which hold
       those of the α_i^{-1} = α_{i0}; those of the α_{0j} = α_j are
@@ -166,47 +170,58 @@ def build_cplus(G: PermGroup, R: Sequence[Permutation]) -> CPlusSystem:
     """Build the system, with the actions of R, its maximal parabolics as
     index sets and its type order.
 
-    R must generate G: the actions of R, built here once, are checked to
-    reach every position and handed to the system.  Rank 2 is accepted for
+    R must generate G.  When G's generators are among R, as when G was
+    closed from R, ⟨R⟩ holds ⟨G.generators⟩ = G and nothing is searched.
+    Otherwise the actions of R, built here once and handed to the system,
+    are checked to reach every position.  Rank 2 is accepted for
     construction but the chirality decision requires rank >= 3.
     """
     actions = G.actions(R)  # ValueError for an element outside G
-    if len(generated_indices(actions)) != G.order:
+    if not set(G.generators) <= set(R) and len(generated_indices(actions)) != G.order:
         raise ValueError("R does not generate G")
     return CPlusSystem(G, R, actions)
 
 
 def is_independent_generating_set(S: CPlusSystem) -> bool:
-    """No generator lies in the subgroup generated by the others: each
-    search stops once it reaches the generator's index, its action's entry
-    at the identity."""
-    actions = S.actions
-    return not any(reaches(actions[:i] + actions[i + 1:], act[0])
-                   for i, act in enumerate(actions))
+    """No generator lies in the subgroup generated by the others.
+
+    For i >= 1, I ∖ {i} holds 0 and α_{0j} = α_j, so that subgroup is the
+    maximal parabolic G_i, which the system holds; α_i's index is its
+    action's entry at the identity."""
+    return all(act[0] not in S.maximal_indices(i) for i, act in enumerate(S.actions, 1))
 
 
 def check_ic_plus(S: CPlusSystem) -> bool:
-    """Intersection condition: parabolic(J) ∩ parabolic(K) = parabolic(J ∩ K)
-    for all |J|, |K| >= 2; computed once per system and kept.
+    """Intersection condition: G_J ∩ G_K = G_{J ∩ K} for all |J|, |K| >= 2,
+    with G_J the parabolic of J; computed once per system and kept.
 
-    Only pairs with neither set inside the other are tested: the parabolic
-    of the full type set is G, and parabolic(J) ⊆ parabolic(K) when J ⊆ K.
-    Comparing orders suffices because parabolic(J ∩ K) always sits inside
-    the intersection.  Each subset's index set is looked up once, when a
-    pair first needs it, and kept in a table that the other pairs read.
+    Only the maximal parabolics are met: |G_J ∩ G_{I∖{i}}| = |G_{J∖{i}}|
+    for every J with 2 <= |J| <= r - 1 and every i ∈ J, each pair of
+    maximal parabolics once.  These are the cases K = I ∖ {i}, and they
+    imply the rest: for i ∈ J ∖ K, K ⊆ I ∖ {i}, so G_J ∩ G_K ⊆
+    G_J ∩ G_{I∖{i}} = G_{J∖{i}}, and removing each i ∈ J ∖ K in turn leaves
+    G_{J∩K} (J ⊆ K, or a J of one type, holds at once).  So about
+    r 2^(r-1) intersections are made, not 4^r / 2.  Comparing orders
+    suffices because G_{J∖{i}} always sits inside the intersection.  Each
+    subset's index set is looked up once, when a test first needs it, and
+    kept in a table that the others read.
     """
     if S._ic_plus is None:
-        subsets = [frozenset(J) for size in range(2, S.rank)
-                   for J in itertools.combinations(S.type_set, size)]
-        table: dict[frozenset[int], set[int]] = {}
+        I, M = S.type_set, S.maximal_indices
+        table: dict[tuple[int, ...], set[int]] = {}
 
-        def P(J: frozenset[int]) -> set[int]:
+        def P(J: tuple[int, ...]) -> set[int]:
             if J not in table:
                 table[J] = S.parabolic_indices(J)
             return table[J]
-        S._ic_plus = all(len(P(J) & P(K)) == len(P(J & K))
-                         for a, J in enumerate(subsets) for K in subsets[a + 1:]
-                         if not J <= K)
+        # (G_J, G_{I∖{i}}, J ∖ {i}): each pair of maximal parabolics, then
+        # each smaller J against the maximal parabolic of each i ∈ J
+        maximal_pairs = ((M(j), M(i), tuple(t for t in I if t not in (i, j)))
+                         for i, j in itertools.combinations(I, 2))
+        smaller = ((P(J), M(i), tuple(t for t in J if t != i)) for size in range(2, S.rank - 1)
+                   for J in itertools.combinations(I, size) for i in J)
+        S._ic_plus = all(len(GJ & Gi) == len(P(rest))
+                         for GJ, Gi, rest in itertools.chain(maximal_pairs, smaller))
     return S._ic_plus
 
 
@@ -327,9 +342,14 @@ def condition_iii(S: CPlusSystem, k: int) -> bool:
 def condition_iv(S: CPlusSystem) -> bool:
     """No automorphism of the group inverts every generator in R.
 
-    When r -> r^-1 extends to a homomorphism, its image contains every r^-1
-    and hence generates G, so the extension is an automorphism.
+    When every α_i is an involution the identity inverts R, so (iv) fails
+    with no search: act[act[0]] is the index of α_i², 0 iff α_i² = 1.
+    Otherwise the pair search decides: when r -> r^-1 extends to a
+    homomorphism, its image contains every r^-1 and hence generates G, so
+    the extension is an automorphism.
     """
+    if all(act[act[0]] == 0 for act in S.actions):
+        return False
     inverses = [S.alpha_action(i, 0) for i in range(1, S.rank)]
     return not extends_on_indices(S.actions, inverses)
 

@@ -12,14 +12,15 @@ never adjacent, so every clique is a flag, and a flag is maximal iff it has
 no common neighbour (no Bron–Kerbosch search).  Cliques are ascending
 vertex tuples.  Each generator g moves vertex (i, c) to the type-i coset
 holding the position ``act[least position of c]``, with ``act`` g's action
-array, which the view builds once for G's generators; it is read from the
-type's coset column with no product, and so g permutes the cliques by
-number (``cosetgeo.flag_orbits``, the routine that also decides the
-geometry layer's chamber- and flag-transitivity).  What it shares with the
-fast path:
+array; it is read from the type's coset column with no product, and so g
+permutes the cliques by number (``cosetgeo.flag_orbits``, the routine that
+also decides the geometry layer's chamber- and flag-transitivity).  The
+generators are R, which generates G: the view, the clique orbits and the
+pair search read the system's arrays of R (``CPlusSystem.actions``), built
+once by ``build_cplus``.  What it shares with the fast path:
 
 - the kernel: permutations, the element numbering fixed at closure and
-  the action arrays built from it, unchecked products;
+  the action arrays of R built from it, unchecked products;
 - the system's maximal parabolics as index sets of G
   (``CPlusSystem.maximal_indices``), generated from the actions of the
   α_i⁻¹α_j.  The fast path reads the cosets of (i) and (iii) from the same
@@ -96,15 +97,16 @@ def build_incidence_graph(S: CPlusSystem,
     geometry, the ``IncidenceView`` of G over the maximal parabolic index
     sets.
 
-    The cap is checked first, on the vertex count sum_i |G| / |G_i|.
-    Vertices are (type, coset number) pairs in deterministic order (type,
-    then canonical coset order); bit b of ``adjacency[a]`` is set iff a and
-    b are incident elements of distinct types."""
+    The cap is checked first, on the vertex count sum_i |G| / |G_i|.  The
+    cosets are the orbits under R, through the system's arrays.  Vertices
+    are (type, coset number) pairs in deterministic order (type, then
+    canonical coset order); bit b of ``adjacency[a]`` is set iff a and b
+    are incident elements of distinct types."""
     G = S.group
     maximal = [S.maximal_indices(i) for i in S.type_set]
     if sum(G.order // len(H) for H in maximal) > vertex_cap:
         raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
-    return IncidenceView(G, maximal)
+    return IncidenceView(G, maximal, S.actions)
 
 
 def chambers_via_maximal_cliques(graph: IncidenceView) -> list[Clique]:
@@ -144,7 +146,7 @@ def chirality_bruteforce(S: CPlusSystem,
                         and graph.is_residually_connected())
 
     orbits = flag_orbits(graph, cliques)
-    inverting = inverting_automorphism_exists(S.group, S.R)
+    inverting = inverting_automorphism_exists(S.group, S.R, S.actions)
 
     orbit_sizes = (len(orbits[0]), len(orbits[1])) if len(orbits) == 2 else None
     if (thin_rc_geometry and len(orbits) == 2

@@ -40,10 +40,8 @@ and the tests need as groups (parabolics, ``subgroup_intersection``) are
 closed from their generators too.  Membership and the index of one
 permutation are always a sift through the chain, which ends with a
 comparison on every point; there is no image tuple -> index map.  The
-permutation at an index is always a product of m transversal elements, and
-the full element list is the same products as permutations, built only
-when first read: the coset geometry, the corpus and the tests read it, the
-chirality decision and the oracle do not.
+element list is built only when first read: the coset geometry, the corpus
+and the tests read it, the chirality decision and the oracle do not.
 The element-set functions (``subgroup_intersection``, ``product_set``,
 ``right_coset``, ``double_coset_decomposition``, ``extends_to_homomorphism``)
 compute from permutations, for the same callers.
@@ -177,12 +175,10 @@ class PermGroup:
 
     The group holds its stabilizer chain on the base 0, ..., m-1 and the
     sorted tuples of base images, one per element: an element is known by
-    where it sends 0, ..., m-1.  The chain is the only thing the group
-    enumerates from: the base images and ``elements`` (built on first
-    access only) are the products of one transversal element per level.
-    Membership and ``index_of`` always sift through the chain (there is no
-    position map), ``element`` is always a product along it, and
-    ``actions`` maps base images.
+    where it sends 0, ..., m-1.  The base images and ``elements`` (built on
+    first access only) are the products of one transversal element per
+    level; membership and ``index_of`` sift through the chain (there is no
+    position map), and ``element`` is a product along it.
     """
 
     __slots__ = ("degree", "generators", "_elements", "_chain",
@@ -224,8 +220,9 @@ class PermGroup:
         if self._elements is None:
             found = [self.identity]
             for transversal in reversed(self._chain):
-                us = [_trusted(u) for u in transversal.values()]
-                found = [x * u for x in found for u in us]
+                if len(transversal) > 1:
+                    us = [_trusted(u) for u in transversal.values()]
+                    found = [x * u for x in found for u in us]
             found.sort(key=attrgetter("images"))
             self._elements = tuple(found)
         return self._elements
@@ -253,11 +250,11 @@ class PermGroup:
 
     def actions(self, gs: Sequence[Permutation]) -> list[tuple[int, ...]]:
         """The index array of x -> x * g for each g of ``gs``:
-        ``actions([g])[0][index_of(x)] == index_of(x * g)``.  Each g is sifted
-        (ValueError when it is not in the group), then the base images of
-        x * g are g of those of x, so g maps each base point's column of
-        images at once.  The group keeps none of the arrays."""
-        for g in gs:
+        ``actions([g])[0][index_of(x)] == index_of(x * g)``.  Each g but the
+        generators is sifted (ValueError if it is not in the group); then g
+        maps each base point's column of base images at once.  The group
+        keeps none of the arrays."""
+        for g in set(gs).difference(self.generators):
             self.index_of(g)
         if self.order == 1:  # no base point, so no column
             return [(0,)] * len(gs)
@@ -376,8 +373,7 @@ def generate_group(degree: int, gens: Sequence[Permutation],
     element are the products of one transversal element per level, O(m)
     per element.  Two elements differ first at a point below m, so the
     sorted m-tuples number the elements as the sorted image tuples would;
-    the result is independent of generator order.  No action array is
-    built here.
+    the result is independent of generator order.
     """
     gens = tuple(dict.fromkeys(gens))  # dedupe, keep first occurrence
     for g in gens:
@@ -534,11 +530,12 @@ def _base_images(chain: list[dict[int, tuple[int, ...]]]) -> list[tuple[int, ...
     """The images of the base 0, ..., m-1 under every element of the group,
     unsorted: the products u_{m-1} * ... * u_0, one transversal element per
     level, taken from the deepest level up.  The chain factors every element
-    uniquely, so each appears exactly once."""
+    uniquely, so each appears exactly once.  A level holding the identity
+    alone is skipped."""
     found = [tuple(range(len(chain)))]
     for transversal in reversed(chain):
-        us = tuple(transversal.values())
-        found = [get(u) for get in map(_key_getter, found) for u in us]
+        if len(transversal) > 1:
+            found = [get(u) for get in map(_key_getter, found) for u in transversal.values()]
     return found
 
 
@@ -741,23 +738,24 @@ def double_coset_decomposition(H: PermGroup, S: frozenset[Permutation],
     return classes
 
 
-def extends_to_homomorphism(G: PermGroup, gens: Sequence[Permutation],
+def extends_to_homomorphism(G: PermGroup, actions: Sequence[Sequence[int]],
                             images: Sequence[Permutation]) -> bool:
     """Does gens[i] -> images[i] extend to a homomorphism on G?
 
-    Breadth-first search over the pairs (x, phi(x)), from phi(1) = 1 along
-    phi(x * gens[i]) = phi(x) * images[i]: x moves on indices by
-    ``G.actions``, phi(x) by products of image tuples.  The pairs reached
-    are the subgroup D of the direct product generated by the (gens[i],
-    images[i]), so the map is well defined iff every edge agrees with the
-    value phi already has, i.e. iff |D| == |G|.  Raises ValueError when
-    gens do not generate G, whether or not the images conflict.
+    The gens are given by their action arrays.  Breadth-first search over
+    the pairs (x, phi(x)), from phi(1) = 1 along phi(x * gens[i]) =
+    phi(x) * images[i]: x moves on indices by the arrays, phi(x) by
+    products of image tuples.  The pairs
+    reached are the subgroup D of the direct product generated by the
+    (gens[i], images[i]), so the map is well defined iff every edge agrees
+    with the value phi already has, i.e. iff |D| == |G|.  Raises ValueError
+    when gens do not generate G, whether or not the images conflict.
     """
-    if len(gens) != len(images):
+    if len(actions) != len(images):
         raise ValueError("generator/image length mismatch")
     if images and len({q.degree for q in images}) != 1:
         raise ValueError("images do not share a common degree")
-    edges = [(act, q.images) for act, q in zip(G.actions(gens), images)]
+    edges = [(act, q.images) for act, q in zip(actions, images)]
     phi = {0: tuple(range(images[0].degree)) if images else ()}
     stack = [0]
     consistent = True
@@ -811,11 +809,12 @@ def extends_on_indices(actions: Sequence[Sequence[int]],
     return consistent
 
 
-def inverting_automorphism_exists(G: PermGroup, R: Sequence[Permutation]) -> bool:
+def inverting_automorphism_exists(G: PermGroup, R: Sequence[Permutation],
+                                  actions: Sequence[Sequence[int]]) -> bool:
     """Is there an automorphism of G inverting every element of R?
 
-    R must generate G.  When r -> r^-1 extends to a homomorphism, the image
-    contains every r^-1 and hence generates G, so the extension is
-    automatically an automorphism.
+    R must generate G; ``actions`` are its arrays.  When r -> r^-1 extends
+    to a homomorphism, the image contains every r^-1 and hence generates
+    G, so the extension is an automorphism.
     """
-    return extends_to_homomorphism(G, list(R), [r.inverse() for r in R])
+    return extends_to_homomorphism(G, actions, [r.inverse() for r in R])

@@ -1,5 +1,6 @@
 """The group-theoretic chirality decision and its supporting machinery."""
 
+import collections
 import itertools
 import random
 
@@ -39,6 +40,7 @@ from hypertope.permcore import (
     extends_to_homomorphism,
     generate_group,
     product_set,
+    reaches,
     subgroup_intersection,
 )
 
@@ -257,10 +259,11 @@ def _count_calls(monkeypatch, name):
 
 
 def test_ic_plus_is_computed_once(monkeypatch):
-    """IC⁺ looks each subset up at most once, closes only the proper subsets
-    that the system has not closed (the maximal ones come with it), and is
-    computed once per system: a second computation would look a subset up,
-    which raises once the lookup is gone."""
+    """IC⁺ tests each J against the maximal parabolics, so it looks up and
+    closes exactly the subsets of 1 to rank - 2 types, each once (the
+    maximal ones come with the system), and it is computed once per system:
+    a second computation would look a subset up, which raises once the
+    lookup is gone."""
     closed = _count_calls(monkeypatch, "generated_indices")
     for S in [torus_cplus()] + [simplex_cplus(rank) for rank in (4, 5, 6)]:
         del closed[:]
@@ -268,10 +271,98 @@ def test_ic_plus_is_computed_once(monkeypatch):
         lookup = S.parabolic_indices
         S.parabolic_indices = lambda J: looked_up.append(J) or lookup(J)
         assert check_ic_plus(S)
-        assert len(looked_up) == len(set(looked_up)) <= 2 ** S.rank - 1
-        assert len(closed) <= 2 ** S.rank - 1 - S.rank
+        assert len(looked_up) == len(set(looked_up)) == 2 ** S.rank - 2 - S.rank
+        assert len(closed) == 2 ** S.rank - 2 - S.rank
         S.parabolic_indices = None
         assert check_ic_plus(S)
+
+
+def _corpus_and_rank4_systems(rank4_classes):
+    """Fresh systems of the 333 corpus instances, of the 310 dependent
+    corpus tuples and of every rank-4 class of S5 and PSL(2,7), each with
+    the class's report over all k (None outside the rank-4 classes)."""
+    systems = [(build_cplus(inst.group, inst.R), None)
+               for independent in (True, False) for inst in build_corpus(independent)]
+    systems += [(build_cplus(G, R), report)
+                for G, classes in rank4_classes.values() for R, report in classes]
+    return systems
+
+
+def _ic_plus_all_pairs(S):
+    """IC⁺ as stated: every pair of subsets J, K of at least two types,
+    |G_J ∩ G_K| = |G_{J ∩ K}|, over the system's index sets."""
+    P = S.parabolic_indices
+    subsets = [J for size in range(2, S.rank + 1) for J in itertools.combinations(S.type_set, size)]
+    return all(len(P(J) & P(K)) == len(P(set(J) & set(K)))
+               for a, J in enumerate(subsets) for K in subsets[a + 1:])
+
+
+def test_ic_plus_against_maximal_parabolics_equals_all_pairs(rank4_classes):
+    """Testing each J against the maximal parabolics answers as every pair
+    of subsets does, on the corpus and on every rank-4 class, the code-5
+    classes among them."""
+    outcomes = collections.Counter()
+    for S, report in _corpus_and_rank4_systems(rank4_classes):
+        got = check_ic_plus(S)
+        assert got == _ic_plus_all_pairs(S), (S.group, S.R)
+        if report is not None and report.failing_condition == 5:
+            assert not got
+            outcomes["code 5"] += 1
+        outcomes[got] += 1
+    assert outcomes[True] and outcomes[False] and outcomes["code 5"]
+
+
+def test_independence_equals_a_search_for_each_generator(rank4_classes):
+    """Membership of each α_i in the maximal parabolic G_i answers as the
+    search for α_i in the subgroup generated by the other generators."""
+    outcomes = set()
+    for S, _ in _corpus_and_rank4_systems(rank4_classes):
+        acts = S.actions
+        expected = not any(reaches(acts[:i] + acts[i + 1:], act[0]) for i, act in enumerate(acts))
+        assert is_independent_generating_set(S) == expected, (S.group, S.R)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_generation_is_searched_unless_G_was_closed_from_R(monkeypatch):
+    """A G closed from R needs no generation search: its generators are
+    among R, so only the maximal parabolics are closed.  Any other G is
+    searched, and an R that does not generate it is refused, also when R
+    holds some of G's generators."""
+    closed = _count_calls(monkeypatch, "generated_indices")
+    G = symmetric(4)
+    a, b = G.generators
+    R = (b, a, b)
+    build_cplus(generate_group(4, R), R)
+    assert len(closed) == len(R) + 1  # the maximal parabolics alone
+    del closed[:]
+    for R in [(a, b * b), (b, b * b), (b,)]:  # orders 8, 4 and 4
+        with pytest.raises(ValueError, match="R does not generate G"):
+            build_cplus(G, R)
+    assert len(closed) == 3
+    assert not set(G.generators) <= {a, b * a}
+    assert build_cplus(G, (a, b * a)).group is G  # searched, and it generates
+
+
+def test_involutory_R_fails_iv_without_a_pair_search(monkeypatch):
+    """When every α_i is an involution, the identity inverts R and (iv) fails
+    with no pair search: so it is for 79 of the 278 corpus instances whose
+    decision reaches (iv), and the others search once each."""
+    searched = _count_calls(monkeypatch, "extends_on_indices")
+    reached = involutory = 0
+    for inst in build_corpus():
+        S = build_cplus(inst.group, inst.R)
+        before = len(searched)
+        report = is_chiral_hypertope(S, check_all_k=True)
+        if 4 not in report.per_condition:
+            continue
+        reached += 1
+        if all(r * r == S.group.identity for r in S.R):
+            involutory += 1
+            assert len(searched) == before and report.per_condition[4] is False
+        else:
+            assert len(searched) == before + 1
+    assert (reached, involutory) == (278, 79)
 
 
 # -- the four conditions ----------------------------------------------------
@@ -337,7 +428,8 @@ def test_condition_iii_matches_product_sets():
 def test_condition_iv_matches_permutation_search(integer_path_systems):
     outcomes = set()
     for S in integer_path_systems:
-        expected = not extends_to_homomorphism(S.group, S.R, [r.inverse() for r in S.R])
+        expected = not extends_to_homomorphism(S.group, S.group.actions(S.R),
+                                               [r.inverse() for r in S.R])
         assert condition_iv(S) == expected, (S.group, S.R)
         outcomes.add(expected)
     assert outcomes == {True, False}
@@ -461,8 +553,9 @@ def test_each_part_is_derived_once(monkeypatch, rank, families):
     """With all k, (i) and (iii) share one coset family per type pair: on the
     simplex 2 (rank - 1) families, where building them per k and condition
     took rank (rank - 1), and each is built once: one bitmask per coset.
-    Every subset is closed once (2^rank ``generated_indices`` calls with the
-    generation check), and the decision looks each proper subset up at most
+    Every subset of 1 to rank - 1 types is closed once (2^rank - 2
+    ``generated_indices`` calls: the closure from R needs no generation
+    check), and the decision looks each subset of 1 to rank - 2 types up
     once, for IC⁺."""
     masks = _count_calls(monkeypatch, "_mask")
     closed = _count_calls(monkeypatch, "generated_indices")
@@ -475,8 +568,8 @@ def test_each_part_is_derived_once(monkeypatch, rank, families):
     assert check_ic_plus(S)
     assert len(S._families) == families
     assert len(masks) == sum(map(len, S._families.values()))
-    assert len(closed) == 2 ** rank
-    assert len(looked_up) == len(set(looked_up)) <= 2 ** rank - 1
+    assert len(closed) == 2 ** rank - 2
+    assert len(looked_up) == len(set(looked_up)) == 2 ** rank - 2 - rank
 
 
 def test_kept_state_matches_fresh_systems(rank4_classes):

@@ -231,6 +231,28 @@ def test_oracle_closes_no_group_and_builds_no_coset(monkeypatch):
     assert calls["generate_group"] == 4 and calls["RightCoset"] > 0, calls
 
 
+def test_oracle_reads_the_systems_arrays_of_R(monkeypatch):
+    """R generates G, so its arrays, which ``build_cplus`` builds, serve the
+    oracle's cosets, its clique orbits and its pair search: ``cli.run`` with
+    the oracle asks the group for action arrays once, where it asked three
+    times, once for each."""
+    asked = []
+    built = permcore.PermGroup.actions
+
+    def actions(G, gs):
+        asked.append(len(gs))
+        return built(G, gs)
+    monkeypatch.setattr(permcore.PermGroup, "actions", actions)
+    S = _torus(401)
+    del asked[:]
+    report = cli.run(cli.spec_from_mapping({"degree": 401,
+                                            "generators": [list(r.images) for r in S.R],
+                                            "options": {"oracle": True}}))
+    assert report.chirality.verdict == report.oracle.verdict == CHIRAL
+    assert report.oracle.orbit_sizes == (1604, 1604)
+    assert asked == [2]
+
+
 def test_cross_orbit_test_groups_chambers_by_ridge():
     a, b, c = (0, 1, 2), (0, 1, 3), (0, 4, 5)
     assert _adjacent_pair_in_one_orbit([[a, b], [c]])  # a, b share the ridge (0, 1)

@@ -264,6 +264,24 @@ def test_closure_allocates_no_marks_on_the_levels_a_generator_fixes():
     assert peak < 5_000_000
 
 
+def test_base_images_skip_the_levels_that_hold_the_identity_alone(monkeypatch):
+    """<(n-2 n-1)> has n-2 levels whose transversal is the identity alone,
+    below the one level that holds (n-2 n-1).  The base images and the
+    element list skip them: the base images take one key getter, not one
+    per level, and the elements one product per element."""
+    n = 3000
+    G = generate_group(n, [Permutation.from_cycles(n, [(n - 2, n - 1)])])
+    getters = []
+    original = permcore._key_getter
+    monkeypatch.setattr(permcore, "_key_getter", lambda key: getters.append(key) or original(key))
+    identity, swap = tuple(range(n - 1)), tuple(range(n - 2)) + (n - 1,)
+    assert sorted(permcore._base_images(G._chain)) == list(G.base_images) == [identity, swap]
+    assert getters == [identity]
+    del getters[:]
+    assert [x.images for x in G.elements] == [tuple(range(n)), swap + (n - 2,)]
+    assert len(getters) == 2
+
+
 @pytest.mark.parametrize("degree, gens, i", [
     (101, _torus_generators(101), 5),
     (5, [Permutation([1, 2, 3, 4, 0])], 1),
@@ -417,7 +435,7 @@ def test_action_rejects_non_members():
     with pytest.raises(ValueError):
         generate_group(3, []).actions([Permutation([1, 0, 2])])
     with pytest.raises(ValueError):
-        extends_to_homomorphism(G, [Permutation([1, 2, 3, 0])], [G.identity])
+        extends_to_homomorphism(G, G.actions([Permutation([1, 2, 3, 0])]), [G.identity])
 
 
 def test_generated_indices_match_closure():
@@ -580,9 +598,9 @@ def test_extension_examples():
     c3 = generate_group(3, [Permutation([1, 2, 0])])
     g = c3.generators[0]
     # inversion is an automorphism of an abelian group
-    assert extends_to_homomorphism(c3, [g], [g * g])
+    assert extends_to_homomorphism(c3, c3.actions([g]), [g * g])
     # g -> transposition cannot extend (orders 3 vs 2)
-    assert not extends_to_homomorphism(c3, [g], [Permutation([1, 0, 2])])
+    assert not extends_to_homomorphism(c3, c3.actions([g]), [Permutation([1, 0, 2])])
 
 
 def test_extension_matches_word_propagation():
@@ -593,7 +611,7 @@ def test_extension_matches_word_propagation():
     for images in candidates:
         if len(images) != len(gens):
             continue
-        assert (extends_to_homomorphism(G, gens, images)
+        assert (extends_to_homomorphism(G, G.actions(gens), images)
                 == _word_propagation_extends(G, gens, images))
 
 
@@ -603,7 +621,7 @@ def test_extension_matches_word_propagation_on_corpus_tuples(name):
     seen = {True: 0, False: 0}
     for a, b in generating_tuples(G, 2, independent=True):
         for images in ([a.inverse(), b.inverse()], [b, a]):
-            got = extends_to_homomorphism(G, [a, b], images)
+            got = extends_to_homomorphism(G, G.actions([a, b]), images)
             assert got == _word_propagation_extends(G, [a, b], images)
             seen[got] += 1
     assert seen[True] and seen[False]  # both outcomes exercised
@@ -621,7 +639,7 @@ def test_extension_on_indices_matches_permutation_search(name):
     for a, b in generating_tuples(G, 2, independent=True):
         for images in ([a.inverse(), b.inverse()], [b, a], [a, a]):
             got = extends_on_indices([act(a), act(b)], [act(q) for q in images])
-            assert got == extends_to_homomorphism(G, [a, b], images)
+            assert got == extends_to_homomorphism(G, G.actions([a, b]), images)
             seen[got] += 1
     assert seen[True] and seen[False]  # both outcomes exercised
     t = G.generators[0]
@@ -634,20 +652,20 @@ def test_extension_requires_generating_set():
     t = Permutation([1, 0, 2, 3])
     c = Permutation([1, 2, 0, 3])
     with pytest.raises(ValueError):
-        extends_to_homomorphism(G, [t], [t])  # consistent images
+        extends_to_homomorphism(G, G.actions([t]), [t])  # consistent images
     with pytest.raises(ValueError):
-        extends_to_homomorphism(G, [t], [c])  # order 2 -> order 3: conflicting
+        extends_to_homomorphism(G, G.actions([t]), [c])  # order 2 -> order 3: conflicting
     with pytest.raises(ValueError):
-        extends_to_homomorphism(G, [], [])
+        extends_to_homomorphism(G, G.actions([]), [])
     assert extends_to_homomorphism(generate_group(3, []), [], [])
 
 
 def test_inverting_automorphism_cases():
     c3 = generate_group(3, [Permutation([1, 2, 0])])
-    assert inverting_automorphism_exists(c3, [c3.generators[0]])
+    assert inverting_automorphism_exists(c3, c3.generators, c3.actions(c3.generators))
     a4 = generate_group(4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                             Permutation.from_cycles(4, [(1, 2, 3)])])
-    assert inverting_automorphism_exists(a4, list(a4.generators))
+    assert inverting_automorphism_exists(a4, a4.generators, a4.actions(a4.generators))
 
 
 @settings(max_examples=25)
