@@ -314,7 +314,7 @@ def exit_code_for(report: Report) -> int:
 # -- rendering --------------------------------------------------------------
 
 def render_permutation(p: Permutation, one_based: bool = False) -> str:
-    cycles = [c for c in p.cycles() if len(c) > 1]
+    cycles = p.cycles()
     if not cycles:
         return "()"
     shift = 1 if one_based else 0

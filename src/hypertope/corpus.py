@@ -20,7 +20,6 @@ from .permcore import (
     coset_column,
     generate_group,
     generated_indices,
-    reaches,
 )
 
 
@@ -100,8 +99,8 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
     The generation test of T = P + (t,) works on the cosets of ⟨P⟩, built
     once per prefix P (``_generation_test``).  As T generates G,
     T[-1] ∈ ⟨P⟩ iff ⟨P⟩ = G, which that test also reports; for
-    i < size - 1, T[i] is looked for in the subgroup generated by the other
-    entries with ``permcore.reaches``.
+    i < size - 1, T[i] is looked for in the subgroup the other entries
+    generate (``generated_indices``).
     """
     acts = G.actions(G.elements)
     generator_actions = [acts[G.index_of(g)] for g in G.generators]
@@ -116,7 +115,7 @@ def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = Non
             continue
         if independent is not None:
             is_indep = not (prefix_generates
-                            or any(reaches([acts[t] for t in T[:i] + T[i + 1:]], T[i])
+                            or any(T[i] in generated_indices(acts[t] for t in T[:i] + T[i + 1:])
                                    for i in range(size - 1)))
             if is_indep != independent:
                 continue
@@ -215,15 +214,13 @@ def rank4_group_list() -> list[tuple[str, PermGroup]]:
 
 
 def build_corpus(independent: Optional[bool] = True,
-                 rank3_limit_per_group: Optional[int] = None,
                  rank4_limit_per_group: Optional[int] = 6) -> list[CorpusInstance]:
     """Deterministic instance corpus: exhaustive rank-3 sweeps (one tuple per
     conjugacy class) over the group catalog plus a batch of rank-4
     instances."""
     corpus: list[CorpusInstance] = []
     for name, G in rank3_group_list():
-        for idx, R in enumerate(generating_tuples(
-                G, 2, independent=independent, limit=rank3_limit_per_group)):
+        for idx, R in enumerate(generating_tuples(G, 2, independent=independent)):
             corpus.append(CorpusInstance(f"{name}#r3-{idx}", G, R))
     for name, G in rank4_group_list():
         for idx, R in enumerate(generating_tuples(

@@ -331,13 +331,12 @@ class CosetGeometry:
     def is_residually_connected_graph(self) -> bool:
         return self.view().is_residually_connected()
 
-    def is_residually_connected_group(self, verify_flag_transitive: bool = False) -> bool:
+    def is_residually_connected_group(self) -> bool:
         """Group-theoretic residual connectedness for flag-transitive geometries.
 
         True iff the parabolic of J is generated by the parabolics of
         J ∪ {i}, for every J with at least two missing types.  Only valid
-        when the geometry is flag-transitive; the caller asserts that unless
-        ``verify_flag_transitive`` is set.
+        when the geometry is flag-transitive, which the caller asserts.
 
         Subgroups are index sets of G.  A maximal parabolic is generated by
         the actions of its generators, and the parabolic of J is the
@@ -346,8 +345,6 @@ class CosetGeometry:
         action to the generators, until the subgroup is as large as the
         parabolic of J or no element is left.
         """
-        if verify_flag_transitive and not (self.is_geometry() and self.is_flag_transitive()):
-            raise ValueError("group-theoretic test requires a flag-transitive geometry")
         G = self.group
         maximal = self._positions()
 

@@ -23,8 +23,7 @@ computations over integers, with no new permutation product:
 
 - the subgroup generated by some elements is the breadth-first search of
   their actions from 0 (``generated_indices``), so subgroups are index sets
-  and their intersections are set intersections; whether it holds an index
-  is the same search, stopped there (``reaches``);
+  and their intersections are set intersections;
 - the action of g^-1 is the inverse array (``inverse_action``), the action
   of g h the composition of two arrays (``compose_actions``), and
   conjugation is a table read from the actions (``conjugation_table``);
@@ -118,8 +117,9 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(x == y for x, y in enumerate(self.images))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, cycles led by their minimal point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycle decomposition, cycles of two or more points led by
+        their minimal point."""
         seen: set[int] = set()
         out = []
         for start in range(self.degree):
@@ -132,7 +132,7 @@ class Permutation:
                 cycle.append(x)
                 seen.add(x)
                 x = self.images[x]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
@@ -274,9 +274,6 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __eq__(self, other: object) -> bool:
         """Same elements.  Equal groups have the same sorted base images, but
         the base images alone do not decide: <(0 1)> and <(0 1)(2 3)> both
@@ -326,23 +323,6 @@ def generated_indices(actions: Iterable[Sequence[int]]) -> set[int]:
                 seen.add(y)
                 stack.append(y)
     return seen
-
-
-def reaches(actions: Sequence[Sequence[int]], target: int) -> bool:
-    """Does the subgroup generated by the elements with these actions hold
-    the index ``target``?  A breadth-first search from the identity, as in
-    ``generated_indices``, stopped as soon as it reaches ``target``."""
-    seen = {0}
-    reached = [0]
-    for x in reached:  # the list grows while it is walked
-        for act in actions:
-            y = act[x]
-            if y not in seen:
-                if y == target:
-                    return True
-                seen.add(y)
-                reached.append(y)
-    return target in seen
 
 
 def inverse_action(act: Sequence[int]) -> tuple[int, ...]:
@@ -424,7 +404,6 @@ class _SchreierSims:
         self.identity = tuple(range(degree))
         self.chain: list[dict[int, tuple[int, ...]]] = []
         self.orbits: list[list[int]] = []  # each level's points, in order of discovery
-        self.tree: list[dict[int, tuple[int, int]]] = []  # point -> (point, generator) it came from
         self.strong: list[list[tuple[int, ...]]] = []
         self.checked: list[list[int]] = []  # checked[l][k]: orbit points met by strong[l][k]
         # marks[l][k]: the points of the strong[l][k]-cycles a non-tree edge has
@@ -453,7 +432,6 @@ class _SchreierSims:
             point = len(self.chain)
             self.chain.append({point: self.identity})
             self.orbits.append([point])
-            self.tree.append({})
             self.strong.append([])
             self.checked.append([])
             self.marks.append([])
@@ -469,7 +447,7 @@ class _SchreierSims:
 
     def complete(self, level: int) -> None:
         """Meet every orbit point with every strong generator of the level."""
-        transversal, orbit, parent = self.chain[level], self.orbits[level], self.tree[level]
+        transversal, orbit = self.chain[level], self.orbits[level]
         S, done = self.strong[level], self.checked[level]
         marks, powers = self.marks[level], self.powers[level]
         grown = True
@@ -485,10 +463,11 @@ class _SchreierSims:
                         if self.order > self.cap:
                             raise GroupTooLargeError(self.cap)
                         transversal[c] = itemgetter(*transversal[b])(s)
-                        parent[c] = (b, k)
                         orbit.append(c)
                         grown = True
-                    elif parent.get(c) != (b, k) and not b == c == level \
+                    # each edge (b, k) is met once, and a tree edge is the one
+                    # that adds c, so this is a non-tree edge
+                    elif not b == c == level \
                             and (marks[k][b] or not self.spared(marks, k, powers[k], s, b)):
                         self.sift_into(itemgetter(*transversal[b])(s), transversal[c], level + 1)
 
@@ -606,17 +585,18 @@ def subgroup_intersection(H: PermGroup, K: PermGroup) -> PermGroup:
     return generate_group(H.degree, gens)
 
 
-def product_set(H: PermGroup, K: PermGroup,
-                cap: int = DEFAULT_ELEMENT_CAP) -> frozenset[Permutation]:
-    """The set HK = {h k : h in H, k in K}; |HK| = |H||K| / |H ∩ K|."""
+def product_set(H: PermGroup, K: PermGroup) -> frozenset[Permutation]:
+    """The set HK = {h k : h in H, k in K}; |HK| = |H||K| / |H ∩ K|.
+    GroupTooLargeError is raised once it holds more than
+    ``DEFAULT_ELEMENT_CAP`` elements."""
     if H.degree != K.degree:
         raise ValueError("degree mismatch")
     out: set[Permutation] = set()
     for h in H:
         for k in K:
             out.add(h * k)
-            if len(out) > cap:
-                raise GroupTooLargeError(cap)
+            if len(out) > DEFAULT_ELEMENT_CAP:
+                raise GroupTooLargeError(DEFAULT_ELEMENT_CAP)
     return frozenset(out)
 
 

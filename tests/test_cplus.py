@@ -39,8 +39,8 @@ from hypertope.permcore import (
     double_coset_decomposition,
     extends_to_homomorphism,
     generate_group,
+    generated_indices,
     product_set,
-    reaches,
     subgroup_intersection,
 )
 
@@ -318,7 +318,8 @@ def test_independence_equals_a_search_for_each_generator(rank4_classes):
     outcomes = set()
     for S, _ in _corpus_and_rank4_systems(rank4_classes):
         acts = S.actions
-        expected = not any(reaches(acts[:i] + acts[i + 1:], act[0]) for i, act in enumerate(acts))
+        expected = not any(act[0] in generated_indices(acts[:i] + acts[i + 1:])
+                           for i, act in enumerate(acts))
         assert is_independent_generating_set(S) == expected, (S.group, S.R)
         outcomes.add(expected)
     assert outcomes == {True, False}
@@ -619,19 +620,28 @@ def _type_reordered(R, order):
     return [first * alphas[m] for m in order[1:]]
 
 
+def _conjugated(R, g):
+    """R^g = (g^-1 r g for r in R)."""
+    g_inv = g.inverse()
+    return [g_inv * r * g for r in R]
+
+
 def test_verdicts_survive_relabelled_points_and_reordered_types(rank4_classes):
-    """Relabelling the points, or reordering the types, gives the same
-    system on another base and cycle layout of the closure: with all k, the
-    verdict, the code and the orbit sizes are the fixture's on every rank-4
-    class of S5 and of PSL(2,7).  The witness changes with the labels."""
+    """Relabelling the points, reordering the types, or conjugating R by an
+    element g of G (R -> R^g) gives the same system on another base and
+    cycle layout of the closure: with all k, the verdict, the code and the
+    orbit sizes are the fixture's on every rank-4 class of S5 and of
+    PSL(2,7).  The witness changes with the labels."""
     rng = random.Random(20261020)
+    conjugators = random.Random(20261021)
     outcomes = set()
     for G, classes in rank4_classes.values():
         pi = rng.sample(range(G.degree), G.degree)
         for R, report in classes:
             order = rng.sample(range(len(R) + 1), len(R) + 1)
+            g = G.element(conjugators.randrange(G.order))
             expected = (report.verdict, report.failing_condition, report.orbit_sizes)
-            for moved in (_relabelled(R, pi), _type_reordered(R, order)):
+            for moved in (_relabelled(R, pi), _type_reordered(R, order), _conjugated(R, g)):
                 got = is_chiral_hypertope(build_cplus(generate_group(G.degree, moved), moved),
                                           check_all_k=True)
                 assert (got.verdict, got.failing_condition, got.orbit_sizes) == expected, (R, moved)
