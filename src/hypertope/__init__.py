@@ -20,7 +20,6 @@ from .permcore import (
     generate_group,
     generated_indices,
     inverse_action,
-    inverting_automorphism_exists,
     product_set,
     right_coset,
     right_coset_decomposition,

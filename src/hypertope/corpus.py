@@ -6,6 +6,10 @@ class (conjugate tuples give isomorphic coset systems and identical
 verdicts): the least member of the class.  The sweep is an orderly search
 (canonical augmentation) that only ever extends class-minimal prefixes, so
 generation and independence are tested once per class.
+
+Four families check the decision above the oracle's reach, at any order:
+the affine tori x -> ax + b mod p, the simplices in A_{r+1}, PSL(2,q) and
+the torus maps {4,4}_(b,c).  Their builders return (degree, R), unclosed.
 """
 
 from __future__ import annotations
@@ -49,6 +53,54 @@ def alternating(n: int) -> PermGroup:
     else:
         big = Permutation.from_cycles(n, [tuple(range(1, n))])
     return generate_group(n, [three, big])
+
+
+def affine_torus(p: int) -> tuple[int, tuple[Permutation, Permutation]]:
+    """The chiral torus map of x -> ax + b mod p, p ≡ 1 mod 4 prime, a the
+    least with a^2 ≡ -1: R = (s, s t), s: x -> ax, t: x -> ax + 1; |G| = 4p."""
+    a = next(a for a in range(2, p) if a * a % p == p - 1)
+    s = Permutation([a * x % p for x in range(p)])
+    t = Permutation([(a * x + 1) % p for x in range(p)])
+    return p, (s, s * t)
+
+
+def simplex(rank: int) -> tuple[int, tuple[Permutation, ...]]:
+    """The regular (rank-1)-simplex: alpha_i = (0 1)(i i+1) in A_{rank+1}."""
+    n = rank + 1
+    return n, tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
+                    for i in range(1, rank))
+
+
+def psl2(q: int) -> tuple[int, tuple[Permutation, Permutation]]:
+    """PSL(2,q), q an odd prime, on the projective line (q is infinity):
+    x -> x + 1 and x -> -1/x."""
+    shift = Permutation([(x + 1) % q for x in range(q)] + [q])
+    invert = Permutation([q if x == 0 else -pow(x, -1, q) % q for x in range(q)] + [0])
+    return q + 1, (shift, invert)
+
+
+def torus_map(b: int, c: int) -> tuple[int, tuple[Permutation, Permutation]]:
+    """The map {4,4}_(b,c), regular iff bc(b − c) = 0 (McMullen and
+    Schulte, Abstract Regular Polytopes, 2002), and its R = (σ1, σ1σ2).
+
+    The n = b² + c² points are Z²/Λ, Λ spanned by (b, c) and (−c, b); (x, y)
+    has the key ((xb + yc) mod n, (yb − xc) mod n), 0 exactly on Λ, and the
+    points are numbered as a walk by (1, 0) and (0, 1) from 0 meets them.
+    σ1 (x, y) ↦ (1 − y, x) and σ2 (x, y) ↦ (−y, x) are the quarter turns
+    about a face centre and the vertex 0; σ1 acts first in σ1σ2."""
+    n = b * b + c * c
+
+    def key(x: int, y: int) -> tuple[int, int]:
+        return (x * b + y * c) % n, (y * b - x * c) % n
+    number, points = {key(0, 0): 0}, [(0, 0)]
+    for x, y in points:  # grows while it is walked
+        for step in ((x + 1, y), (x, y + 1)):
+            if key(*step) not in number:
+                number[key(*step)] = len(points)
+                points.append(step)
+    s1 = Permutation([number[key(1 - y, x)] for x, y in points])
+    s2 = Permutation([number[key(-y, x)] for x, y in points])
+    return n, (s1, s1 * s2)
 
 
 def elementary_abelian_2cubed() -> PermGroup:

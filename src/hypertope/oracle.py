@@ -27,8 +27,8 @@ once by ``build_cplus``.  What it shares with the fast path:
   sets but never builds the geometry;
 - the idea of the inverting-automorphism test, a pair search that is
   group-theoretic in both routes.  The code differs: the oracle multiplies
-  permutations, as image tuples (``inverting_automorphism_exists``), the
-  fast path looks up indices (``extends_on_indices``).
+  permutations, as image tuples (``extends_to_homomorphism``), the fast
+  path looks up indices (``extends_on_indices``).
 
 A kernel bug would therefore reach both verdicts alike;
 ``tests/test_kernel_crosscheck.py`` checks the kernel's group order, each
@@ -80,7 +80,7 @@ from .cplus import (
     ChiralityReport,
     CPlusSystem,
 )
-from .permcore import inverting_automorphism_exists
+from .permcore import extends_to_homomorphism
 
 DEFAULT_VERTEX_CAP = 50_000
 
@@ -146,7 +146,9 @@ def chirality_bruteforce(S: CPlusSystem,
                         and graph.is_residually_connected())
 
     orbits = flag_orbits(graph, cliques)
-    inverting = inverting_automorphism_exists(S.group, S.R, S.actions)
+    # R generates G, so when r -> r^-1 extends to a homomorphism its image
+    # holds every r^-1 and is G: the extension is an automorphism
+    inverting = extends_to_homomorphism(S.group, S.actions, [r.inverse() for r in S.R])
 
     orbit_sizes = (len(orbits[0]), len(orbits[1])) if len(orbits) == 2 else None
     if (thin_rc_geometry and len(orbits) == 2

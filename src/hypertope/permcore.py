@@ -92,7 +92,7 @@ class Permutation:
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
         images = list(range(degree))
         for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)([cycle[0]])):
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 if not 0 <= a < degree:
                     raise ValueError(f"point {a} out of range for degree {degree}")
                 images[a] = b
@@ -787,14 +787,3 @@ def extends_on_indices(actions: Sequence[Sequence[int]],
     if -1 in phi:
         raise ValueError("gens do not generate G")
     return consistent
-
-
-def inverting_automorphism_exists(G: PermGroup, R: Sequence[Permutation],
-                                  actions: Sequence[Sequence[int]]) -> bool:
-    """Is there an automorphism of G inverting every element of R?
-
-    R must generate G; ``actions`` are its arrays.  When r -> r^-1 extends
-    to a homomorphism, the image contains every r^-1 and hence generates
-    G, so the extension is an automorphism.
-    """
-    return extends_to_homomorphism(G, actions, [r.inverse() for r in R])

@@ -1,8 +1,9 @@
-"""Groups and sweeps shared by the oracle tests and the kernel cross-check."""
+"""Groups, systems, transforms and sweeps shared by the test modules; the
+CI metamorphic smoke imports the transforms too."""
 
 import pytest
 
-from hypertope.corpus import generating_tuples, symmetric
+from hypertope.corpus import affine_torus, generating_tuples, psl2, simplex, symmetric
 from hypertope.cplus import build_cplus, is_chiral_hypertope
 from hypertope.permcore import Permutation, generate_group
 
@@ -11,9 +12,7 @@ from hypertope.permcore import Permutation, generate_group
 def psl27():
     """PSL(2,7) on the projective line over F_7 (point 7 is infinity),
     generated by x -> x + 1 and x -> -1/x; order 168."""
-    t = Permutation([(x + 1) % 7 for x in range(7)] + [7])
-    s = Permutation([7] + [-pow(x, 5, 7) % 7 for x in range(1, 7)] + [0])
-    return generate_group(8, [t, s])
+    return generate_group(*psl2(7))
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +25,40 @@ def rank4_classes(psl27):
         out[name] = (G, [(R, is_chiral_hypertope(build_cplus(G, R), check_all_k=True))
                          for R in generating_tuples(G, 3, independent=True)])
     return out
+
+
+def simplex_cplus(rank):
+    """The regular (rank-1)-simplex: alpha_i = (0 1)(i i+1) in A_{rank+1}."""
+    n, R = simplex(rank)
+    return build_cplus(generate_group(n, R), R)
+
+
+def torus_p_cplus(p):
+    """Ladder A: G = {x -> ax + b mod p} with a^2 = -1, R = (s, s t); |G| = 4p."""
+    degree, R = affine_torus(p)
+    return build_cplus(generate_group(degree, R), R)
+
+
+def relabelled(R, pi):
+    """R conjugated by the point map pi: the image of pi[x] is pi[r(x)]."""
+    out = []
+    for r in R:
+        images = [0] * len(pi)
+        for x, y in enumerate(r.images):
+            images[pi[x]] = pi[y]
+        out.append(Permutation(images))
+    return out
+
+
+def type_reordered(R, order):
+    """R' = (alpha_{m0 m1}, ..., alpha_{m0 m_{r-1}}) for the type order
+    m = ``order``; the alpha_{ij} of R' are the alpha_{m_i m_j} of R."""
+    alphas = [Permutation.identity(R[0].degree)] + list(R)
+    first = alphas[order[0]].inverse()
+    return [first * alphas[m] for m in order[1:]]
+
+
+def conjugated(R, g):
+    """R^g = (g^-1 r g for r in R)."""
+    g_inv = g.inverse()
+    return [g_inv * r * g for r in R]

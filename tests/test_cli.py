@@ -49,6 +49,7 @@ def test_cycle_string_notation():
     p = parse_cycle_string("(0 1 2)(3 4)", 5)
     assert list(p.images) == [1, 2, 0, 4, 3]
     assert parse_cycle_string("()", 3) == Permutation.identity(3)
+    assert Permutation.from_cycles(3, [()]) == Permutation.identity(3)
     assert parse_cycle_string("(0, 2)", 3) == Permutation([2, 1, 0])
 
 

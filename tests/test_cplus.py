@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import conjugated, relabelled, simplex_cplus, torus_p_cplus, type_reordered
 from hypertope import cplus
 from hypertope.catalog import catalog_entry, catalog_names
 from hypertope.cli import spec_from_mapping
@@ -15,6 +16,7 @@ from hypertope.corpus import (
     build_corpus,
     cyclic,
     symmetric,
+    torus_map,
     torus_rotation_group,
 )
 from hypertope.cplus import (
@@ -72,14 +74,6 @@ def c3xc3_cplus():
     return build_cplus(G, tuple(G.generators))
 
 
-def simplex_cplus(rank):
-    """The regular (rank-1)-simplex: alpha_i = (0 1)(i i+1) in A_{rank+1}."""
-    n = rank + 1
-    R = tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
-              for i in range(1, rank))
-    return build_cplus(generate_group(n, R), R)
-
-
 def _cross_check_builders():
     """Builders of every system the enumeration cross-checks cover: the
     acceptance corpus, the catalog, the rank-4 S5 fixture, C3 x C3 and the
@@ -91,15 +85,6 @@ def _cross_check_builders():
             generate_group(spec.degree, spec.generators), spec.generators))
     builders += [s5_rank4_cplus, c3xc3_cplus, lambda: simplex_cplus(4), lambda: simplex_cplus(5)]
     return builders
-
-
-def torus_p_cplus(p):
-    """Ladder A: G = {x -> ax + b mod p} with a^2 = -1, R = (s, s t); |G| = 4p."""
-    a = next(a for a in range(2, p) if a * a % p == p - 1)
-    s = Permutation([a * x % p for x in range(p)])
-    t = Permutation([(a * x + 1) % p for x in range(p)])
-    R = (s, s * t)
-    return build_cplus(generate_group(p, R), R)
 
 
 @pytest.fixture(scope="module")
@@ -601,31 +586,6 @@ def test_kept_state_matches_fresh_systems(rank4_classes):
             assert is_chiral_hypertope(S, check_all_k=True) == report, (S.group, S.R)
 
 
-def _relabelled(R, pi):
-    """R conjugated by the point map pi: the image of pi[x] is pi[r(x)]."""
-    out = []
-    for r in R:
-        images = [0] * len(pi)
-        for x, y in enumerate(r.images):
-            images[pi[x]] = pi[y]
-        out.append(Permutation(images))
-    return out
-
-
-def _type_reordered(R, order):
-    """R' = (alpha_{m0 m1}, ..., alpha_{m0 m_{r-1}}) for the type order
-    m = ``order``; the alpha_{ij} of R' are the alpha_{m_i m_j} of R."""
-    alphas = [Permutation.identity(R[0].degree)] + list(R)
-    first = alphas[order[0]].inverse()
-    return [first * alphas[m] for m in order[1:]]
-
-
-def _conjugated(R, g):
-    """R^g = (g^-1 r g for r in R)."""
-    g_inv = g.inverse()
-    return [g_inv * r * g for r in R]
-
-
 def test_verdicts_survive_relabelled_points_and_reordered_types(rank4_classes):
     """Relabelling the points, reordering the types, or conjugating R by an
     element g of G (R -> R^g) gives the same system on another base and
@@ -641,39 +601,13 @@ def test_verdicts_survive_relabelled_points_and_reordered_types(rank4_classes):
             order = rng.sample(range(len(R) + 1), len(R) + 1)
             g = G.element(conjugators.randrange(G.order))
             expected = (report.verdict, report.failing_condition, report.orbit_sizes)
-            for moved in (_relabelled(R, pi), _type_reordered(R, order), _conjugated(R, g)):
+            for moved in (relabelled(R, pi), type_reordered(R, order), conjugated(R, g)):
                 got = is_chiral_hypertope(build_cplus(generate_group(G.degree, moved), moved),
                                           check_all_k=True)
                 assert (got.verdict, got.failing_condition, got.orbit_sizes) == expected, (R, moved)
             outcomes.add(expected[:2])
     assert {(CHIRAL, None), (NOT_HYPERTOPE, 1), (NOT_HYPERTOPE, 2), (NOT_HYPERTOPE, 3),
             (NOT_HYPERTOPE, 5)} <= outcomes
-
-
-def torus_map(b, c):
-    """The rotation group of the map {4,4}_(b,c) and its R = (σ1, σ1σ2).
-
-    The points are Z²/Λ, Λ spanned by (b, c) and (−c, b), so there are
-    n = b² + c² of them.  The point of (x, y) is known by the key
-    ((xb + yc) mod n, (yb − xc) mod n), which is 0 exactly on Λ, and the
-    points are numbered in the order a walk by (1, 0) and (0, 1) from the
-    origin meets them.  σ1 is the quarter turn (x, y) ↦ (1 − y, x) about a
-    face centre, σ2 the quarter turn (x, y) ↦ (−y, x) about the vertex 0;
-    σ1 acts first in σ1σ2, as in the kernel's right action."""
-    n = b * b + c * c
-
-    def key(x, y):
-        return (x * b + y * c) % n, (y * b - x * c) % n
-    number, points = {key(0, 0): 0}, [(0, 0)]
-    for x, y in points:  # grows while it is walked
-        for step in ((x + 1, y), (x, y + 1)):
-            if key(*step) not in number:
-                number[key(*step)] = len(points)
-                points.append(step)
-    s1 = Permutation([number[key(1 - y, x)] for x, y in points])
-    s2 = Permutation([number[key(-y, x)] for x, y in points])
-    R = (s1, s1 * s2)
-    return generate_group(n, R), R
 
 
 def test_torus_maps_follow_the_regularity_criterion():
@@ -687,7 +621,8 @@ def test_torus_maps_follow_the_regularity_criterion():
         for c in range(b + 1):
             if not 4 <= b * b + c * c <= 200:
                 continue
-            G, R = torus_map(b, c)
+            n, R = torus_map(b, c)
+            G = generate_group(n, R)
             assert G.order == (8 if (b, c) == (2, 0) else 4 * (b * b + c * c)), (b, c)
             S = build_cplus(G, R)
             expected = CHIRAL if b * c * (b - c) else REGULAR

@@ -22,7 +22,13 @@ import pytest
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
-from hypertope.corpus import build_corpus, rank3_group_list, rank4_group_list  # noqa: E402
+from hypertope.corpus import (  # noqa: E402
+    affine_torus,
+    build_corpus,
+    rank3_group_list,
+    rank4_group_list,
+    simplex,
+)
 from hypertope.cplus import CHIRAL, associated_geometry, build_cplus, condition_iv  # noqa: E402
 from hypertope.permcore import Permutation, generate_group  # noqa: E402
 
@@ -85,27 +91,12 @@ def test_rank4_chiral_parabolics_match_sympy(rank4_classes):
         _assert_parabolics_agree(G.degree, R, build_cplus(G, R))
 
 
-def _ladder_a_generators(p):
-    """G = {x -> ax + b mod p} with a^2 = -1, R = (s, s t)."""
-    a = next(a for a in range(2, p) if a * a % p == p - 1)
-    s = Permutation([a * x % p for x in range(p)])
-    t = Permutation([(a * x + 1) % p for x in range(p)])
-    return (s, s * t)
-
-
-def _ladder_b_generators(rank):
-    """alpha_i = (0 1)(i i+1) in A_{rank+1}."""
-    n = rank + 1
-    return tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
-                 for i in range(1, rank))
-
-
 @pytest.mark.parametrize("degree, R", [
-    pytest.param(101, _ladder_a_generators(101), id="ladder-a-p101"),
-    pytest.param(197, _ladder_a_generators(197), id="ladder-a-p197"),
-    pytest.param(5, _ladder_b_generators(4), id="ladder-b-rank4"),
-    pytest.param(6, _ladder_b_generators(5), id="ladder-b-rank5"),
-    pytest.param(7, _ladder_b_generators(6), id="ladder-b-rank6"),
+    pytest.param(*affine_torus(101), id="ladder-a-p101"),
+    pytest.param(*affine_torus(197), id="ladder-a-p197"),
+    pytest.param(*simplex(4), id="ladder-b-rank4"),
+    pytest.param(*simplex(5), id="ladder-b-rank5"),
+    pytest.param(*simplex(6), id="ladder-b-rank6"),
 ])
 def test_ladder_orders_match_sympy(degree, R):
     G = generate_group(degree, R)
@@ -136,10 +127,9 @@ def _sympy_chain_order(H):
 def _chain_cases():
     cases = [pytest.param(G.degree, list(G.generators), id=name)
              for name, G in rank3_group_list() + rank4_group_list()]
-    cases += [pytest.param(p, list(_ladder_a_generators(p)), id=f"ladder-a-p{p}")
+    cases += [pytest.param(*affine_torus(p), id=f"ladder-a-p{p}")
               for p in (101, 401, 797, 2477)]
-    cases += [pytest.param(rank + 1, list(_ladder_b_generators(rank)), id=f"simplex-rank{rank}")
-              for rank in (4, 5, 6, 7)]
+    cases += [pytest.param(*simplex(rank), id=f"simplex-rank{rank}") for rank in (4, 5, 6, 7)]
     # cycles on which the closure spares a Schreier generator, or must not:
     # no cycle as long as the order, involutions with fixed points, and
     # cycles through the root as long as their generator's order

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import simplex_cplus, torus_p_cplus
 from hypertope import cli, permcore
 from hypertope.catalog import catalog_entry, catalog_names
 from hypertope.corpus import (
@@ -48,24 +49,6 @@ def hexagon():
     H1 = generate_group(3, [Permutation([1, 0, 2])])
     H2 = generate_group(3, [Permutation([0, 2, 1])])
     return build(G, [H1, H2])
-
-
-def _simplex(rank):
-    """The rotation group of the regular (rank-1)-simplex in A_{rank+1}:
-    alpha_i = (0 1)(i i+1)."""
-    n = rank + 1
-    R = tuple(Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
-              for i in range(1, rank))
-    return build_cplus(generate_group(n, R), R)
-
-
-def _torus(p):
-    """The chiral torus map of the affine group x -> ax + b mod p, a^2 = -1:
-    |G| = 4p, R = (s, s t)."""
-    a = next(a for a in range(2, p) if a * a % p == p - 1)
-    s = Permutation([a * x % p for x in range(p)])
-    t = Permutation([(a * x + 1) % p for x in range(p)])
-    return build_cplus(generate_group(p, [s, s * t]), (s, s * t))
 
 
 def _non_geometry():
@@ -192,7 +175,7 @@ def test_oracle_view_matches_the_closure_geometry():
     are checked against sympy on every corpus system in
     ``tests/test_kernel_crosscheck.py``."""
     systems = [build_cplus(inst.group, inst.R) for inst in build_corpus()[::20]]
-    systems += [_torus(197), _simplex(5)]
+    systems += [torus_p_cplus(197), simplex_cplus(5)]
     for S in systems:
         oracle_view = build_incidence_graph(S)
         closure_view = associated_geometry(S).view()
@@ -206,7 +189,7 @@ def test_oracle_closes_no_group_and_builds_no_coset(monkeypatch):
     ``generate_group`` (under any name a module holds it by) and no
     ``RightCoset``."""
     systems = [build_cplus(inst.group, inst.R) for inst in build_corpus()[::20]]
-    systems += [_torus(101), _simplex(4)]
+    systems += [torus_p_cplus(101), simplex_cplus(4)]
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -243,7 +226,7 @@ def test_oracle_reads_the_systems_arrays_of_R(monkeypatch):
         asked.append(len(gs))
         return built(G, gs)
     monkeypatch.setattr(permcore.PermGroup, "actions", actions)
-    S = _torus(401)
+    S = torus_p_cplus(401)
     del asked[:]
     report = cli.run(cli.spec_from_mapping({"degree": 401,
                                             "generators": [list(r.images) for r in S.R],
@@ -314,7 +297,7 @@ def test_fast_matches_oracle_on_groups_rich_in_non_cplus_systems(psl27):
     assert all(tally[name, 5] for name, _, _ in groups), tally
     assert sum(n for (_, code), n in tally.items() if code in (None, 4)) > 0, tally
 
-    S = _simplex(5)
+    S = simplex_cplus(5)
     assert S.group.order == 360
     assert is_chiral_hypertope(S, check_all_k=True).verdict == REGULAR
     assert chirality_bruteforce(S).verdict == REGULAR
@@ -338,8 +321,8 @@ def test_rank4_sweeps_certify_chiral_verdicts_by_both_paths(rank4_classes):
 
 
 @pytest.mark.parametrize("make, verdict", [
-    (lambda: _torus(197), CHIRAL),
-    (lambda: _simplex(6), REGULAR),
+    (lambda: torus_p_cplus(197), CHIRAL),
+    (lambda: simplex_cplus(6), REGULAR),
 ], ids=["torus-p197", "simplex-r6"])
 def test_fast_matches_oracle_at_larger_orders(make, verdict):
     S = make()
@@ -357,14 +340,14 @@ def test_decision_and_oracle_leave_no_reference_cycles():
     specs = [cli.spec_from_mapping({"degree": S.group.degree,
                                     "generators": [list(r.images) for r in S.R],
                                     "options": {"check_all_k": True}})
-             for S in (_simplex(4), _simplex(5), _torus(101))]
+             for S in (simplex_cplus(4), simplex_cplus(5), torus_p_cplus(101))]
     gc.collect()
     gc.disable()
     try:
         for spec in specs:
             cli.run(spec)
         assert gc.collect() == 0
-        chirality_bruteforce(_simplex(4))
+        chirality_bruteforce(simplex_cplus(4))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -384,7 +367,7 @@ def _graph_layer_instances():
     for inst in random.Random(20261018).sample(build_corpus(), 40):
         out.append((inst.name, associated_geometry(build_cplus(inst.group, inst.R))))
     for rank in (4, 5):
-        out.append((f"simplex-r{rank}", associated_geometry(_simplex(rank))))
+        out.append((f"simplex-r{rank}", associated_geometry(simplex_cplus(rank))))
     out += [("hexagon", hexagon()), ("non-geometry", _non_geometry())]
     H = generate_group(4, [Permutation([2, 3, 0, 1])])
     out.append(("disconnected", build(generate_group(4, [Permutation([1, 2, 3, 0])]), [H, H])))

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypertope import cli, permcore
-from hypertope.corpus import generating_tuples, rank3_group_list, rank4_group_list
+from hypertope.corpus import (
+    affine_torus,
+    generating_tuples,
+    psl2,
+    rank3_group_list,
+    rank4_group_list,
+    simplex,
+)
 from hypertope.cosetgeo import CosetGeometry
 from hypertope.cplus import build_cplus, is_chiral_hypertope
 from hypertope.permcore import (
@@ -25,7 +32,6 @@ from hypertope.permcore import (
     generate_group,
     generated_indices,
     inverse_action,
-    inverting_automorphism_exists,
     product_set,
     right_coset,
     right_coset_decomposition,
@@ -157,14 +163,6 @@ def _plain_closure(degree, gens):
     return sorted(found)
 
 
-def _torus_generators(p):
-    """R = (s, s t) of the torus map group x -> ax + b mod p, a^2 = -1."""
-    a = next(a for a in range(2, p) if a * a % p == p - 1)
-    s = Permutation([a * x % p for x in range(p)])
-    t = Permutation([(a * x + 1) % p for x in range(p)])
-    return [s, s * t]
-
-
 # Generators whose cycles the closure may spare one Schreier generator on, or
 # not: (0 1)(2 3 4) has no cycle as long as its order; involutions with fixed
 # points have 1-cycles and 2-cycles; a cycle through the root as long as its
@@ -181,7 +179,7 @@ _SPARING_CASES = [
 
 def _closure_cases():
     cases = [(G.degree, list(G.generators)) for _, G in rank3_group_list()]
-    cases.append((101, _torus_generators(101)))
+    cases.append(affine_torus(101))
     # groups that fix a prefix of the points, so the base has levels with
     # one-point orbits, and the trivial group at degrees 0 and 1
     cases.append((7, [Permutation.from_cycles(7, [(4, 6)]), Permutation.from_cycles(7, [(3, 5)])]))
@@ -237,34 +235,21 @@ def test_closure_sifts_no_schreier_generator_a_cycle_makes_redundant(monkeypatch
     assert len(calls) == sifts
 
 
-def _simplex_generators(rank):
-    """alpha_i = (0 1)(i i+1) in A_{rank+1}: the regular (rank-1)-simplex."""
-    n = rank + 1
-    return [Permutation.from_cycles(n, [(0, 1)]) * Permutation.from_cycles(n, [(i, i + 1)])
-            for i in range(1, rank)]
-
-
-def _psl2_generators(q):
-    """x -> x + 1 and x -> -1/x on the projective line over F_q, infinity = q."""
-    return [Permutation([(x + 1) % q for x in range(q)] + [q]),
-            Permutation([q if x == 0 else -pow(x, -1, q) % q for x in range(q)] + [0])]
-
-
 def test_torus_closure_spares_most_schreier_generators(monkeypatch):
     """Sifting every non-tree edge closes the torus p = 101 in 104 sifts,
     p + 1 of them on level 0.  Sparing the first non-tree edge on each cycle
     as long as its generator's order leaves 28."""
     calls = _count_sifts(monkeypatch)
-    G = generate_group(101, _torus_generators(101))
+    G = generate_group(*affine_torus(101))
     assert G.order == 404
     assert len(calls) == 28
 
 
 @pytest.mark.parametrize("degree, gens, order, sifts", [
-    (401, _torus_generators(401), 1604, 103),
-    (6, _simplex_generators(5), 360, 24),
-    (8, _simplex_generators(7), 20160, 76),
-    (60, _psl2_generators(59), 102660, 88),
+    (*affine_torus(401), 1604, 103),
+    (*simplex(5), 360, 24),
+    (*simplex(7), 20160, 76),
+    (*psl2(59), 102660, 88),
 ], ids=["torus-p401", "simplex-r5", "simplex-r7", "psl2-59"])
 def test_closure_sift_counts_at_scale(monkeypatch, degree, gens, order, sifts):
     """The number of Schreier generators the closure sifts, pinned beyond
@@ -311,7 +296,7 @@ def test_base_images_skip_the_levels_that_hold_the_identity_alone(monkeypatch):
 
 
 @pytest.mark.parametrize("degree, gens, i", [
-    (101, _torus_generators(101), 5),
+    (*affine_torus(101), 5),
     (5, [Permutation([1, 2, 3, 4, 0])], 1),
 ])
 def test_non_member_agreeing_on_the_base_is_rejected(degree, gens, i):
@@ -362,7 +347,7 @@ def test_decision_leaves_the_element_list_unbuilt(monkeypatch):
     built = permcore.PermGroup.actions
     monkeypatch.setattr(cli, "generate_group", closure)
     monkeypatch.setattr(permcore.PermGroup, "actions", actions)
-    gens = _torus_generators(101)
+    gens = list(affine_torus(101)[1])
     report = cli.run(cli.spec_from_mapping({"degree": 101,
                                             "generators": [list(g.images) for g in gens],
                                             "options": {"check_all_k": True}}))
@@ -380,7 +365,7 @@ def test_deciding_systems_one_after_another_leaves_no_arrays_behind():
     torus group (p = 401, |G| = 1604), one after another, leaves the traced
     memory where the first decision left it.  The systems are chosen by
     closing each pair, which builds no array on G."""
-    G = generate_group(401, _torus_generators(401))
+    G = generate_group(*affine_torus(401))
     rng = random.Random(401)
     systems = []
     while len(systems) < 20:
@@ -677,10 +662,12 @@ def test_extension_requires_generating_set():
 
 def test_inverting_automorphism_cases():
     c3 = generate_group(3, [Permutation([1, 2, 0])])
-    assert inverting_automorphism_exists(c3, c3.generators, c3.actions(c3.generators))
+    assert extends_to_homomorphism(c3, c3.actions(c3.generators),
+                                   [r.inverse() for r in c3.generators])
     a4 = generate_group(4, [Permutation.from_cycles(4, [(0, 1, 2)]),
                             Permutation.from_cycles(4, [(1, 2, 3)])])
-    assert inverting_automorphism_exists(a4, a4.generators, a4.actions(a4.generators))
+    assert extends_to_homomorphism(a4, a4.actions(a4.generators),
+                                   [r.inverse() for r in a4.generators])
 
 
 @settings(max_examples=25)
