@@ -9,7 +9,6 @@ scripts/find_fixtures.py) and are frozen here.
 from __future__ import annotations
 
 from .corpus import regular_representation, torus_rotation_group
-from .permcore import Permutation
 
 
 def _torus_regular() -> tuple[int, list[list[int]]]:

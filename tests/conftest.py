@@ -1,5 +1,5 @@
 """Groups, systems, transforms and sweeps shared by the test modules; the
-CI metamorphic smoke imports the transforms too."""
+metamorphic smoke of scripts/smoke.py imports the transforms too."""
 
 import pytest
 

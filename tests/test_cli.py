@@ -221,26 +221,23 @@ def test_non_bmp_text_is_read_by_json_only():
         _yaml_path(text)
 
 
-def _python(code, *args, stdin=None, **variables):
-    """Run ``code`` in a fresh interpreter that imports this checkout's
+def _python(*args, stdin=None, **variables):
+    """Run ``python ARGS`` in a fresh interpreter that imports this checkout's
     ``hypertope``, so that a crash fails one test and not the test run.
     ``variables`` are added to its environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+    return subprocess.run([sys.executable, *args], input=stdin,
                           capture_output=True, encoding="utf-8", env=env, timeout=60)
-
-
-RUN_CLI = "import sys; from hypertope.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def _run_cli(tmp_path, text, via, *flags):
     if via == "stdin":
-        return _python(RUN_CLI, "-", *flags, stdin=text)
+        return _python("-m", "hypertope", "-", *flags, stdin=text)
     doc = tmp_path / "doc.json"
     doc.write_text(text, encoding="utf-8")
-    return _python(RUN_CLI, str(doc), *flags)
+    return _python("-m", "hypertope", str(doc), *flags)
 
 
 TOO_DEEP = "error: document nests deeper than 64 collections\n"
@@ -273,7 +270,7 @@ def test_refused_document_ends_in_one_error_line(tmp_path, case, via):
 def test_text_report_escapes_what_stdout_cannot_encode(tmp_path):
     doc = tmp_path / "doc.json"
     doc.write_text(_a4_document("caf\u00e9"), encoding="utf-8")
-    result = _python(RUN_CLI, str(doc), "--format", "text", PYTHONIOENCODING="ascii")
+    result = _python("-m", "hypertope", str(doc), "--format", "text", PYTHONIOENCODING="ascii")
     assert result.returncode == EXIT_REGULAR
     assert "Traceback" not in result.stderr
     assert result.stdout.startswith("instance caf\\xe9  (degree 4, rank 3)\n")
@@ -292,7 +289,7 @@ def test_non_bmp_name_is_decided(tmp_path, fmt):
 @pytest.mark.parametrize("text, loads_yaml", [(_a4_document("a4"), False), (A4, True)],
                          ids=["json", "yaml"])
 def test_yaml_is_imported_only_for_a_document_that_needs_it(text, loads_yaml):
-    result = _python("import sys; from hypertope import cli; "
+    result = _python("-c", "import sys; from hypertope import cli; "
                      "cli.parse_instance(sys.argv[1]); print('yaml' in sys.modules)", text)
     assert (result.returncode, result.stdout) == (0, f"{loads_yaml}\n"), result.stderr
 
