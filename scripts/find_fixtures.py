@@ -15,7 +15,7 @@ Two searches live here:
   element of a pairwise coset intersection extends the flag to a chamber.
 
 Usage:
-    python3 scripts/find_fixtures.py codes [--max-order N]
+    python3 scripts/find_fixtures.py codes
     python3 scripts/find_fixtures.py nongeometry
 """
 
@@ -52,7 +52,7 @@ def scan_rank4_code1(G):
     return None
 
 
-def search_codes(max_order):
+def search_codes():
     rank3 = [("c4", cyclic(4)), ("c3xc3", generate_group(
         6, [Permutation.from_cycles(6, [(0, 1, 2)]),
             Permutation.from_cycles(6, [(3, 4, 5)])])),
@@ -65,8 +65,6 @@ def search_codes(max_order):
             if key not in hits:
                 hits[key] = (name, [list(r.images) for r in R])
     for name, G in [("s4", symmetric(4)), ("s5", symmetric(5))]:
-        if G.order > max_order:
-            continue
         found = scan_rank4_code1(G)
         if found and 1 not in hits:
             R, k = found
@@ -101,11 +99,10 @@ def search_nongeometry():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="fixture searches")
     ap.add_argument("which", choices=("codes", "nongeometry"))
-    ap.add_argument("--max-order", type=int, default=120)
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     if args.which == "codes":
-        search_codes(args.max_order)
+        search_codes()
     else:
         search_nongeometry()
     print(f"[{time.perf_counter() - t0:.1f}s]", file=sys.stderr)

@@ -73,11 +73,11 @@ class InstanceSpec:
 
 def parse_cycle_string(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation with 0-based points, e.g. "(0 1 2)(3 4)"."""
-    images = list(range(degree))
     body = text.strip()
     if body.count("(") != body.count(")"):
         raise InputError(f"unbalanced parentheses in cycle string {text!r}")
     moved: set[int] = set()
+    cycles = []
     for chunk in body.replace(")", ")\x00").split("\x00"):
         chunk = chunk.strip()
         if not chunk:
@@ -94,9 +94,8 @@ def parse_cycle_string(text: str, degree: int) -> Permutation:
             if p in moved:
                 raise InputError(f"point {p} repeated in cycle string {text!r}")
             moved.add(p)
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a] = b
-    return Permutation(images)
+        cycles.append(points)
+    return Permutation.from_cycles(degree, cycles)
 
 
 def _parse_generator(obj, degree: int) -> Permutation:
@@ -199,14 +198,14 @@ def load_document(text: str):
         return _load_yaml(text)
 
 
-def _load_yaml(text: str, loader=None):
+def _load_yaml(text: str):
     """The YAML path of ``load_document``.  Its loader is libyaml's
     ``CSafeLoader`` where PyYAML was built with it (the same constructor and
     resolver as ``SafeLoader``, so the same values, and five times faster on
     long image arrays), else ``SafeLoader``."""
     import yaml
 
-    loader = loader or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         # every nesting level takes one of these characters, so the depth
         # scan stays off ordinary documents

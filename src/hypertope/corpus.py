@@ -10,6 +10,7 @@ generation and independence are tested once per class.
 Four families check the decision above the oracle's reach, at any order:
 the affine tori x -> ax + b mod p, the simplices in A_{r+1}, PSL(2,q) and
 the torus maps {4,4}_(b,c).  Their builders return (degree, R), unclosed.
+``torus_rotation_group`` is the closed group of ``affine_torus(5)``.
 """
 
 from __future__ import annotations
@@ -112,14 +113,12 @@ def elementary_abelian_2cubed() -> PermGroup:
 
 def torus_rotation_group() -> tuple[PermGroup, tuple[Permutation, Permutation]]:
     """Rotation group of the {4,4}_(1,2) torus map, with its two distinguished
-    order-4 rotations (their product has order 2).
-
-    Realized as the order-20 Frobenius group of affine maps x -> a x + b over
-    Z_5, acting on 5 points.
-    """
-    s = Permutation([(2 * x) % 5 for x in range(5)])
-    t = Permutation([(2 * x + 1) % 5 for x in range(5)])
-    return generate_group(5, [s, t]), (s, t)
+    order-4 rotations s: x -> 2x and t: x -> 2x + 1 over Z_5 (their product
+    has order 2): the order-20 Frobenius group ``affine_torus(5)``, whose R
+    is (s, s t)."""
+    degree, (s, st) = affine_torus(5)
+    t = s.inverse() * st
+    return generate_group(degree, [s, t]), (s, t)
 
 
 def regular_representation(G: PermGroup,
@@ -183,9 +182,10 @@ def _generation_test(acts: Sequence[Sequence[int]], generator_actions: Sequence[
     whether ⟨P⟩ = G already; ``acts`` is the action table of G, in index
     order, and ``generator_actions`` are the rows of G's generators.
 
-    ⟨P, t⟩ contains H = ⟨P⟩, so it is G iff the orbit of the coset H under
-    right multiplication by P and t covers all |G : H| cosets.  H, its
-    ``coset_column`` and the coset maps of P's entries are built once, here;
+    ⟨P, t⟩ contains H = ⟨P⟩, so it is G iff the orbit of coset 0, which
+    is H, under the moves of P and t on the cosets of H covers all |G : H|
+    of them (``generated_indices`` over the moves).  H, its
+    ``coset_column`` and the moves of P's entries are built once, here;
     each t then costs a search over the cosets, not over G.  ⟨P⟩ = G iff
     there is one coset.
     """
@@ -195,16 +195,7 @@ def _generation_test(acts: Sequence[Sequence[int]], generator_actions: Sequence[
 
     def generates(t: int) -> bool:
         act = acts[t]
-        seen = {0}
-        reached = [0]
-        for c in reached:  # the list grows while it is walked
-            if len(seen) == len(least):
-                break
-            for d in [m[c] for m in moves] + [column[act[least[c]]]]:
-                if d not in seen:
-                    seen.add(d)
-                    reached.append(d)
-        return len(seen) == len(least)
+        return len(generated_indices(moves + [[column[act[x]] for x in least]])) == len(least)
     return generates, len(least) == 1
 
 
@@ -265,17 +256,15 @@ def rank4_group_list() -> list[tuple[str, PermGroup]]:
     ]
 
 
-def build_corpus(independent: Optional[bool] = True,
-                 rank4_limit_per_group: Optional[int] = 6) -> list[CorpusInstance]:
-    """Deterministic instance corpus: exhaustive rank-3 sweeps (one tuple per
-    conjugacy class) over the group catalog plus a batch of rank-4
-    instances."""
+def build_corpus() -> list[CorpusInstance]:
+    """Deterministic instance corpus: exhaustive rank-3 sweeps of the
+    independent tuples (one per conjugacy class) over the group catalog
+    plus the first six independent rank-4 classes of each rank-4 group."""
     corpus: list[CorpusInstance] = []
     for name, G in rank3_group_list():
-        for idx, R in enumerate(generating_tuples(G, 2, independent=independent)):
+        for idx, R in enumerate(generating_tuples(G, 2, independent=True)):
             corpus.append(CorpusInstance(f"{name}#r3-{idx}", G, R))
     for name, G in rank4_group_list():
-        for idx, R in enumerate(generating_tuples(
-                G, 3, independent=independent, limit=rank4_limit_per_group)):
+        for idx, R in enumerate(generating_tuples(G, 3, independent=True, limit=6)):
             corpus.append(CorpusInstance(f"{name}#r4-{idx}", G, R))
     return corpus

@@ -149,8 +149,11 @@ class IncidenceView:
 
     def is_geometry(self) -> bool:
         """Is every maximal flag a chamber?  (Buekenhout's definition: every
-        flag then extends to a chamber.)"""
-        return all(len(f) == self.rank for f in self.maximal_flags())
+        flag then extends to a chamber.)  A chamber has no common neighbour,
+        so the chambers are among the maximal flags: it is one iff there are
+        as many of them."""
+        maximal = sum(1 for flags in self._walk().values() for _, common in flags if not common)
+        return maximal == len(self.chambers())
 
     def is_thin(self) -> bool:
         """Every corank-1 flag is incident to exactly two elements of the missing type."""

@@ -88,24 +88,24 @@ Clique = tuple[int, ...]
 
 
 class VertexCapError(RuntimeError):
-    """The incidence graph has more vertices than the configured cap."""
+    """The incidence graph has more vertices than ``DEFAULT_VERTEX_CAP``."""
 
 
-def build_incidence_graph(S: CPlusSystem,
-                          vertex_cap: int = DEFAULT_VERTEX_CAP) -> IncidenceView:
+def build_incidence_graph(S: CPlusSystem) -> IncidenceView:
     """All elements and all pairwise incidences of the system's coset
     geometry, the ``IncidenceView`` of G over the maximal parabolic index
     sets.
 
-    The cap is checked first, on the vertex count sum_i |G| / |G_i|.  The
-    cosets are the orbits under R, through the system's arrays.  Vertices
-    are (type, coset number) pairs in deterministic order (type, then
-    canonical coset order); bit b of ``adjacency[a]`` is set iff a and b
-    are incident elements of distinct types."""
+    The module's ``DEFAULT_VERTEX_CAP`` is checked first, read at the call,
+    on the vertex count sum_i |G| / |G_i|.  The cosets are the orbits under
+    R, through the system's arrays.  Vertices are (type, coset number) pairs
+    in deterministic order (type, then canonical coset order); bit b of
+    ``adjacency[a]`` is set iff a and b are incident elements of distinct
+    types."""
     G = S.group
     maximal = [S.maximal_indices(i) for i in S.type_set]
-    if sum(G.order // len(H) for H in maximal) > vertex_cap:
-        raise VertexCapError(f"incidence graph exceeds vertex cap {vertex_cap}")
+    if sum(G.order // len(H) for H in maximal) > DEFAULT_VERTEX_CAP:
+        raise VertexCapError(f"incidence graph exceeds vertex cap {DEFAULT_VERTEX_CAP}")
     return IncidenceView(G, maximal, S.actions)
 
 
@@ -128,8 +128,7 @@ def _adjacent_pair_in_one_orbit(orbits: list[list[Clique]]) -> bool:
     return False
 
 
-def chirality_bruteforce(S: CPlusSystem,
-                         vertex_cap: int = DEFAULT_VERTEX_CAP) -> ChiralityReport:
+def chirality_bruteforce(S: CPlusSystem) -> ChiralityReport:
     """Direct chirality verdict from the incidence graph.
 
     Chiral: the system is a thin, residually connected geometry, the group
@@ -138,12 +137,9 @@ def chirality_bruteforce(S: CPlusSystem,
     the same two fused orbits but an inverting automorphism present, the
     system is a regular hypertope.  Anything else is not a hypertope.
     """
-    graph = build_incidence_graph(S, vertex_cap=vertex_cap)
+    graph = build_incidence_graph(S)
     cliques = chambers_via_maximal_cliques(graph)
-
-    # every chamber is a maximal clique; in a geometry there are no others
-    thin_rc_geometry = (len(cliques) == len(graph.chambers()) and graph.is_thin()
-                        and graph.is_residually_connected())
+    thin_rc_geometry = graph.is_geometry() and graph.is_thin() and graph.is_residually_connected()
 
     orbits = flag_orbits(graph, cliques)
     # R generates G, so when r -> r^-1 extends to a homomorphism its image

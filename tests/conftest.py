@@ -3,7 +3,18 @@ metamorphic smoke of scripts/smoke.py imports the transforms too."""
 
 import pytest
 
-from hypertope.corpus import affine_torus, generating_tuples, psl2, simplex, symmetric
+from hypertope.catalog import catalog_entry
+from hypertope.cli import spec_from_mapping
+from hypertope.corpus import (
+    affine_torus,
+    elementary_abelian_2cubed,
+    generating_tuples,
+    psl2,
+    simplex,
+    symmetric,
+    torus_rotation_group,
+)
+from hypertope.cosetgeo import build
 from hypertope.cplus import build_cplus, is_chiral_hypertope
 from hypertope.permcore import Permutation, generate_group
 
@@ -25,6 +36,46 @@ def rank4_classes(psl27):
         out[name] = (G, [(R, is_chiral_hypertope(build_cplus(G, R), check_all_k=True))
                          for R in generating_tuples(G, 3, independent=True)])
     return out
+
+
+def hexagon():
+    """S3 over the subgroups of two reflections: the incidence graph is a 6-cycle."""
+    G = symmetric(3)
+    H1 = generate_group(3, [Permutation([1, 0, 2])])
+    H2 = generate_group(3, [Permutation([0, 2, 1])])
+    return build(G, [H1, H2])
+
+
+def non_geometry_rank4():
+    """A connected rank-4 system over C2^3 with a flag in no chamber, the
+    one ``scripts/find_fixtures.py nongeometry`` finds."""
+    parabolics = [generate_group(6, [Permutation(images)]) for images in (
+        [0, 1, 2, 3, 5, 4],   # (4 5)
+        [0, 1, 3, 2, 4, 5],   # (2 3)
+        [0, 1, 3, 2, 5, 4],   # (2 3)(4 5)
+        [1, 0, 2, 3, 4, 5])]  # (0 1)
+    return build(elementary_abelian_2cubed(), parabolics)
+
+
+def c3xc3_cplus():
+    """C3 x C3 on two triangles, R its two generators: a residually
+    connected geometry that is not thin (code 3)."""
+    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
+                           Permutation.from_cycles(6, [(3, 4, 5)])])
+    return build_cplus(G, tuple(G.generators))
+
+
+def torus_cplus():
+    """The {4,4}_(1,2) torus map: the order-20 ``torus_rotation_group``
+    with R = (s, s t)."""
+    G, (s, t) = torus_rotation_group()
+    return build_cplus(G, (s, s * t))
+
+
+def catalog_cplus(name):
+    """The system of the catalog entry ``name``."""
+    spec = spec_from_mapping(catalog_entry(name))
+    return build_cplus(generate_group(spec.degree, spec.generators), spec.generators)
 
 
 def simplex_cplus(rank):

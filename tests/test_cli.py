@@ -144,9 +144,9 @@ def _outcome(parse, text):
         return "error: " + str(exc)
 
 
-def _yaml_path(text, loader=None):
+def _yaml_path(text):
     """``parse_instance`` as it reads a document that is not JSON."""
-    return spec_from_mapping(cli._load_yaml(text, loader))
+    return spec_from_mapping(cli._load_yaml(text))
 
 
 def _catalog_texts():
@@ -157,24 +157,27 @@ def _catalog_texts():
             + [json.dumps(catalog_entry(name)) for name in catalog_names()])
 
 
-def test_libyaml_and_python_loaders_give_the_same_spec():
+def test_libyaml_and_python_loaders_give_the_same_spec(monkeypatch):
     """Every catalog entry, serialized and as JSON, and every document of
     this file parses to the same spec, or fails, on the YAML path under
-    both loaders."""
+    both loaders: libyaml's, the default, and PyYAML's own, which the path
+    falls back to where PyYAML has no ``CSafeLoader``."""
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
     texts = DOCUMENTS + _catalog_texts()
 
-    def parse_all(loader):
+    def parse_all():
         out = []
         for text in texts:
             try:
-                out.append(_yaml_path(text, loader))
+                out.append(_yaml_path(text))
             except InputError:
                 out.append(InputError)
         return out
 
-    assert parse_all(yaml.CSafeLoader) == parse_all(yaml.SafeLoader)
+    with_libyaml = parse_all()
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert parse_all() == with_libyaml
 
 
 # JSON's surrogate escapes, which spell a character past U+FFFF as a pair:
@@ -437,8 +440,7 @@ def test_usage_error_is_input_error(capsys):
 
 
 def test_oracle_vertex_cap_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "chirality_bruteforce",
-                        lambda S: oracle.chirality_bruteforce(S, vertex_cap=3))
+    monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 3)
     assert main(["--catalog", "fix-code2-c4", "--oracle"]) == EXIT_CAP_EXCEEDED
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,14 +4,13 @@ import itertools
 
 import pytest
 
-from hypertope.catalog import catalog_entry, catalog_names
-from hypertope.cli import spec_from_mapping
+from conftest import catalog_cplus, hexagon, non_geometry_rank4, torus_cplus
+from hypertope.catalog import catalog_names
 from hypertope.corpus import (
     generating_tuples,
     rank3_group_list,
     rank4_group_list,
     symmetric,
-    torus_rotation_group,
 )
 from hypertope.cosetgeo import CosetGeometry, build, flag_orbits, vertex_moves
 from hypertope.cplus import associated_geometry, build_cplus
@@ -22,29 +21,8 @@ from hypertope.permcore import (
 )
 
 
-def hexagon():
-    """S3 with two point stabilizer-ish reflections: incidence graph is a 6-cycle."""
-    G = symmetric(3)
-    H1 = generate_group(3, [Permutation([1, 0, 2])])
-    H2 = generate_group(3, [Permutation([0, 2, 1])])
-    return build(G, [H1, H2])
-
-
 def torus_system():
-    G, (s, t) = torus_rotation_group()
-    return associated_geometry(build_cplus(G, (s, s * t)))
-
-
-def non_geometry_rank4():
-    """Connected rank-4 system over C2^3 with a non-extendable rank-3 flag."""
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1)]),
-                           Permutation.from_cycles(6, [(2, 3)]),
-                           Permutation.from_cycles(6, [(4, 5)])])
-    quads = ["(4 5)", "(2 3)", "(2 3)(4 5)", "(0 1)"]
-    images = {"(4 5)": [0, 1, 2, 3, 5, 4], "(2 3)": [0, 1, 3, 2, 4, 5],
-              "(2 3)(4 5)": [0, 1, 3, 2, 5, 4], "(0 1)": [1, 0, 2, 3, 4, 5]}
-    parabolics = [generate_group(6, [Permutation(images[q])]) for q in quads]
-    return build(G, parabolics)
+    return associated_geometry(torus_cplus())
 
 
 def s4_rank4():
@@ -122,8 +100,7 @@ def _column_system(system: str):
     catalog instance, as a system."""
     kind, name = system.split("-", 1)
     if kind == "catalog":
-        spec = spec_from_mapping(catalog_entry(name))
-        return build_cplus(generate_group(spec.degree, spec.generators), spec.generators)
+        return catalog_cplus(name)
     groups = dict(rank3_group_list() if kind == "r3" else rank4_group_list())
     R = next(generating_tuples(groups[name], 2 if kind == "r3" else 3, limit=1))
     return build_cplus(groups[name], R)

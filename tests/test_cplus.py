@@ -7,17 +7,27 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import conjugated, relabelled, simplex_cplus, torus_p_cplus, type_reordered
+from conftest import (
+    c3xc3_cplus,
+    catalog_cplus,
+    conjugated,
+    relabelled,
+    simplex_cplus,
+    torus_cplus,
+    torus_p_cplus,
+    type_reordered,
+)
 from hypertope import cplus
-from hypertope.catalog import catalog_entry, catalog_names
-from hypertope.cli import spec_from_mapping
+from hypertope.catalog import catalog_names
 from hypertope.corpus import (
     alternating,
     build_corpus,
     cyclic,
+    generating_tuples,
+    rank3_group_list,
+    rank4_group_list,
     symmetric,
     torus_map,
-    torus_rotation_group,
 )
 from hypertope.cplus import (
     CHIRAL,
@@ -47,11 +57,6 @@ from hypertope.permcore import (
 )
 
 
-def torus_cplus():
-    G, (s, t) = torus_rotation_group()
-    return build_cplus(G, (s, s * t))
-
-
 def a4_cplus():
     G = alternating(4)
     return build_cplus(G, (Permutation.from_cycles(4, [(0, 1, 2)]),
@@ -68,21 +73,12 @@ def s5_rank4_cplus():
     return build_cplus(G, R)
 
 
-def c3xc3_cplus():
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
-                           Permutation.from_cycles(6, [(3, 4, 5)])])
-    return build_cplus(G, tuple(G.generators))
-
-
 def _cross_check_builders():
     """Builders of every system the enumeration cross-checks cover: the
     acceptance corpus, the catalog, the rank-4 S5 fixture, C3 x C3 and the
     rank-4 and rank-5 simplices.  Each call builds a fresh system."""
     builders = [lambda inst=inst: build_cplus(inst.group, inst.R) for inst in build_corpus()]
-    for name in catalog_names():
-        spec = spec_from_mapping(catalog_entry(name))
-        builders.append(lambda spec=spec: build_cplus(
-            generate_group(spec.degree, spec.generators), spec.generators))
+    builders += [lambda name=name: catalog_cplus(name) for name in catalog_names()]
     builders += [s5_rank4_cplus, c3xc3_cplus, lambda: simplex_cplus(4), lambda: simplex_cplus(5)]
     return builders
 
@@ -93,10 +89,7 @@ def integer_path_systems():
     ``build_corpus()`` instance, every catalog entry, the simplices of rank
     4 to 6 and the torus p = 101."""
     systems = [build_cplus(inst.group, inst.R) for inst in build_corpus()]
-    for name in catalog_names():
-        spec = spec_from_mapping(catalog_entry(name))
-        systems.append(build_cplus(generate_group(spec.degree, spec.generators),
-                                   spec.generators))
+    systems += [catalog_cplus(name) for name in catalog_names()]
     systems += [simplex_cplus(rank) for rank in (4, 5, 6)]
     systems.append(torus_p_cplus(101))
     return systems
@@ -266,8 +259,13 @@ def _corpus_and_rank4_systems(rank4_classes):
     """Fresh systems of the 333 corpus instances, of the 310 dependent
     corpus tuples and of every rank-4 class of S5 and PSL(2,7), each with
     the class's report over all k (None outside the rank-4 classes)."""
-    systems = [(build_cplus(inst.group, inst.R), None)
-               for independent in (True, False) for inst in build_corpus(independent)]
+    dependent = ([(G, R) for _, G in rank3_group_list()
+                  for R in generating_tuples(G, 2, independent=False)]
+                 + [(G, R) for _, G in rank4_group_list()
+                    for R in generating_tuples(G, 3, independent=False, limit=6)])
+    assert len(dependent) == 310
+    systems = [(build_cplus(inst.group, inst.R), None) for inst in build_corpus()]
+    systems += [(build_cplus(G, R), None) for G, R in dependent]
     systems += [(build_cplus(G, R), report)
                 for G, classes in rank4_classes.values() for R, report in classes]
     return systems
@@ -501,9 +499,7 @@ def test_c4_fails_with_code_2():
 
 
 def test_c3xc3_fails_with_code_3():
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
-                           Permutation.from_cycles(6, [(3, 4, 5)])])
-    rep = is_chiral_hypertope(build_cplus(G, tuple(G.generators)))
+    rep = is_chiral_hypertope(c3xc3_cplus())
     assert (rep.verdict, rep.failing_condition) == (NOT_HYPERTOPE, 3)
 
 

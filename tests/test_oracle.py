@@ -8,16 +8,18 @@ import sys
 
 import pytest
 
-from conftest import simplex_cplus, torus_p_cplus
-from hypertope import cli, permcore
-from hypertope.catalog import catalog_entry, catalog_names
-from hypertope.corpus import (
-    alternating,
-    build_corpus,
-    cyclic,
-    symmetric,
-    torus_rotation_group,
+from conftest import (
+    c3xc3_cplus,
+    catalog_cplus,
+    hexagon,
+    non_geometry_rank4,
+    simplex_cplus,
+    torus_cplus,
+    torus_p_cplus,
 )
+from hypertope import cli, oracle, permcore
+from hypertope.catalog import catalog_names
+from hypertope.corpus import alternating, build_corpus, cyclic, symmetric
 from hypertope.cosetgeo import build, flag_orbits
 from hypertope.cplus import (
     CHIRAL,
@@ -42,26 +44,6 @@ from hypertope.permcore import (
     generated_indices,
     right_coset,
 )
-
-
-def hexagon():
-    G = symmetric(3)
-    H1 = generate_group(3, [Permutation([1, 0, 2])])
-    H2 = generate_group(3, [Permutation([0, 2, 1])])
-    return build(G, [H1, H2])
-
-
-def _non_geometry():
-    """A connected rank-4 system over C2^3 with a flag in no chamber."""
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1)]),
-                           Permutation.from_cycles(6, [(2, 3)]),
-                           Permutation.from_cycles(6, [(4, 5)])])
-    parabolics = [generate_group(6, [p]) for p in (
-        Permutation([0, 1, 2, 3, 5, 4]),
-        Permutation([0, 1, 3, 2, 4, 5]),
-        Permutation([0, 1, 3, 2, 5, 4]),
-        Permutation([1, 0, 2, 3, 4, 5]))]
-    return build(G, parabolics)
 
 
 def test_hexagon_graph_shape():
@@ -94,8 +76,8 @@ def _coset(geo, v):
 
 
 def test_base_chamber_is_a_clique():
-    G, (s, t) = torus_rotation_group()
-    S = build_cplus(G, (s, s * t))
+    S = torus_cplus()
+    G = S.group
     geo = associated_geometry(S)
     graph = build_incidence_graph(S)
     base = [right_coset(H, G.element(0)) for H in geo.parabolics]
@@ -107,8 +89,7 @@ def test_base_chamber_is_a_clique():
 
 
 def test_cliques_equal_chambers_for_geometries():
-    G, (s, t) = torus_rotation_group()
-    for S in (build_cplus(G, (s, s * t)),
+    for S in (torus_cplus(),
               build_cplus(alternating(4),
                           (Permutation.from_cycles(4, [(0, 1, 2)]),
                            Permutation.from_cycles(4, [(1, 2, 3)])))):
@@ -123,7 +104,7 @@ def test_cliques_equal_chambers_for_geometries():
 def test_non_geometry_has_short_maximal_clique():
     """The non-geometry that ``scripts/find_fixtures.py nongeometry`` finds:
     its view fails ``is_geometry`` and ``is_thin`` directly."""
-    view = _non_geometry().view()
+    view = non_geometry_rank4().view()
     assert view.is_connected()
     assert not view.is_geometry() and not view.is_thin()
     assert sorted({len(c) for c in chambers_via_maximal_cliques(view)}) == [3, 4]
@@ -134,9 +115,7 @@ def test_non_thin_geometry_fails_is_thin():
     (the ``oracle`` module docstring gives the argument), so they are pinned
     on their own: here the view of the C3 x C3 system (code 3), a residually
     connected geometry that is not thin; above, the non-geometry."""
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
-                           Permutation.from_cycles(6, [(3, 4, 5)])])
-    view = associated_geometry(build_cplus(G, tuple(G.generators))).view()
+    view = associated_geometry(c3xc3_cplus()).view()
     assert view.is_geometry() and view.is_residually_connected()
     assert not view.is_thin()
 
@@ -158,12 +137,13 @@ def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
     assert seen[True, True] and seen[False, False], seen
 
 
-def test_vertex_cap():
-    G, (s, t) = torus_rotation_group()
-    S = build_cplus(G, (s, s * t))
-    with pytest.raises(VertexCapError):
-        build_incidence_graph(S, vertex_cap=19)
-    assert build_incidence_graph(S, vertex_cap=20).num_vertices == 20  # 20/4 + 20/2 + 20/4
+def test_vertex_cap(monkeypatch):
+    S = torus_cplus()
+    monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 19)
+    with pytest.raises(VertexCapError, match="^incidence graph exceeds vertex cap 19$"):
+        build_incidence_graph(S)
+    monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 20)
+    assert build_incidence_graph(S).num_vertices == 20  # 20/4 + 20/2 + 20/4
 
 
 def test_oracle_view_matches_the_closure_geometry():
@@ -244,8 +224,7 @@ def test_cross_orbit_test_groups_chambers_by_ridge():
 
 
 def test_oracle_verdicts_match_known_instances():
-    G, (s, t) = torus_rotation_group()
-    rep = chirality_bruteforce(build_cplus(G, (s, s * t)))
+    rep = chirality_bruteforce(torus_cplus())
     assert rep.verdict == CHIRAL
     assert rep.orbit_sizes == (20, 20)
 
@@ -361,14 +340,12 @@ def _graph_layer_instances():
     geometry and connectedness."""
     out = []
     for name in catalog_names():
-        spec = cli.spec_from_mapping(catalog_entry(name))
-        S = build_cplus(generate_group(spec.degree, spec.generators), spec.generators)
-        out.append((name, associated_geometry(S)))
+        out.append((name, associated_geometry(catalog_cplus(name))))
     for inst in random.Random(20261018).sample(build_corpus(), 40):
         out.append((inst.name, associated_geometry(build_cplus(inst.group, inst.R))))
     for rank in (4, 5):
         out.append((f"simplex-r{rank}", associated_geometry(simplex_cplus(rank))))
-    out += [("hexagon", hexagon()), ("non-geometry", _non_geometry())]
+    out += [("hexagon", hexagon()), ("non-geometry", non_geometry_rank4())]
     H = generate_group(4, [Permutation([2, 3, 0, 1])])
     out.append(("disconnected", build(generate_group(4, [Permutation([1, 2, 3, 0])]), [H, H])))
     return out
