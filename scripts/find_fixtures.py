@@ -88,7 +88,7 @@ def search_nongeometry():
         for quad in itertools.combinations_with_replacement(subs.values(), 4):
             geo = build(G, list(quad))
             if geo.is_connected() and not geo.is_geometry():
-                sizes = sorted({len(c) for c in chambers_via_maximal_cliques(geo.view())})
+                sizes = sorted({len(c) for c in chambers_via_maximal_cliques(geo)})
                 print(f"{name}: parabolics "
                       f"{[[list(g.images) for g in H.generators] for H in quad]} "
                       f"clique sizes {sizes}")

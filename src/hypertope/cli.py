@@ -138,7 +138,7 @@ def spec_from_mapping(doc: dict) -> InstanceSpec:
             raise InputError(f"{key} holds a lone surrogate at character {exc.start}") from exc
     if not isinstance(raw_gens, (list, tuple)):
         raise InputError("generators must be a sequence")
-    options = doc.get("options") or {}
+    options = {} if doc.get("options") is None else doc["options"]
     if not isinstance(options, dict):
         raise InputError("options must be a mapping")
     _check_options(options)
@@ -381,9 +381,9 @@ def _build_parser():
 
 def _with_flags(doc, args):
     """The document with the command line's options in place of its own, so
-    that it is read with the element cap in effect.  A document whose
-    options are no mapping is returned as it is, for ``spec_from_mapping``
-    to refuse."""
+    that it is read with the element cap in effect.  Missing or null
+    options are none; a document whose options are no mapping is returned
+    as it is, for ``spec_from_mapping`` to refuse."""
     flags: dict = {}
     if args.k is not None:
         flags["k"] = args.k
@@ -393,8 +393,10 @@ def _with_flags(doc, args):
         flags["oracle"] = True
     if args.element_cap is not None:
         flags["element_cap"] = args.element_cap
-    options = (doc.get("options") or {}) if isinstance(doc, dict) else None
-    if not flags or not isinstance(options, dict):
+    if not flags or not isinstance(doc, dict):
+        return doc
+    options = {} if doc.get("options") is None else doc["options"]
+    if not isinstance(options, dict):
         return doc
     return {**doc, "options": {**options, **flags}}
 

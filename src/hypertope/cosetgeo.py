@@ -17,10 +17,10 @@ elements.  The view keeps, per type, the coset number of each position
 (the coset column) and the least position of each coset, and per vertex an
 integer bitmask of its neighbours, the cosets meeting it, read off the
 columns in O(|G| r^2).  The oracle builds it from the system's
-maximal parabolic index sets and the arrays of R; a ``CosetGeometry``
-builds it from the positions its ``PermGroup`` parabolics generate and the
-arrays of G's generators.  Flags and chambers are the view's vertex tuples
-everywhere.
+maximal parabolic index sets and the arrays of R.  A ``CosetGeometry`` is
+itself a view, built once at construction from the positions its
+``PermGroup`` parabolics generate and the arrays of G's generators.  Flags
+and chambers are the view's vertex tuples everywhere.
 
 One walk over the view's flags, made once, records each flag with the mask
 of its common neighbours.  Flags, chambers, thinness, residual
@@ -82,7 +82,7 @@ class IncidenceView:
         *self.offsets, self.num_vertices = itertools.accumulate(map(len, self.least), initial=0)
         self.type_masks = {i: ((1 << len(least)) - 1) << offset
                            for i, (least, offset) in enumerate(zip(self.least, self.offsets))}
-        self.types = tuple(range(len(self.least)))
+        self.type_set = tuple(range(len(self.least)))
         self.mask = (1 << self.num_vertices) - 1
         self.adjacency = [0] * self.num_vertices
         vertex_columns = [[offset + c for c in column]
@@ -95,7 +95,7 @@ class IncidenceView:
 
     @property
     def rank(self) -> int:
-        return len(self.types)
+        return len(self.type_set)
 
     @property
     def num_edges(self) -> int:
@@ -110,16 +110,12 @@ class IncidenceView:
         i = bisect.bisect_right(self.offsets, n) - 1
         return i, n - self.offsets[i]
 
-    def incident(self, u: int, v: int) -> bool:
-        """Are vertices u and v incident: equal, or adjacent?"""
-        return u == v or bool(self.adjacency[u] >> v & 1)
-
     def _walk(self) -> dict[tuple[int, ...], list[FlagTuple]]:
         """Every flag with its common neighbours, grouped by type set, each
         group in canonical order; walked once and kept."""
         if self._flags is None:
             self._flags = {(): [((), self.mask)]}
-            _walk_flags(self.adjacency, [(t, self.type_masks[t]) for t in self.types],
+            _walk_flags(self.adjacency, [(t, self.type_masks[t]) for t in self.type_set],
                         0, (), (), self.mask, self._flags)
         return self._flags
 
@@ -128,15 +124,15 @@ class IncidenceView:
         return self._walk().get(tuple(J), [])
 
     def flags_of_type(self, J: Iterable[int]) -> list[tuple[int, ...]]:
-        """All flags with domain exactly J, as vertex tuples, in canonical order."""
-        J = sorted(J)
-        if not set(J) <= set(self.types):
+        """All flags with domain exactly the set J, as vertex tuples, in canonical order."""
+        J = sorted(set(J))
+        if not set(J) <= set(self.type_set):
             raise ValueError("flag type outside the type set")
         return [f for f, _ in self._flag_tuples(J)]
 
     def chambers(self) -> list[tuple[int, ...]]:
         """The flags of every type, as vertex tuples, in canonical order."""
-        return [f for f, _ in self._flag_tuples(self.types)]
+        return [f for f, _ in self._flag_tuples(self.type_set)]
 
     def maximal_flags(self) -> list[tuple[int, ...]]:
         """The flags with no common neighbour, ascending.  Vertices of one
@@ -157,9 +153,9 @@ class IncidenceView:
 
     def is_thin(self) -> bool:
         """Every corank-1 flag is incident to exactly two elements of the missing type."""
-        for missing in self.types:
+        for missing in self.type_set:
             m = self.type_masks[missing]
-            for _, common in self._flag_tuples([t for t in self.types if t != missing]):
+            for _, common in self._flag_tuples([t for t in self.type_set if t != missing]):
                 if (common & m).bit_count() != 2:
                     return False
         return True
@@ -177,7 +173,7 @@ class IncidenceView:
             return False
         return all(_connected(self.adjacency, common)
                    for k in range(1, self.rank - 1)
-                   for J in itertools.combinations(self.types, k)
+                   for J in itertools.combinations(self.type_set, k)
                    for _, common in self._flag_tuples(J))
 
 
@@ -264,14 +260,15 @@ def flag_orbits(view: IncidenceView,
     return orbits
 
 
-class CosetGeometry:
-    """Coset incidence system of a group with an indexed family of subgroups.
+class CosetGeometry(IncidenceView):
+    """Coset incidence system of a group with an indexed family of subgroups,
+    which is its own incidence view, built once at construction.
 
-    The positions of G that each parabolic generates and the incidence view
-    over them are built lazily, once, and cached; the object is otherwise
-    immutable.  Its flags and chambers are the view's vertex tuples; the
-    type-i coset numbered c is ``right_coset(H_i, G.element(x))`` for x =
-    ``view().least[i][c]``.
+    Each parabolic is kept as a ``PermGroup`` and as the set of positions of
+    G its generators generate; the cosets are numbered over those positions
+    under the arrays of G's generators.  Flags and chambers are vertex
+    tuples; the type-i coset numbered c is ``right_coset(H_i, G.element(x))``
+    for x = ``least[i][c]``.
     """
 
     def __init__(self, group: PermGroup, parabolics: Sequence[PermGroup]):
@@ -280,59 +277,24 @@ class CosetGeometry:
                 raise ValueError("parabolic is not a subgroup of the group")
         self.group = group
         self.parabolics = tuple(parabolics)
-        self._indices: Optional[list[set[int]]] = None
-        self._view: Optional[IncidenceView] = None
-
-    @property
-    def rank(self) -> int:
-        return len(self.parabolics)
-
-    @property
-    def type_set(self) -> tuple[int, ...]:
-        return tuple(range(self.rank))
-
-    def _positions(self) -> list[set[int]]:
-        """Each parabolic as the set of positions of G its generators
-        generate, computed once."""
-        if self._indices is None:
-            G = self.group
-            self._indices = [generated_indices(G.actions(H.generators))
-                             for H in self.parabolics]
-        return self._indices
-
-    def view(self) -> IncidenceView:
-        """The geometry as an explicit incidence graph, built once.  The view
-        holds no reference to the geometry: that cycle would keep dead
-        geometries alive until a full collection."""
-        if self._view is None:
-            self._view = IncidenceView(self.group, self._positions(),
-                                       self.group.actions(self.group.generators))
-        return self._view
+        self._maximal = [generated_indices(group.actions(H.generators)) for H in self.parabolics]
+        super().__init__(group, self._maximal, group.actions(group.generators))
 
     def coset_number(self, i: int, x: Permutation) -> int:
         """The number of the type-i coset holding the element x of G."""
-        return self.view().columns[i][self.group.index_of(x)]
+        return self.columns[i][self.group.index_of(x)]
 
     def incident(self, i: int, c1: RightCoset, j: int, c2: RightCoset) -> bool:
         """Typed incidence: same-type elements are incident iff equal, cosets
         of different types iff they share an element."""
-        view = self.view()
-        return view.incident(view.vertex(i, self.coset_number(i, c1.representative)),
-                             view.vertex(j, self.coset_number(j, c2.representative)))
+        u = self.vertex(i, self.coset_number(i, c1.representative))
+        v = self.vertex(j, self.coset_number(j, c2.representative))
+        return u == v or bool(self.adjacency[u] >> v & 1)
 
     # -- geometric property tests ----------------------------------------
 
-    def is_geometry(self) -> bool:
-        return self.view().is_geometry()
-
-    def is_thin(self) -> bool:
-        return self.view().is_thin()
-
-    def is_connected(self) -> bool:
-        return self.view().is_connected()
-
     def is_residually_connected_graph(self) -> bool:
-        return self.view().is_residually_connected()
+        return self.is_residually_connected()
 
     def is_residually_connected_group(self) -> bool:
         """Group-theoretic residual connectedness for flag-transitive geometries.
@@ -349,7 +311,7 @@ class CosetGeometry:
         parabolic of J or no element is left.
         """
         G = self.group
-        maximal = self._positions()
+        maximal = self._maximal
 
         def meet(J: Sequence[int]) -> set[int]:
             """The parabolic of J: the intersection of the maximal ones over J."""
@@ -384,11 +346,10 @@ class CosetGeometry:
     # -- group actions ----------------------------------------------------
 
     def flag_orbit(self, start: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The orbit of the flag ``start``, a vertex tuple of the view, among
-        the flags of its type set, in breadth-first order from the least."""
-        view = self.view()
-        flags = view.flags_of_type(view.type_and_coset(v)[0] for v in start)
-        for orbit in flag_orbits(view, flags):
+        """The orbit of the flag ``start``, a vertex tuple, among the flags
+        of its type set, in breadth-first order from the least."""
+        flags = self.flags_of_type(self.type_and_coset(v)[0] for v in start)
+        for orbit in flag_orbits(self, flags):
             if start in orbit:
                 return orbit
         raise ValueError("not a flag of the geometry")
@@ -397,8 +358,7 @@ class CosetGeometry:
         """One orbit on chambers.  Rank < 3 is free by the Tits construction."""
         if self.rank <= 2:
             return True
-        view = self.view()
-        return len(flag_orbits(view, view.chambers())) <= 1
+        return len(flag_orbits(self, self.chambers())) <= 1
 
     def is_flag_transitive(self) -> bool:
         """Transitive on flags of every type.
@@ -411,8 +371,7 @@ class CosetGeometry:
             return True
         if self.is_geometry():
             return self.is_chamber_transitive()
-        view = self.view()
-        return all(len(flag_orbits(view, view.flags_of_type(J))) <= 1
+        return all(len(flag_orbits(self, self.flags_of_type(J))) <= 1
                    for k in range(1, self.rank + 1)
                    for J in itertools.combinations(self.type_set, k))
 

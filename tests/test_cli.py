@@ -43,6 +43,7 @@ def test_parse_minimal_document():
     assert spec.name == "tiny"
     assert spec.degree == 3
     assert spec.generators == (Permutation([1, 2, 0]),)
+    assert parse_instance(MINIMAL + 'options: null\n') == spec  # null options are none
 
 
 def test_cycle_string_notation():
@@ -87,6 +88,11 @@ MISTYPED = {
     "cap-negative": A4 + 'options: {element_cap: -5}\n',
     "cap-float": A4 + 'options: {element_cap: 2.5}\n',
     "threads": A4 + 'options: {threads: 2}\n',
+    # only a missing or null ``options`` means none
+    "options-empty-list": A4 + 'options: []\n',
+    "options-zero": A4 + 'options: 0\n',
+    "options-false": A4 + 'options: false\n',
+    "options-empty-string": A4 + 'options: ""\n',
     "degree-bool": 'degree: true\ngenerators: [[0]]\n',
     "images-bool": 'degree: 2\ngenerators: [[true, false]]\n',
     "name-int": 'name: 7\ndegree: 3\ngenerators: [[1, 2, 0]]\n',
@@ -110,6 +116,15 @@ def test_mistyped_document_is_one_line_input_error(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_falsy_options_refused_with_a_command_line_flag(tmp_path, capsys):
+    """A flag puts its option in the document's options, which must be a
+    mapping already: a falsy ``options`` is not read as none."""
+    doc = tmp_path / "bad.yaml"
+    doc.write_text(A4 + 'options: []\n')
+    assert main([str(doc), "--all-k"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: options must be a mapping\n"
 
 
 def test_yaml_syntax_error_names_problem_and_position():

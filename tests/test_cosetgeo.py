@@ -33,23 +33,22 @@ def s4_rank4():
 
 
 def cosets(geo, i):
-    """The type-i cosets of ``geo`` as ``RightCoset``s, in the view's
+    """The type-i cosets of ``geo`` as ``RightCoset``s, in the geometry's
     numbering: coset c is H_i g for g the element at ``least[i][c]``."""
     G = geo.group
-    return [right_coset(geo.parabolics[i], G.element(x)) for x in geo.view().least[i]]
+    return [right_coset(geo.parabolics[i], G.element(x)) for x in geo.least[i]]
 
 
 def base_chamber(geo):
     """The chamber of the identity cosets, as a vertex tuple."""
-    return tuple(geo.view().vertex(i, 0) for i in geo.type_set)
+    return tuple(geo.vertex(i, 0) for i in geo.type_set)
 
 
 def translate(geo, flag, g):
     """The image of a vertex tuple under right multiplication by g, by
     permutation products: each coset's least element times g."""
-    view = geo.view()
-    return tuple(view.vertex(i, geo.coset_number(i, geo.group.element(view.least[i][c]) * g))
-                 for i, c in map(view.type_and_coset, flag))
+    return tuple(geo.vertex(i, geo.coset_number(i, geo.group.element(geo.least[i][c]) * g))
+                 for i, c in map(geo.type_and_coset, flag))
 
 
 # -- incidence --------------------------------------------------------------
@@ -75,7 +74,7 @@ def test_coset_map_matches_element_sets(make):
         # canonical order: ascending minimal member, which is the representative
         reps = [c.representative for c in of_type]
         assert reps == sorted(reps)
-        assert reps == [geo.group.element(x) for x in geo.view().least[i]]
+        assert reps == [geo.group.element(x) for x in geo.least[i]]
         assert len(of_type) * geo.parabolics[i].order == geo.group.order
         # the coset of a translated representative is the translated coset
         for n, c in enumerate(of_type):
@@ -112,20 +111,19 @@ def test_coset_columns_match_permutation_arithmetic(system):
     each against sets of permutation products built here."""
     geo = associated_geometry(_column_system(system))
     G = geo.group
-    graph = geo.view()
     holders = []
     for i, H in enumerate(geo.parabolics):
-        members = [frozenset(h * G.element(x) for h in H) for x in graph.least[i]]
-        assert [G.element(x) for x in graph.least[i]] == sorted(min(m) for m in members)
+        members = [frozenset(h * G.element(x) for h in H) for x in geo.least[i]]
+        assert [G.element(x) for x in geo.least[i]] == sorted(min(m) for m in members)
         holder = {x: n for n, m in enumerate(members) for x in m}
         assert len(holder) == G.order
         for x in G:
             assert members[geo.coset_number(i, x)] == frozenset(h * x for h in H)
         holders.append(holder)
     # the vertex (i, c) moves under g to the type-i coset holding (least of c) * g
-    for g, move in zip(G.generators, vertex_moves(graph)):
-        assert move == [graph.vertex(i, holders[i][G.element(graph.least[i][c]) * g])
-                        for i, c in map(graph.type_and_coset, range(graph.num_vertices))]
+    for g, move in zip(G.generators, vertex_moves(geo)):
+        assert move == [geo.vertex(i, holders[i][G.element(geo.least[i][c]) * g])
+                        for i, c in map(geo.type_and_coset, range(geo.num_vertices))]
 
 
 def test_same_type_incidence_is_equality():
@@ -141,7 +139,7 @@ def test_hexagon_shape():
     geo = hexagon()
     assert len(cosets(geo, 0)) == 3
     assert len(cosets(geo, 1)) == 3
-    assert len(geo.view().chambers()) == 6
+    assert len(geo.chambers()) == 6
     assert geo.is_geometry() and geo.is_thin() and geo.is_connected()
     assert geo.is_residually_connected_graph()
     assert geo.is_flag_transitive()
@@ -154,18 +152,21 @@ def test_base_chamber_is_pairwise_incident():
         for j, c2 in enumerate(base):
             assert geo.incident(i, c1, j, c2)
     assert [cosets(geo, i)[0] for i in geo.type_set] == base
-    assert base_chamber(geo) in geo.view().chambers()
+    assert base_chamber(geo) in geo.chambers()
 
 
 # -- flags ------------------------------------------------------------------
 
 def test_flags_of_type_counts_match_backtracking():
     geo = torus_system()
-    view = geo.view()
     # rank-2 flags of type {0, 1} == incident pairs counted directly
     pairs = [(c1, c2) for c1 in cosets(geo, 0)
              for c2 in cosets(geo, 1) if geo.incident(0, c1, 1, c2)]
-    assert len(view.flags_of_type([0, 1])) == len(pairs)
+    assert len(geo.flags_of_type([0, 1])) == len(pairs)
+    # J is a set of types: a repeated type names the same flags
+    assert geo.flags_of_type([1, 0, 1]) == geo.flags_of_type([0, 1])
+    six = hexagon()
+    assert len(six.flags_of_type([0, 0])) == len(six.flags_of_type([0])) == 3
 
 
 # -- structural predicates --------------------------------------------------
@@ -196,7 +197,7 @@ def test_thin_geometry_has_unique_adjacent_chamber_per_type():
     geo = torus_system()
     assert geo.is_thin()
     ch = base_chamber(geo)
-    chambers = geo.view().chambers()
+    chambers = geo.chambers()
     assert ch in chambers
     for i in geo.type_set:
         # chambers agreeing with ch outside type i and differing at i
@@ -228,7 +229,7 @@ def test_rank2_truncations_are_chamber_transitive():
 
 def test_torus_system_has_two_chamber_orbits():
     geo = torus_system()
-    chambers = set(geo.view().chambers())
+    chambers = set(geo.chambers())
     first = set(geo.flag_orbit(base_chamber(geo)))
     second = set(geo.flag_orbit(min(chambers - first)))
     assert len(first) == len(second) == 20
@@ -254,17 +255,17 @@ def test_flag_transitivity_of_a_non_geometry_sweeps_every_type():
     two orbits on the flags of some type set; here only on type {0, 1, 2}."""
     geo = non_geometry_rank4()
     assert not geo.is_geometry()
-    G, view = geo.group, geo.view()
+    G = geo.group
     counts = {}
     for k in range(1, geo.rank + 1):
         for J in itertools.combinations(geo.type_set, k):
-            flags = [tuple(cosets(geo, i)[c] for i, c in map(view.type_and_coset, f))
-                     for f in view.flags_of_type(J)]
+            flags = [tuple(cosets(geo, i)[c] for i, c in map(geo.type_and_coset, f))
+                     for f in geo.flags_of_type(J)]
             orbits = {frozenset(tuple(right_coset(geo.parabolics[i], c.representative * g)
                                       for i, c in zip(J, flag)) for g in G)
                       for flag in flags}
             counts[J] = len(orbits)
-            assert len(flag_orbits(view, view.flags_of_type(J))) == counts[J], J
+            assert len(flag_orbits(geo, geo.flags_of_type(J))) == counts[J], J
     assert {J for J, n in counts.items() if n != 1} == {(0, 1, 2)}
     assert not geo.is_flag_transitive()
 

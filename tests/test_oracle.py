@@ -47,7 +47,7 @@ from hypertope.permcore import (
 
 
 def test_hexagon_graph_shape():
-    graph = hexagon().view()
+    graph = hexagon()
     assert graph.num_vertices == 6
     assert graph.num_edges == 6
     cliques = chambers_via_maximal_cliques(graph)
@@ -58,7 +58,7 @@ def test_hexagon_graph_shape():
 def test_rank1_graph_is_edgeless():
     G = cyclic(4)
     H = generate_group(4, [Permutation([2, 3, 0, 1])])
-    graph = build(G, [H]).view()
+    graph = build(G, [H])
     assert graph.num_vertices == 2
     assert graph.num_edges == 0
 
@@ -69,10 +69,9 @@ def _vertex(graph, geo, i, c):
 
 
 def _coset(geo, v):
-    """The type and the ``RightCoset`` of vertex v of ``geo``'s view."""
-    view = geo.view()
-    i, c = view.type_and_coset(v)
-    return i, right_coset(geo.parabolics[i], geo.group.element(view.least[i][c]))
+    """The type and the ``RightCoset`` of vertex v of ``geo``."""
+    i, c = geo.type_and_coset(v)
+    return i, right_coset(geo.parabolics[i], geo.group.element(geo.least[i][c]))
 
 
 def test_base_chamber_is_a_clique():
@@ -97,27 +96,27 @@ def test_cliques_equal_chambers_for_geometries():
         assert geo.is_geometry()
         graph = build_incidence_graph(S)
         chambers = [tuple(_vertex(graph, geo, *_coset(geo, v)) for v in ch)
-                    for ch in geo.view().chambers()]
+                    for ch in geo.chambers()]
         assert chambers_via_maximal_cliques(graph) == sorted(chambers) == graph.chambers()
 
 
 def test_non_geometry_has_short_maximal_clique():
     """The non-geometry that ``scripts/find_fixtures.py nongeometry`` finds:
-    its view fails ``is_geometry`` and ``is_thin`` directly."""
-    view = non_geometry_rank4().view()
-    assert view.is_connected()
-    assert not view.is_geometry() and not view.is_thin()
-    assert sorted({len(c) for c in chambers_via_maximal_cliques(view)}) == [3, 4]
+    it fails ``is_geometry`` and ``is_thin`` directly."""
+    geo = non_geometry_rank4()
+    assert geo.is_connected()
+    assert not geo.is_geometry() and not geo.is_thin()
+    assert sorted({len(c) for c in chambers_via_maximal_cliques(geo)}) == [3, 4]
 
 
 def test_non_thin_geometry_fails_is_thin():
     """The oracle's thinness and geometry checks never decide its verdict
     (the ``oracle`` module docstring gives the argument), so they are pinned
-    on their own: here the view of the C3 x C3 system (code 3), a residually
-    connected geometry that is not thin; above, the non-geometry."""
-    view = associated_geometry(c3xc3_cplus()).view()
-    assert view.is_geometry() and view.is_residually_connected()
-    assert not view.is_thin()
+    on their own: here the geometry of the C3 x C3 system (code 3), a
+    residually connected geometry that is not thin; above, the non-geometry."""
+    geo = associated_geometry(c3xc3_cplus())
+    assert geo.is_geometry() and geo.is_residually_connected()
+    assert not geo.is_thin()
 
 
 def test_two_unmixed_clique_orbits_imply_a_thin_geometry():
@@ -149,8 +148,8 @@ def test_vertex_cap(monkeypatch):
 def test_oracle_view_matches_the_closure_geometry():
     """``build_incidence_graph`` reads the maximal parabolic index sets; the
     geometry of ``associated_geometry`` reads the positions that the
-    ``PermGroup`` closures of the same parabolics generate.  Both build an
-    ``IncidenceView`` and must give the same graph: on every twentieth corpus
+    ``PermGroup`` closures of the same parabolics generate.  Both are
+    ``IncidenceView``s and must give the same graph: on every twentieth corpus
     system, torus p = 197 and the rank-5 simplex.  The index sets themselves
     are checked against sympy on every corpus system in
     ``tests/test_kernel_crosscheck.py``."""
@@ -158,7 +157,7 @@ def test_oracle_view_matches_the_closure_geometry():
     systems += [torus_p_cplus(197), simplex_cplus(5)]
     for S in systems:
         oracle_view = build_incidence_graph(S)
-        closure_view = associated_geometry(S).view()
+        closure_view = associated_geometry(S)
         assert oracle_view.type_masks == closure_view.type_masks, S.R
         assert oracle_view.adjacency == closure_view.adjacency, S.R
         assert oracle_view.columns == closure_view.columns, S.R
@@ -384,20 +383,19 @@ def test_graph_layer_matches_networkx():
     nx = pytest.importorskip("networkx")
     seen = collections.Counter()
     for name, geo in _graph_layer_instances():
-        graph = geo.view()
-        V = graph.num_vertices
-        types = [graph.type_and_coset(v)[0] for v in range(V)]
+        V = geo.num_vertices
+        types = [geo.type_and_coset(v)[0] for v in range(V)]
         nx_graph = nx.Graph()
         nx_graph.add_nodes_from(range(V))
         nx_graph.add_edges_from((a, b) for a in range(V) for b in range(a + 1, V)
-                                if graph.adjacency[a] >> b & 1)
-        assert nx_graph.number_of_edges() == graph.num_edges, name
+                                if geo.adjacency[a] >> b & 1)
+        assert nx_graph.number_of_edges() == geo.num_edges, name
         if geo.group.order <= 60:
             members = [frozenset(_coset(geo, v)[1].elements()) for v in range(V)]
             for a, b in itertools.combinations(range(V), 2):
                 direct = types[a] != types[b] and bool(members[a] & members[b])
-                assert bool(graph.adjacency[a] >> b & 1) == direct, (name, a, b)
-        cliques = chambers_via_maximal_cliques(graph)
+                assert bool(geo.adjacency[a] >> b & 1) == direct, (name, a, b)
+        cliques = chambers_via_maximal_cliques(geo)
         assert cliques == sorted(tuple(sorted(c)) for c in nx.find_cliques(nx_graph)), name
         # the flags are the cliques, the empty one included; the walk holds
         # each flag once, under its type set, in ascending order
@@ -407,13 +405,12 @@ def test_graph_layer_matches_networkx():
             by_type[tuple(types[v] for v in c)].append(c)
         for k in range(geo.rank + 1):
             for J in itertools.combinations(range(geo.rank), k):
-                assert [f for f, _ in graph._flag_tuples(J)] == sorted(by_type[J]), (name, J)
+                assert [f for f, _ in geo._flag_tuples(J)] == sorted(by_type[J]), (name, J)
         flags = [frozenset(c) for c in nx_cliques]
         thin, rc = _networkx_thin_and_rc(nx, nx_graph, flags, types, geo.rank)
-        view = geo.view()
-        assert view.is_thin() == thin, name
-        assert view.is_residually_connected() == rc, name
-        assert view.is_geometry() == _every_flag_extends(flags, geo.rank), name
-        seen.update([("thin", thin), ("rc", rc), ("geometry", view.is_geometry())])
+        assert geo.is_thin() == thin, name
+        assert geo.is_residually_connected() == rc, name
+        assert geo.is_geometry() == _every_flag_extends(flags, geo.rank), name
+        seen.update([("thin", thin), ("rc", rc), ("geometry", geo.is_geometry())])
     assert all(seen[prop, value] for prop in ("thin", "rc", "geometry")
                for value in (True, False)), seen

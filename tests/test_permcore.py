@@ -543,7 +543,7 @@ def test_coset_shift_matches_element_translation():
     G = _s4()
     H = generate_group(4, [Permutation([1, 2, 0, 3])])
     geo = CosetGeometry(G, [H])
-    least = geo.view().least[0]
+    least = geo.least[0]
     for c in (right_coset(H, G.element(x)) for x in least):
         for h in G:
             shifted = right_coset(H, G.element(least[geo.coset_number(0, c.representative * h)]))
