@@ -113,7 +113,12 @@ def _parse_generator(obj, degree: int) -> Permutation:
     raise InputError(f"generator must be an image array or cycle string, got {type(obj).__name__}")
 
 
-def spec_from_mapping(doc: dict) -> InstanceSpec:
+def spec_from_mapping(doc: dict, flags: Optional[dict] = None) -> InstanceSpec:
+    """The instance of a document.  Its ``options`` are checked as written;
+    then ``flags``, the command line's options, replace those of the same
+    name and the result is checked again, so a mistyped option is refused
+    whatever the flags.  The degree is then checked against the element cap
+    in effect, before any generator is read."""
     if not isinstance(doc, dict):
         raise InputError("instance document must be a mapping")
     unknown = set(doc) - _KNOWN_FIELDS
@@ -142,6 +147,9 @@ def spec_from_mapping(doc: dict) -> InstanceSpec:
     if not isinstance(options, dict):
         raise InputError("options must be a mapping")
     _check_options(options)
+    if flags:
+        options = {**options, **flags}
+        _check_options(options)
     cap = options.get("element_cap", DEFAULT_ELEMENT_CAP)
     if degree > cap:
         raise DegreeCapError(f"degree {degree} exceeds the element cap {cap}")
@@ -367,9 +375,9 @@ def _build_parser():
                     help="run a built-in instance ('list' to enumerate)")
     ap.add_argument("--k", type=int, default=None, metavar="K",
                     help="type index for the k-dependent conditions (default 0)")
-    ap.add_argument("--all-k", action="store_true",
+    ap.add_argument("--all-k", dest="check_all_k", action="store_const", const=True,
                     help="evaluate conditions (i) and (iii) for every k")
-    ap.add_argument("--oracle", action="store_true",
+    ap.add_argument("--oracle", action="store_const", const=True,
                     help="also run the brute-force incidence-graph check")
     ap.add_argument("--element-cap", type=int, default=None, metavar="N",
                     help=f"group enumeration cap (default {DEFAULT_ELEMENT_CAP})")
@@ -377,28 +385,6 @@ def _build_parser():
     ap.add_argument("--one-based", action="store_true",
                     help="render cycles with 1-based points in text output")
     return ap
-
-
-def _with_flags(doc, args):
-    """The document with the command line's options in place of its own, so
-    that it is read with the element cap in effect.  Missing or null
-    options are none; a document whose options are no mapping is returned
-    as it is, for ``spec_from_mapping`` to refuse."""
-    flags: dict = {}
-    if args.k is not None:
-        flags["k"] = args.k
-    if args.all_k:
-        flags["check_all_k"] = True
-    if args.oracle:
-        flags["oracle"] = True
-    if args.element_cap is not None:
-        flags["element_cap"] = args.element_cap
-    if not flags or not isinstance(doc, dict):
-        return doc
-    options = {} if doc.get("options") is None else doc["options"]
-    if not isinstance(options, dict):
-        return doc
-    return {**doc, "options": {**options, **flags}}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -418,7 +404,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             print("error: need an input document or --catalog NAME", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        spec = spec_from_mapping(_with_flags(doc, args))
+        flags = {name: value for name, value in vars(args).items()
+                 if name in _OPTION_TYPES and value is not None}
+        spec = spec_from_mapping(doc, flags)
         report = run(spec)
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

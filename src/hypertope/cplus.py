@@ -203,17 +203,11 @@ def check_ic_plus(S: CPlusSystem) -> bool:
     G_{J∩K} (J ⊆ K, or a J of one type, holds at once).  So about
     r 2^(r-1) intersections are made, not 4^r / 2.  Comparing orders
     suffices because G_{J∖{i}} always sits inside the intersection.  Each
-    subset's index set is looked up once, when a test first needs it, and
-    kept in a table that the others read.
+    subset's index set is closed once, when a test first needs it, and kept
+    on the system.
     """
     if S._ic_plus is None:
-        I, M = S.type_set, S.maximal_indices
-        table: dict[tuple[int, ...], set[int]] = {}
-
-        def P(J: tuple[int, ...]) -> set[int]:
-            if J not in table:
-                table[J] = S.parabolic_indices(J)
-            return table[J]
+        I, M, P = S.type_set, S.maximal_indices, S.parabolic_indices
         # (G_J, G_{I∖{i}}, J ∖ {i}): each pair of maximal parabolics, then
         # each smaller J against the maximal parabolic of each i ∈ J
         maximal_pairs = ((M(j), M(i), tuple(t for t in I if t not in (i, j)))

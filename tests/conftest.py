@@ -60,9 +60,7 @@ def non_geometry_rank4():
 def c3xc3_cplus():
     """C3 x C3 on two triangles, R its two generators: a residually
     connected geometry that is not thin (code 3)."""
-    G = generate_group(6, [Permutation.from_cycles(6, [(0, 1, 2)]),
-                           Permutation.from_cycles(6, [(3, 4, 5)])])
-    return build_cplus(G, tuple(G.generators))
+    return catalog_cplus("fix-code3-c3xc3")
 
 
 def torus_cplus():

@@ -106,25 +106,38 @@ MISTYPED = {
 }
 
 
-@pytest.mark.parametrize("text", MISTYPED.values(), ids=MISTYPED.keys())
-def test_mistyped_document_is_one_line_input_error(tmp_path, capsys, text):
+# the flag that sets the option each option row mistypes
+OPTION_FLAGS = {
+    "k-string": ["--k", "0"],
+    "k-bool": ["--k", "0"],
+    "oracle-string": ["--oracle"],
+    "check_all_k-string": ["--all-k"],
+    "cap-negative": ["--element-cap", "100"],
+    "cap-float": ["--element-cap", "100"],
+    "options-empty-list": ["--all-k"],
+    "options-zero": ["--all-k"],
+    "options-false": ["--all-k"],
+    "options-empty-string": ["--all-k"],
+}
+MISTYPED_RUNS = {**{name: (name, []) for name in MISTYPED},
+                 **{f"{name}-with-{flags[0][2:]}": (name, flags)
+                    for name, flags in OPTION_FLAGS.items()}}
+
+
+@pytest.mark.parametrize("name, flags", MISTYPED_RUNS.values(), ids=MISTYPED_RUNS.keys())
+def test_mistyped_document_is_one_line_input_error(tmp_path, capsys, name, flags):
+    """The error is the one ``parse_instance`` raises, also when a flag sets
+    the mistyped option: the document's options are checked before the
+    flags replace them, and a falsy ``options`` is not read as none."""
+    text = MISTYPED[name]
     doc = tmp_path / "bad.yaml"
     doc.write_text(text)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         parse_instance(text)
-    assert main([str(doc)]) == EXIT_INPUT_ERROR
+    assert main([str(doc), *flags]) == EXIT_INPUT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_falsy_options_refused_with_a_command_line_flag(tmp_path, capsys):
-    """A flag puts its option in the document's options, which must be a
-    mapping already: a falsy ``options`` is not read as none."""
-    doc = tmp_path / "bad.yaml"
-    doc.write_text(A4 + 'options: []\n')
-    assert main([str(doc), "--all-k"]) == EXIT_INPUT_ERROR
-    assert capsys.readouterr().err == "error: options must be a mapping\n"
+    assert captured.err == f"error: {info.value}\n"
 
 
 def test_yaml_syntax_error_names_problem_and_position():

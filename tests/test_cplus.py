@@ -236,9 +236,14 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _subsets(S, largest):
+    """Every subset of 1 to ``largest`` types of S, as a sorted tuple."""
+    return {J for size in range(1, largest + 1) for J in itertools.combinations(S.type_set, size)}
+
+
 def test_ic_plus_is_computed_once(monkeypatch):
-    """IC⁺ tests each J against the maximal parabolics, so it looks up and
-    closes exactly the subsets of 1 to rank - 2 types, each once (the
+    """IC⁺ tests each J against the maximal parabolics, so it looks up
+    exactly the subsets of 1 to rank - 2 types and closes each once (the
     maximal ones come with the system), and it is computed once per system:
     a second computation would look a subset up, which raises once the
     lookup is gone."""
@@ -249,8 +254,8 @@ def test_ic_plus_is_computed_once(monkeypatch):
         lookup = S.parabolic_indices
         S.parabolic_indices = lambda J: looked_up.append(J) or lookup(J)
         assert check_ic_plus(S)
-        assert len(looked_up) == len(set(looked_up)) == 2 ** S.rank - 2 - S.rank
-        assert len(closed) == 2 ** S.rank - 2 - S.rank
+        assert set(looked_up) == _subsets(S, S.rank - 2)
+        assert len(set(looked_up)) == len(closed) == 2 ** S.rank - 2 - S.rank
         S.parabolic_indices = None
         assert check_ic_plus(S)
 
@@ -537,8 +542,8 @@ def test_each_part_is_derived_once(monkeypatch, rank, families):
     took rank (rank - 1), and each is built once: one bitmask per coset.
     Every subset of 1 to rank - 1 types is closed once (2^rank - 2
     ``generated_indices`` calls: the closure from R needs no generation
-    check), and the decision looks each subset of 1 to rank - 2 types up
-    once, for IC⁺."""
+    check), and the decision looks up the subsets of 1 to rank - 2 types,
+    for IC⁺."""
     masks = _count_calls(monkeypatch, "_mask")
     closed = _count_calls(monkeypatch, "generated_indices")
     S = simplex_cplus(rank)
@@ -551,7 +556,8 @@ def test_each_part_is_derived_once(monkeypatch, rank, families):
     assert len(S._families) == families
     assert len(masks) == sum(map(len, S._families.values()))
     assert len(closed) == 2 ** rank - 2
-    assert len(looked_up) == len(set(looked_up)) == 2 ** rank - 2 - rank
+    assert set(looked_up) == _subsets(S, rank - 2)
+    assert len(set(looked_up)) == 2 ** rank - 2 - rank
 
 
 def test_kept_state_matches_fresh_systems(rank4_classes):
