@@ -230,10 +230,8 @@ ROWS = {
                       document=lambda name: images_json(name, *affine_torus(797))),
     "torus-p1601": Row(["--oracle", "--format", "json"], 120, rss_mb=200, check=agreement,
                        document=lambda name: images_json(name, *affine_torus(1601))),
-    "s5-chiral": Row(["--all-k", "--oracle"], 60,
-                     check=prints("  oracle verdict: chiral-hypertope  (agreement: True)"),
-                     document=lambda name: (f"name: {name}\ndegree: 5\n"
-                                            'generators: ["(3 4)", "(1 2 3)", "(0 4)(2 3)"]\n')),
+    "s5-chiral": Row(["-m", "hypertope", "--catalog", "s5-rank4-chiral", "--all-k", "--oracle"],
+                     60, check=prints("  oracle verdict: chiral-hypertope  (agreement: True)")),
     "determinism": Row(call(determinism), 60),
 }
 

@@ -121,12 +121,6 @@ def torus_rotation_group() -> tuple[PermGroup, tuple[Permutation, Permutation]]:
     return generate_group(degree, [s, t]), (s, t)
 
 
-def regular_representation(G: PermGroup,
-                           gens: Sequence[Permutation]) -> tuple[int, list[Permutation]]:
-    """Degree-|G| right-regular images of the given elements of G."""
-    return G.order, [Permutation(act) for act in G.actions(gens)]
-
-
 # -- generating tuple enumeration ------------------------------------------
 
 def generating_tuples(G: PermGroup, size: int, independent: Optional[bool] = None,

@@ -52,6 +52,7 @@ permutations are permutations, so they are built unchecked.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import total_ordering
 from operator import attrgetter, itemgetter
 from typing import Collection, Iterable, Iterator, Optional, Sequence
@@ -600,32 +601,16 @@ def product_set(H: PermGroup, K: PermGroup) -> frozenset[Permutation]:
     return frozenset(out)
 
 
+@dataclass(frozen=True, slots=True)
 class RightCoset:
     """A right coset H g with its canonical (lexicographically minimal) representative."""
 
-    __slots__ = ("subgroup", "representative", "_hash")
-
-    def __init__(self, subgroup: PermGroup, representative: Permutation):
-        self.subgroup = subgroup
-        self.representative = representative
-        self._hash: Optional[int] = None
+    subgroup: PermGroup
+    representative: Permutation
 
     def elements(self) -> Iterator[Permutation]:
         g = self.representative
         return (h * g for h in self.subgroup)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RightCoset)
-                and self.representative == other.representative
-                and self.subgroup == other.subgroup)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.subgroup, self.representative))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"RightCoset({self.subgroup!r} * {self.representative!r})"
 
 
 def right_coset(H: PermGroup, g: Permutation) -> RightCoset:

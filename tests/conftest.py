@@ -46,6 +46,12 @@ def hexagon():
     return build(G, [H1, H2])
 
 
+def disconnected_c4():
+    """C4 with both parabolics <g^2>: two components {H, Hg} x 2 types."""
+    H = generate_group(4, [Permutation([2, 3, 0, 1])])
+    return build(generate_group(4, [Permutation([1, 2, 3, 0])]), [H, H])
+
+
 def non_geometry_rank4():
     """A connected rank-4 system over C2^3 with a flag in no chamber, the
     one ``scripts/find_fixtures.py nongeometry`` finds."""

@@ -15,7 +15,7 @@ import yaml
 
 from hypertope import cli, oracle
 from hypertope.catalog import catalog_entry, catalog_names
-from hypertope.corpus import build_corpus
+from hypertope.corpus import build_corpus, torus_rotation_group
 from hypertope.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CHIRAL,
@@ -369,8 +369,26 @@ def test_catalog_code1_fixture_reports_code_1():
 
 def test_catalog_covers_all_failure_codes():
     names = catalog_names()
-    assert {"fix-code1-s5", "fix-code2-c4", "fix-code3-c3xc3",
-            "fix-code4-a4", "torus-4-4-1-2", "a4-rot-tetrahedron"} <= set(names)
+    assert {"fix-code1-s5", "fix-code2-c4", "fix-code3-c3xc3", "fix-code4-a4",
+            "fix-code5-s5", "torus-4-4-1-2", "s5-rank4-chiral",
+            "a4-rot-tetrahedron"} <= set(names)
+
+
+def test_catalog_torus_is_the_right_regular_image_of_s_and_st():
+    """The frozen torus-4-4-1-2 generators are the right-regular images of
+    R = (s, s t) for the order-20 ``torus_rotation_group``."""
+    G, (s, t) = torus_rotation_group()
+    spec = spec_from_mapping(catalog_entry("torus-4-4-1-2"))
+    assert spec.degree == G.order
+    assert [tuple(g.images) for g in spec.generators] == G.actions((s, s * t))
+
+
+def test_catalog_entry_edits_do_not_reach_the_catalog():
+    before = json.dumps(catalog_entry("fix-code1-s5"))
+    entry = catalog_entry("fix-code1-s5")
+    entry["generators"].append("(0 1)")
+    entry["options"]["k"] = 0
+    assert json.dumps(catalog_entry("fix-code1-s5")) == before
 
 
 # -- main() exit codes ------------------------------------------------------
@@ -382,11 +400,10 @@ def test_exit_codes_from_catalog(capsys):
     capsys.readouterr()
 
 
-def test_non_cplus_system_is_not_hypertope_with_code_5(tmp_path, capsys):
+def test_non_cplus_system_is_not_hypertope_with_code_5(capsys):
     # S5, rank 4: (ii), (i) and (iii) hold for every k, IC⁺ does not
-    doc = tmp_path / "s5.yaml"
-    doc.write_text('degree: 5\ngenerators: ["(0 1)", "(0 1)(2 4)", "(0 4 3 1)"]\n')
-    assert main([str(doc), "--all-k", "--oracle", "--format", "json"]) == EXIT_NOT_HYPERTOPE
+    assert main(["--catalog", "fix-code5-s5", "--all-k", "--oracle", "--format", "json"]
+                ) == EXIT_NOT_HYPERTOPE
     blob = json.loads(capsys.readouterr().out)
     assert blob["ic_plus"] is False
     assert blob["chirality"]["verdict"] == "not-hypertope"

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import catalog_cplus, hexagon, non_geometry_rank4, torus_cplus
+from conftest import catalog_cplus, disconnected_c4, hexagon, non_geometry_rank4, torus_cplus
 from hypertope.catalog import catalog_names
 from hypertope.corpus import (
     generating_tuples,
@@ -12,7 +12,7 @@ from hypertope.corpus import (
     rank4_group_list,
     symmetric,
 )
-from hypertope.cosetgeo import CosetGeometry, build, flag_orbits, vertex_moves
+from hypertope.cosetgeo import CosetGeometry, flag_orbits, vertex_moves
 from hypertope.cplus import associated_geometry, build_cplus
 from hypertope.permcore import (
     Permutation,
@@ -172,10 +172,7 @@ def test_flags_of_type_counts_match_backtracking():
 # -- structural predicates --------------------------------------------------
 
 def test_disconnected_system():
-    # C4 with both parabolics <g^2>: two components {H, Hg} x 2 types
-    G = generate_group(4, [Permutation([1, 2, 3, 0])])
-    H = generate_group(4, [Permutation([2, 3, 0, 1])])
-    geo = build(G, [H, H])
+    geo = disconnected_c4()
     assert not geo.is_connected()
     assert not geo.is_residually_connected_graph()
 

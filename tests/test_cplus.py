@@ -57,29 +57,13 @@ from hypertope.permcore import (
 )
 
 
-def a4_cplus():
-    G = alternating(4)
-    return build_cplus(G, (Permutation.from_cycles(4, [(0, 1, 2)]),
-                           Permutation.from_cycles(4, [(1, 2, 3)])))
-
-
-def s5_rank4_cplus():
-    """Rank-4 fixture: corank-1 intersections trivial, but the truncation
-    dropping type 2 splits into two chamber orbits."""
-    G = symmetric(5)
-    R = (Permutation([0, 1, 2, 4, 3]),      # (3 4)
-         Permutation([0, 2, 3, 1, 4]),      # (1 2 3)
-         Permutation([1, 3, 2, 0, 4]))      # (0 1 3)
-    return build_cplus(G, R)
-
-
 def _cross_check_builders():
     """Builders of every system the enumeration cross-checks cover: the
-    acceptance corpus, the catalog, the rank-4 S5 fixture, C3 x C3 and the
-    rank-4 and rank-5 simplices.  Each call builds a fresh system."""
+    acceptance corpus, the catalog and the rank-4 and rank-5 simplices.
+    Each call builds a fresh system."""
     builders = [lambda inst=inst: build_cplus(inst.group, inst.R) for inst in build_corpus()]
     builders += [lambda name=name: catalog_cplus(name) for name in catalog_names()]
-    builders += [s5_rank4_cplus, c3xc3_cplus, lambda: simplex_cplus(4), lambda: simplex_cplus(5)]
+    builders += [lambda: simplex_cplus(4), lambda: simplex_cplus(5)]
     return builders
 
 
@@ -154,14 +138,14 @@ def test_alpha_telescoping(data):
 
 def test_alpha_action_covers_every_ordered_pair():
     # alpha_0 = 1, so alpha_{i0} = alpha_i^-1 is one of the system's arrays too
-    S = s5_rank4_cplus()
+    S = catalog_cplus("fix-code1-s5")
     for i, j in itertools.permutations(S.type_set, 2):
         assert S.alpha_action(i, j) == S.group.actions([_alpha(S, i, j)])[0]
 
 
 def test_parabolic_recipe_matches_single_base_point():
     # <alpha_ij : i,j in J> = <alpha_mj : j in J> for m = min(J)
-    S = s5_rank4_cplus()
+    S = catalog_cplus("fix-code1-s5")
     for size in (2, 3):
         for J in itertools.combinations(S.type_set, size):
             m = J[0]
@@ -366,11 +350,11 @@ def test_conditions_on_torus():
 
 
 def test_condition_iv_fails_on_a4():
-    assert not condition_iv(a4_cplus())
+    assert not condition_iv(catalog_cplus("fix-code4-a4"))
 
 
 def test_condition_i_fails_on_s5_rank4():
-    S = s5_rank4_cplus()
+    S = catalog_cplus("fix-code1-s5")
     assert condition_ii(S)
     assert condition_i(S, 0) and condition_i(S, 1)
     assert not condition_i(S, 2) and not condition_i(S, 3)
@@ -436,7 +420,7 @@ def test_two_orbit_decomposition_of_torus():
 
 
 def test_two_orbit_decomposition_requires_condition_i():
-    S = s5_rank4_cplus()
+    S = catalog_cplus("fix-code1-s5")
     with pytest.raises(ValueError):
         two_orbit_decomposition(S, 2)
 
@@ -489,7 +473,7 @@ def test_torus_is_chiral():
 
 
 def test_a4_is_regular_with_code_4():
-    rep = is_chiral_hypertope(a4_cplus())
+    rep = is_chiral_hypertope(catalog_cplus("fix-code4-a4"))
     assert rep.verdict == REGULAR
     assert rep.failing_condition == 4
     assert rep.orbit_sizes == (12, 12)
@@ -509,12 +493,12 @@ def test_c3xc3_fails_with_code_3():
 
 
 def test_s5_rank4_fails_with_code_1_at_k2():
-    rep = is_chiral_hypertope(s5_rank4_cplus(), k=2)
+    rep = is_chiral_hypertope(catalog_cplus("fix-code1-s5"), k=2)
     assert (rep.verdict, rep.failing_condition) == (NOT_HYPERTOPE, 1)
 
 
 def test_check_all_k_records_disagreement():
-    rep = is_chiral_hypertope(s5_rank4_cplus(), check_all_k=True)
+    rep = is_chiral_hypertope(catalog_cplus("fix-code1-s5"), check_all_k=True)
     assert rep.failing_condition == 1
     assert rep.cross_k_disagreement == {1: {0: True, 1: True, 2: False, 3: False}}
 

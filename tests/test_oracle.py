@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     c3xc3_cplus,
     catalog_cplus,
+    disconnected_c4,
     hexagon,
     non_geometry_rank4,
     simplex_cplus,
@@ -88,10 +89,7 @@ def test_base_chamber_is_a_clique():
 
 
 def test_cliques_equal_chambers_for_geometries():
-    for S in (torus_cplus(),
-              build_cplus(alternating(4),
-                          (Permutation.from_cycles(4, [(0, 1, 2)]),
-                           Permutation.from_cycles(4, [(1, 2, 3)])))):
+    for S in (torus_cplus(), catalog_cplus("fix-code4-a4")):
         geo = associated_geometry(S)
         assert geo.is_geometry()
         graph = build_incidence_graph(S)
@@ -227,10 +225,7 @@ def test_oracle_verdicts_match_known_instances():
     assert rep.verdict == CHIRAL
     assert rep.orbit_sizes == (20, 20)
 
-    a4 = alternating(4)
-    rep = chirality_bruteforce(build_cplus(a4, (
-        Permutation.from_cycles(4, [(0, 1, 2)]),
-        Permutation.from_cycles(4, [(1, 2, 3)]))))
+    rep = chirality_bruteforce(catalog_cplus("fix-code4-a4"))
     assert rep.verdict == REGULAR
 
     c4 = cyclic(4)
@@ -345,8 +340,7 @@ def _graph_layer_instances():
     for rank in (4, 5):
         out.append((f"simplex-r{rank}", associated_geometry(simplex_cplus(rank))))
     out += [("hexagon", hexagon()), ("non-geometry", non_geometry_rank4())]
-    H = generate_group(4, [Permutation([2, 3, 0, 1])])
-    out.append(("disconnected", build(generate_group(4, [Permutation([1, 2, 3, 0])]), [H, H])))
+    out.append(("disconnected", disconnected_c4()))
     return out
 
 
